@@ -1,36 +1,29 @@
-"""Dynamic-update throughput: object batch pipeline vs vectorized fast path.
+"""Dynamic-update throughput: the array fast path vs the dict oracle.
 
 For insert-heavy, delete-heavy and mixed update streams at a sweep of
 sizes, run the same pre-generated stream through:
 
-* ``object`` — the array backend with ``vectorized=False`` (the per-edge
-  ``parallel_for`` pipeline, PR 1's hot path);
-* ``vector`` — ``vectorized=True`` (struct-of-arrays ``BatchFrame`` +
-  batched structure edits + numpy greedy kernels) with the native
-  backend ``off`` (the inline-fallback pipeline, comparable with
-  pre-native history);
-* ``vector+native`` — the vectorized path dispatching through
-  ``repro.native`` (``--native``; ``auto`` = numba when importable,
-  else the counted numpy tier) with the arena-backed compact columns
-  but the batched edit kernels forced off (``REPRO_EDIT_KERNELS=off``
-  — the pre-edit-kernel baseline path, byte for byte);
-* ``vector+native+edits`` — the same native tier plus the columnar
-  structure-edit kernels and the interned vertex table
-  (``REPRO_EDIT_KERNELS=auto``);
-* ``vector+engine`` — the vectorized path with a PR 4 multicore engine
+* ``dict`` — the record-dict oracle backend (one run per row: it is
+  the reference every other leg must match);
+* ``array`` — the default array backend, whose calls pick their route
+  by size (docs/hotpath.md, "Route selection": ``BatchFrame`` + vector
+  matcher + edit kernels for calls of at least ``repro.native.VEC_MIN``
+  items, scalar matcher + per-edge edits below it);
+* ``array+engine`` — the array backend with a PR 4 multicore engine
   driving the settle rounds' greedy.
 
-Every row records updates/sec (best of ``REPEATS`` interleaved runs) and
-the E1 invariant the fast path must preserve: the ledger work/depth and
-final matching of ``vector`` are asserted **identical** to ``object``
-before a row is written (``ledger_identical``/``matching_identical``).
-A ``workers=1`` engine row measures dispatch overhead on the dynamic
-path (acceptance: <= 5%).
+Every row records updates/sec (the array legs best of ``REPEATS``
+interleaved runs) and the E1 invariant the fast path must preserve: the
+ledger work/depth/per-tag totals and the final matching of both array
+legs are asserted **identical** to the dict oracle's before a row is
+written (``ledger_identical``/``matching_identical``).  A ``workers=1``
+engine row measures dispatch overhead on the dynamic path (acceptance:
+<= 5%).
 
 Results append into ``BENCH_dynamic.json`` at the repo root, keyed by
-label.  Usage::
+label, with the host's ``cpu_count``.  Usage::
 
-    PYTHONPATH=src python benchmarks/bench_dynamic.py --label vec
+    PYTHONPATH=src python benchmarks/bench_dynamic.py --label route
     REPRO_BENCH_SMOKE=1 PYTHONPATH=src python benchmarks/bench_dynamic.py \
         --label smoke
 
@@ -45,7 +38,6 @@ import os
 import random
 import time
 
-from repro import native
 from repro.core.dynamic_matching import DynamicMatching
 from repro.hypergraph.edge import Edge
 from repro.parallel.engine import Engine, EngineConfig
@@ -107,35 +99,17 @@ def _stream(kind: str, m: int, batch: int, rank: int = 2, seed: int = 3):
     return ops
 
 
-def _run(
-    ops,
-    *,
-    vectorized: bool,
-    engine=None,
-    native_mode: str = "off",
-    edit_kernels: str = "off",
-):
-    native.configure(native_mode)
-    prev = os.environ.get("REPRO_EDIT_KERNELS")
-    os.environ["REPRO_EDIT_KERNELS"] = edit_kernels
-    try:
-        dm = DynamicMatching(
-            rank=2, seed=7, vectorized=vectorized, engine=engine
-        )
-        n = 0
-        t0 = time.perf_counter()
-        for kind, payload in ops:
-            if kind == "ins":
-                dm.insert_edges(payload)
-            else:
-                dm.delete_edges(payload)
-            n += len(payload)
-        dt = time.perf_counter() - t0
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_EDIT_KERNELS", None)
+def _run(ops, *, backend: str = "array", engine=None):
+    dm = DynamicMatching(rank=2, seed=7, backend=backend, engine=engine)
+    n = 0
+    t0 = time.perf_counter()
+    for kind, payload in ops:
+        if kind == "ins":
+            dm.insert_edges(payload)
         else:
-            os.environ["REPRO_EDIT_KERNELS"] = prev
+            dm.delete_edges(payload)
+        n += len(payload)
+    dt = time.perf_counter() - t0
     return n / dt, dm
 
 
@@ -152,66 +126,42 @@ def _fingerprint(dm):
 # --------------------------------------------------------------------- #
 # Sweep
 # --------------------------------------------------------------------- #
-def run_sweep(sizes, repeats, engine_cfg, native_mode: str) -> list:
+def run_sweep(sizes, repeats, engine_cfg) -> list:
     rows = []
     for kind in ("insert-heavy", "delete-heavy", "mixed"):
         for m in sizes:
             batch = max(256, m // 8)
             ops = _stream(kind, m, batch)
             num_updates = sum(len(p) for _, p in ops)
-            variants = (
-                "object", "vector", "vector+native",
-                "vector+native+edits", "vector+engine",
-            )
-            best = {k: 0.0 for k in variants}
-            fp = {}
+            u, dm = _run(ops, backend="dict")
+            best = {"dict": u, "array": 0.0, "array+engine": 0.0}
+            fp = {"dict": _fingerprint(dm)}
             eng_sessions = 0
 
-            def _vec():
-                u, dm = _run(ops, vectorized=True)
-                best["vector"] = max(best["vector"], u)
-                fp["vector"] = _fingerprint(dm)
-
-            def _nat():
-                u, dm = _run(ops, vectorized=True, native_mode=native_mode)
-                best["vector+native"] = max(best["vector+native"], u)
-                fp["vector+native"] = _fingerprint(dm)
-
-            def _edt():
-                u, dm = _run(
-                    ops,
-                    vectorized=True,
-                    native_mode=native_mode,
-                    edit_kernels="auto",
-                )
-                best["vector+native+edits"] = max(
-                    best["vector+native+edits"], u
-                )
-                fp["vector+native+edits"] = _fingerprint(dm)
+            def _arr():
+                u, dm = _run(ops)
+                best["array"] = max(best["array"], u)
+                fp["array"] = _fingerprint(dm)
 
             def _eng():
                 nonlocal eng_sessions
                 eng = Engine(engine_cfg)
                 try:
-                    u, dm = _run(ops, vectorized=True, engine=eng)
+                    u, dm = _run(ops, engine=eng)
                     eng_sessions += eng.stats["sessions"]
                 finally:
                     eng.close()
-                best["vector+engine"] = max(best["vector+engine"], u)
-                fp["vector+engine"] = _fingerprint(dm)
+                best["array+engine"] = max(best["array+engine"], u)
+                fp["array+engine"] = _fingerprint(dm)
 
-            # The vectorized legs are read against each other, so
-            # rotate their order each repeat — best-of-N then samples
-            # every leg at every position and slow host drift cancels
-            # instead of biasing whichever leg always ran last (same
-            # trick as engine_overhead_row's alternation).
-            legs = (_vec, _nat, _edt, _eng)
+            # The array legs are read against each other, so alternate
+            # their order each repeat — best-of-N then samples both legs
+            # at both positions and slow host drift cancels instead of
+            # biasing whichever leg always ran last (same trick as
+            # engine_overhead_row's alternation).
             for rep in range(repeats):
-                u, dm = _run(ops, vectorized=False)
-                best["object"] = max(best["object"], u)
-                fp["object"] = _fingerprint(dm)
-                r = rep % len(legs)
-                for leg in legs[r:] + legs[:r]:
+                legs = (_arr, _eng) if rep % 2 == 0 else (_eng, _arr)
+                for leg in legs:
                     leg()
             engine_pooled = eng_sessions == 0
             if engine_pooled:
@@ -221,15 +171,11 @@ def run_sweep(sizes, repeats, engine_cfg, native_mode: str) -> list:
                 # kernel sequence: the 2N samples measure ONE
                 # configuration.  Pool them so host timing noise cannot
                 # fake an A/B gap; eng_sessions in the row records why.
-                pooled = max(best["vector"], best["vector+engine"])
-                best["vector"] = best["vector+engine"] = pooled
-            matching_ok = all(
-                fp[v][0] == fp["object"][0] for v in variants
-            )
-            ledger_ok = all(
-                fp[v][1:] == fp["object"][1:]
-                for v in ("vector", "vector+native", "vector+native+edits")
-            )
+                pooled = max(best["array"], best["array+engine"])
+                best["array"] = best["array+engine"] = pooled
+            legs = ("array", "array+engine")
+            matching_ok = all(fp[v][0] == fp["dict"][0] for v in legs)
+            ledger_ok = all(fp[v][1:] == fp["dict"][1:] for v in legs)
             assert matching_ok, f"{kind} m={m}: matchings diverged"
             assert ledger_ok, f"{kind} m={m}: ledger charges diverged"
             row = {
@@ -238,18 +184,9 @@ def run_sweep(sizes, repeats, engine_cfg, native_mode: str) -> list:
                 "batch": batch,
                 "updates": num_updates,
                 "updates_per_sec": {k: round(v, 1) for k, v in best.items()},
-                "speedup_vector": round(best["vector"] / best["object"], 3),
-                "speedup_vector_native": round(
-                    best["vector+native"] / best["object"], 3
-                ),
-                "speedup_vector_native_edits": round(
-                    best["vector+native+edits"] / best["object"], 3
-                ),
-                "speedup_edits_vs_native": round(
-                    best["vector+native+edits"] / best["vector+native"], 3
-                ),
-                "speedup_vector_engine": round(
-                    best["vector+engine"] / best["object"], 3
+                "speedup_array_vs_dict": round(best["array"] / best["dict"], 3),
+                "speedup_engine": round(
+                    best["array+engine"] / best["array"], 3
                 ),
                 "matching_identical": matching_ok,
                 "ledger_identical": ledger_ok,
@@ -259,20 +196,17 @@ def run_sweep(sizes, repeats, engine_cfg, native_mode: str) -> list:
             rows.append(row)
             print(
                 f"{kind:13s} m=2^{m.bit_length() - 1} "
-                f"object {best['object']:>9,.0f}/s "
-                f"vector {best['vector']:>9,.0f}/s "
-                f"(x{row['speedup_vector']}) "
-                f"+native x{row['speedup_vector_native']} "
-                f"+edits x{row['speedup_vector_native_edits']} "
-                f"(vs native x{row['speedup_edits_vs_native']}) "
-                f"+engine x{row['speedup_vector_engine']} "
+                f"dict {best['dict']:>9,.0f}/s "
+                f"array {best['array']:>9,.0f}/s "
+                f"(x{row['speedup_array_vs_dict']}) "
+                f"+engine x{row['speedup_engine']} "
                 f"ledger_identical={ledger_ok}"
             )
     return rows
 
 
 def engine_overhead_row(sizes, repeats) -> dict:
-    """workers=1 engine vs no engine on the vectorized path (<= 5%).
+    """workers=1 engine vs no engine on the array path (<= 5%).
 
     A workers=1 engine never fans out (the calibrated scheduler refuses),
     so the true cost is per-round dispatch bookkeeping — small enough
@@ -288,14 +222,14 @@ def engine_overhead_row(sizes, repeats) -> dict:
         eng = Engine(EngineConfig(mode="serial", workers=1))
         try:
             if rep % 2 == 0:
-                u, _ = _run(ops, vectorized=True)
+                u, _ = _run(ops)
                 best_plain = max(best_plain, u)
-                u, _ = _run(ops, vectorized=True, engine=eng)
+                u, _ = _run(ops, engine=eng)
                 best_w1 = max(best_w1, u)
             else:
-                u, _ = _run(ops, vectorized=True, engine=eng)
+                u, _ = _run(ops, engine=eng)
                 best_w1 = max(best_w1, u)
-                u, _ = _run(ops, vectorized=True)
+                u, _ = _run(ops)
                 best_plain = max(best_plain, u)
             sessions += eng.stats["sessions"]
         finally:
@@ -331,17 +265,8 @@ def main() -> int:
     )
     ap.add_argument("--mode", default="pool", choices=["pool", "shm", "serial"])
     ap.add_argument("--workers", type=int, default=2)
-    ap.add_argument(
-        "--native",
-        default=os.environ.get("REPRO_NATIVE", "auto") or "auto",
-        choices=["auto", "numba", "numpy"],
-        help="backend for the vector+native variant (the plain vector "
-        "variant always runs with the native tier off)",
-    )
     ap.add_argument("--out", default=OUT_PATH)
     args = ap.parse_args()
-    if args.native == "off":  # REPRO_NATIVE=off would erase the variant
-        args.native = "auto"
 
     smoke = SMOKE or args.smoke
     sizes = SMOKE_SIZES if smoke else SIZES
@@ -360,26 +285,21 @@ def main() -> int:
         print(f"wrote {args.out}")
         return 0
 
-    native_backend = native.configure(args.native)
     record = {
         "cpu_count": os.cpu_count(),
         "smoke": smoke,
         "nv_factor": NV_FACTOR,
         "churn_rounds": CHURN_ROUNDS,
         "engine": {"mode": args.mode, "workers": args.workers},
-        "native": {"mode": args.native, "backend": native_backend},
         "note": (
-            "updates_per_sec is best-of-repeats on interleaved runs; "
-            "ledger_identical asserts the vectorized paths charged exactly "
-            "the object path's work/depth/by_tag (the E1 invariant), and "
-            "matching_identical that all five variants produced the same "
-            "matching.  speedups are vs the object (vectorized=False) "
-            "array pipeline; vector runs with the native tier off, "
-            "vector+native dispatches through repro.native with the edit "
-            "kernels forced off, vector+native+edits adds the columnar "
-            "structure-edit kernels and the interned vertex table."
+            "array updates_per_sec is best-of-repeats on interleaved runs, "
+            "dict is one run; ledger_identical asserts both array legs "
+            "charged exactly the dict oracle's work/depth/by_tag (the E1 "
+            "invariant), and matching_identical that they produced the "
+            "oracle's matching.  The array backend picks each call's "
+            "route by size (repro.native.VEC_MIN)."
         ),
-        "rows": run_sweep(sizes, repeats, engine_cfg, args.native),
+        "rows": run_sweep(sizes, repeats, engine_cfg),
         "engine_overhead_w1": engine_overhead_row(sizes, repeats),
     }
 

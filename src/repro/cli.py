@@ -144,16 +144,6 @@ def _setup_observability(args: argparse.Namespace):
     return obs, teardown
 
 
-def _apply_native(args: argparse.Namespace) -> None:
-    """Apply --native before any kernels run (call-site lookups pick the
-    new backend up immediately)."""
-    mode = getattr(args, "native", None)
-    if mode is not None:
-        from repro import native
-
-        native.configure(mode)
-
-
 def _build_engine(args: argparse.Namespace, obs=None):
     """Construct the real execution engine from --engine/--workers (or
     None for the default serial execution)."""
@@ -180,9 +170,8 @@ def _engine_summary(engine) -> None:
 
 
 def _fastpath_summary(algo) -> None:
-    """One line saying which dynamic pipeline actually ran (the
-    ``--no-vectorized`` flag is testable through this output), plus the
-    native kernel backend and its dispatch totals."""
+    """One line saying how many batches ran the columnar fast path vs
+    the object pipeline, plus the numpy kernel call totals."""
     vs = getattr(algo, "vec_stats", None)
     if vs is None:
         return
@@ -196,17 +185,14 @@ def _fastpath_summary(algo) -> None:
     st = native.stats()
     calls = sum(int(c["calls"]) for c in st.values())
     secs = sum(c["seconds"] for c in st.values())
-    print(
-        f"native: backend={native.BACKEND}   kernel dispatches={calls}   "
-        f"kernel seconds={secs:.3f}"
-    )
+    print(f"native: kernel calls={calls}   kernel seconds={secs:.3f}")
     per = "   ".join(
         f"{name}={int(cell['calls'])}"
         for name, cell in sorted(st.items())
         if cell["calls"]
     )
     if per:
-        # Per-kernel dispatch counts: argsort-skeleton kernels plus the
+        # Per-kernel call counts: argsort-skeleton kernels plus the
         # columnar structure-edit kernels (edit_*, intern_localize).
         print(f"native kernels: {per}")
 
@@ -254,12 +240,8 @@ def _query_summary(service, server) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _apply_native(args)
     stream = read_stream(args.stream)
-    if args.algo == "paper" and args.no_vectorized:
-        algo = DynamicMatching(rank=args.rank, seed=args.seed, vectorized=False)
-    else:
-        algo = ALGOS[args.algo](args.rank, args.seed)
+    algo = ALGOS[args.algo](args.rank, args.seed)
     obs, teardown = _setup_observability(args)
     engine = _build_engine(args, obs)
     if engine is not None:
@@ -293,7 +275,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_static(args: argparse.Namespace) -> int:
-    _apply_native(args)
     edges = read_edge_list(args.edges)
     led = Ledger()
     engine = _build_engine(args)
@@ -314,7 +295,6 @@ def _cmd_static(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    _apply_native(args)
     if args.journal and args.recover:
         print("serve: pass either --journal (fresh run) or --recover, not both")
         return 2
@@ -360,7 +340,6 @@ def _cmd_serve_sharded(args: argparse.Namespace, obs) -> int:
             rank=args.rank,
             seed=args.seed,
             backend=args.backend or "array",
-            vectorized=False if args.no_vectorized else None,
             transport=args.shard_transport,
             durability_root=args.journal,
             checkpoint_every=args.checkpoint_every,
@@ -448,8 +427,7 @@ def _cmd_serve_observed(args: argparse.Namespace, obs, engine=None) -> int:
             return 2
         stream = read_stream(args.stream)
         dm = DynamicMatching(rank=args.rank, seed=args.seed,
-                             backend=args.backend or "array", engine=engine,
-                             vectorized=False if args.no_vectorized else None)
+                             backend=args.backend or "array", engine=engine)
         query, qserver = _start_query_tier(args, dm, obs)
         with DurabilityManager.create(
             args.journal,
@@ -617,19 +595,14 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--rank", type=int, default=2)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--check", action="store_true", help="verify maximality per batch")
-    r.add_argument("--no-vectorized", action="store_true",
-                   help="disable the struct-of-arrays dynamic fast path "
-                        "(algo=paper; object pipeline, identical results)")
     _add_obs_args(r)
     _add_engine_args(r)
-    _add_native_args(r)
     r.set_defaults(func=_cmd_run)
 
     s = sub.add_parser("static", help="static matching on an edge-list file")
     s.add_argument("--edges", required=True)
     s.add_argument("--seed", type=int, default=0)
     _add_engine_args(s)
-    _add_native_args(s)
     s.set_defaults(func=_cmd_static)
 
     v = sub.add_parser("serve", help="durable (write-ahead journaled) replay / recovery")
@@ -641,9 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--rank", type=int, default=2)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--backend", choices=["array", "dict"], default=None)
-    v.add_argument("--no-vectorized", action="store_true",
-                   help="disable the struct-of-arrays dynamic fast path "
-                        "(object pipeline, identical results)")
     v.add_argument("--checkpoint-every", type=int, default=16)
     v.add_argument("--keep", type=int, default=2, help="checkpoints to retain")
     v.add_argument("--no-fsync", action="store_true",
@@ -661,7 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "publish at batch boundaries — see docs/queries.md")
     _add_obs_args(v)
     _add_engine_args(v)
-    _add_native_args(v)
     v.set_defaults(func=_cmd_serve)
 
     q = sub.add_parser("query", help="read from a live serve --query-port endpoint")
@@ -690,17 +659,6 @@ def _add_obs_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--events", metavar="FILE", default=None,
         help="append batch-lifecycle spans to FILE as JSONL",
-    )
-
-
-def _add_native_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--native", choices=["auto", "numba", "numpy", "off"], default=None,
-        help="hot-kernel backend (docs/hotpath.md): auto (default; numba "
-             "when importable, else numpy), numba (warn + numpy fallback "
-             "if unavailable), numpy (counted pure-numpy kernels), or off "
-             "(inline fallbacks, pre-native pipeline); results are "
-             "bit-identical across all of them",
     )
 
 

@@ -42,7 +42,6 @@ surface on top of the arrays.
 
 from __future__ import annotations
 
-import os
 from array import array
 from itertools import chain, repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -51,7 +50,6 @@ import numpy as np
 
 from repro import native
 from repro.hypergraph.edge import Edge, EdgeId, Vertex
-from repro.native import kernels as _npk
 from repro.parallel.interning import VertexInterner
 from repro.parallel.ledger import Ledger, log2ceil, parallel_for
 from repro.core.level_structure import EdgeType, level_of
@@ -418,19 +416,13 @@ class ArrayLeveledStructure:
     # ------------------------------------------------------------------ #
     # Columnar edit plane
     # ------------------------------------------------------------------ #
-    def _edits_on(self) -> bool:
-        """True when the batched edit kernels may run.
-
-        Requires clean columnar mirrors, ``REPRO_EDIT_KERNELS`` not
-        set to ``off``, and an active native backend (``REPRO_NATIVE``
-        resolves the numpy or numba twin).
+    def _kernels_on(self, n: int) -> bool:
+        """The route rule for a batched edit of ``n`` items: calls of at
+        least :data:`repro.native.VEC_MIN` items on clean columnar
+        mirrors take the edit kernels; smaller calls (and structures
+        whose mirrors a white-box poke dirtied) take the scalar route.
         """
-        if self._pcol_dirty:
-            return False
-        mode = os.environ.get("REPRO_EDIT_KERNELS", "auto").strip().lower()
-        if mode in ("off", "0", "false", "no"):
-            return False
-        return native.get("edit_add_level0") is not None
+        return n >= native.VEC_MIN and not self._pcol_dirty
 
     def _vd_store(self, i: int, vertices: Tuple[Vertex, ...]) -> None:
         """Intern ``vertices`` and append their dense ids to the pool."""
@@ -486,8 +478,8 @@ class ArrayLeveledStructure:
         vd_off = np.frombuffer(self._vd_off, dtype=np.int64)
         starts = vd_off[slots]
         cards = frame.cards.astype(np.int64, copy=False)
-        kern = native.get("seg_gather_index") or _npk.seg_gather_index
-        idx = kern(starts, cards, int(frame.total_cardinality))
+        total = int(frame.total_cardinality)
+        idx = native.seg_gather_index(starts, cards, total)
         return np.frombuffer(self._vd_flat, dtype=np.int32)[idx]
 
     def _alloc(self, edge: Edge) -> int:
@@ -908,7 +900,9 @@ class ArrayLeveledStructure:
 
         Every branch of the old per-edge loop charged depth 1 for the
         singleton sample-set build plus depth 1 for the match install, so
-        the whole region prices as two uniform batched charges.
+        the whole region prices as two uniform batched charges.  Large
+        calls (:meth:`_kernels_on`) run the ``edit_add_level0`` kernel,
+        smaller ones the scalar loop below; the charges are identical.
         """
         n = len(edges)
         if n == 0:
@@ -927,7 +921,7 @@ class ArrayLeveledStructure:
         card = self._card
         p = self._p
         pcol = self._pcol
-        if self._edits_on():
+        if self._kernels_on(n):
             ids = [e.eid for e in edges]
             ok = len(set(ids)) == n and matched.isdisjoint(ids)
             slots = None
@@ -939,16 +933,14 @@ class ArrayLeveledStructure:
                 except KeyError:
                     ok = False
             if ok:
-                kern = native.get("edit_add_level0")
                 slots_l = slots.tolist()
                 carr_np = np.frombuffer(card, dtype=np.int32)
                 cards = carr_np[slots].astype(np.int64)
                 total_c = int(cards.sum())
                 vd_off = np.frombuffer(self._vd_off, dtype=np.int64)
-                gather = native.get("seg_gather_index") or _npk.seg_gather_index
-                idx = gather(vd_off[slots], cards, total_c)
+                idx = native.seg_gather_index(vd_off[slots], cards, total_c)
                 dflat = np.frombuffer(self._vd_flat, dtype=np.int32)[idx]
-                total = kern(
+                total = native.edit_add_level0(
                     slots,
                     cards,
                     dflat,
@@ -1356,9 +1348,11 @@ class ArrayLeveledStructure:
     # across branches, region depth = MAX branch depth.  A plain Ledger
     # only keeps order-insensitive totals, so the single aggregated
     # emission is bit-identical to running the scalar region.  With an
-    # observer attached (or a subclassed ledger) the methods fall back to
-    # literally running that parallel_for, so the observer sees the same
-    # individual charge stream as the non-vectorized pipeline.
+    # observer attached (or a subclassed ledger) the methods literally
+    # run that parallel_for — the *per-edge route* — so the observer sees
+    # every individual charge.  ``add_cross_edge_batch`` and
+    # ``remove_match_batch`` also take the per-edge route for calls below
+    # ``native.VEC_MIN`` items and when their edit kernel bails out.
 
     def _rce_acc(self, edge: Edge) -> Tuple[float, float, int, int]:
         """``remove_cross_edge`` mutations without charge emission.
@@ -1448,10 +1442,10 @@ class ArrayLeveledStructure:
         """Columnar fast path for :meth:`add_cross_edge_batch`.
 
         Returns True when the batch was fully applied (mutations and
-        charges bit-identical to the legacy loop); False when a
+        charges bit-identical to the per-edge route); False when a
         validation fails, in which case *nothing user-visible changed*
         beyond idempotent type/owner-slot column writes and the caller
-        must replay the legacy loop for exact error and
+        must run the per-edge route for exact error and
         partial-application semantics.
         """
         n = len(edges)
@@ -1472,11 +1466,9 @@ class ArrayLeveledStructure:
         if total_c == 0:
             return False
         vd_off = np.frombuffer(self._vd_off, dtype=np.int64)
-        gather = native.get("seg_gather_index") or _npk.seg_gather_index
-        idx = gather(vd_off[slots], cards, total_c)
+        idx = native.seg_gather_index(vd_off[slots], cards, total_c)
         dflat = np.frombuffer(self._vd_flat, dtype=np.int32)[idx]
-        scan = native.get("edit_cross_scan")
-        best, ok = scan(
+        best, ok = native.edit_cross_scan(
             slots,
             cards,
             dflat,
@@ -1486,7 +1478,7 @@ class ArrayLeveledStructure:
             np.frombuffer(self._ownslot, dtype=np.int32),
         )
         if not ok:
-            # Some edge has no incident match; the legacy loop raises
+            # Some edge has no incident match; the per-edge route raises
             # the exact error after applying the preceding edges.
             return False
         crs = self._cross
@@ -1494,8 +1486,9 @@ class ArrayLeveledStructure:
         for eid, bs in zip(ids, best_l):
             if eid in crs[bs]:
                 # Duplicate insert would not grow the dict, breaking the
-                # capacity sim; replay legacy (its scan re-derives the
-                # same owners, so the column writes above are idempotent).
+                # capacity sim; take the per-edge route (its scan
+                # re-derives the same owners, so the column writes above
+                # are idempotent).
                 return False
         ub, inv = np.unique(best, return_inverse=True)
         ub_l = ub.tolist()
@@ -1506,8 +1499,9 @@ class ArrayLeveledStructure:
         )
         ccv = np.frombuffer(self._ccap, dtype=np.int64)
         caps = ccv[ub]
-        sim = native.get("edit_cross_sim")
-        bd0, w_rehash = sim(inv.astype(np.int64, copy=False), lens, caps)
+        bd0, w_rehash = native.edit_cross_sim(
+            inv.astype(np.int64, copy=False), lens, caps
+        )
         ccv[ub] = caps
         bd0_l = bd0.tolist()
         oarr = self._owner
@@ -1563,104 +1557,20 @@ class ArrayLeveledStructure:
         return True
 
     def add_cross_edge_batch(self, edges: Sequence[Edge]) -> None:
-        """Batched ``add_cross_edge`` over one parallel region."""
+        """Batched ``add_cross_edge`` over one parallel region: the edit
+        kernels for large calls on an unobserved plain ledger, else
+        (or when the kernel bails out) the per-edge route."""
         if not edges:
             return
         led = self.ledger
-        if not (self._fast and led._observer is None):
-            parallel_for(led, edges, self.add_cross_edge)
+        if (
+            self._fast
+            and led._observer is None
+            and self._kernels_on(len(edges))
+            and self._kernel_add_cross(edges)
+        ):
             return
-        if self._edits_on() and self._kernel_add_cross(edges):
-            return
-        slot = self._slot
-        p = self._p
-        level = self._level
-        tarr = self._type
-        oarr = self._owner
-        oslc = self._ownslot
-        cross = self._cross
-        ccap = self._ccap
-        cards = self._card
-        P = self._P
-        w_batch = 0.0
-        w_rehash = 0.0
-        w_card = 0.0
-        max_bd = 0
-        pget = p.get
-        # No install/remove interleaves inside one batch region, so owner
-        # slots and levels are fixed for its duration — memoize them.
-        owner_memo: Dict[EdgeId, Tuple[int, int]] = {}
-        for edge in edges:
-            eid = edge.eid
-            i = slot[eid]
-            best: Optional[EdgeId] = None
-            best_lvl = -1
-            for v in edge.vertices:
-                pm = pget(v)
-                if pm is not None:
-                    ent = owner_memo.get(pm)
-                    if ent is None:
-                        bi = slot[pm]
-                        ent = owner_memo[pm] = (bi, level[bi])
-                    l = ent[1]
-                    if best is None or l > best_lvl:
-                        best = pm
-                        best_lvl = l
-            if best is None:
-                raise ValueError(f"cross edge {eid} has no incident match")
-            tarr[i] = _T_CROSS
-            oarr[i] = best
-            bi = owner_memo[best][0]
-            oslc[i] = bi
-            cd = cross[bi]
-            n = len(cd)
-            wb = 1.0
-            bd = n.bit_length() if n >= 2 else 1
-            cd[eid] = None
-            n = len(cd)
-            cap = ccap[bi]
-            if n > cap * _GROW_AT:
-                dg = (n - 1).bit_length() if n > 1 else 1
-                while n > cap * _GROW_AT:
-                    cap *= 2
-                    w_rehash += cap * _GROW_AT
-                    bd += dg
-                ccap[bi] = cap
-            for v in edge.vertices:
-                Pv = P.get(v)
-                if Pv is None:
-                    Pv = P[v] = {}
-                b = Pv.get(best_lvl)
-                wb += 1.0
-                if b is None:
-                    Pv[best_lvl] = [{eid: None}, _MIN_CAP]
-                    bd += 1
-                    continue
-                d = b[0]
-                nd = len(d)
-                bd += nd.bit_length() if nd >= 2 else 1
-                d[eid] = None
-                nd = len(d)
-                cap = b[1]
-                if nd > cap * _GROW_AT:
-                    dg = (nd - 1).bit_length() if nd > 1 else 1
-                    while nd > cap * _GROW_AT:
-                        cap *= 2
-                        w_rehash += cap * _GROW_AT
-                        bd += dg
-                    b[1] = cap
-            w_batch += wb
-            w_card += cards[i]
-            bd += 1
-            if bd > max_bd:
-                max_bd = bd
-        led.work += w_batch + w_rehash + w_card
-        led._stack[-1].depth += max_bd
-        bt = led.by_tag
-        bt["dict_batch"] = bt.get("dict_batch", 0.0) + w_batch
-        if w_rehash:
-            bt["dict_rehash"] = bt.get("dict_rehash", 0.0) + w_rehash
-        bt["add_cross_edge"] = bt.get("add_cross_edge", 0.0) + w_card
+        parallel_for(led, edges, self.add_cross_edge)
 
     def remove_cross_edge_batch(self, edges: Sequence[Edge]) -> None:
         """Batched ``remove_cross_edge`` over one parallel region."""
@@ -1806,12 +1716,12 @@ class ArrayLeveledStructure:
         """Columnar fast path for :meth:`remove_match_batch`.
 
         Returns the owned-edge list on success, or ``None`` when a
-        validation fails — the prelude is pure, so the caller can replay
-        the legacy loop for exact error and partial-state semantics.
+        validation fails — the prelude is pure, so the caller can run the
+        per-edge route for exact error and partial-state semantics.
         The int32/pcol column resets and the owned-card work total move
         into the edit kernel; the P-bucket unlink loop (whose charges
         depend on evolving dict sizes) stays in Python in the exact
-        legacy order.
+        per-edge order.
         """
         n = len(eids)
         ids = list(eids)
@@ -1851,19 +1761,17 @@ class ArrayLeveledStructure:
         mcards = carr_np[mslots].astype(np.int64)
         total_c = int(mcards.sum())
         vd_off = np.frombuffer(self._vd_off, dtype=np.int64)
-        gather = native.get("seg_gather_index") or _npk.seg_gather_index
-        idx = gather(vd_off[mslots], mcards, total_c)
+        idx = native.seg_gather_index(vd_off[mslots], mcards, total_c)
         mdflat = np.frombuffer(self._vd_flat, dtype=np.int32)[idx]
         tarr_np = np.frombuffer(self._type, dtype=np.int32)
         # Cross-dict members are always CROSS-typed, so a match that is
         # MATCHED at batch start cannot be reset by an earlier
         # iteration's owned sweep — the start-state mask equals the
-        # legacy at-turn check.
+        # per-edge at-turn check.
         premask = tarr_np[mslots] == _T_MATCHED
         larr = self._level
         lvls = [larr[i] for i in slots_l]
-        kern = native.get("edit_remove_match")
-        w_rm = kern(
+        w_rm = native.edit_remove_match(
             mslots,
             mcards,
             mdflat,
@@ -1959,122 +1867,17 @@ class ArrayLeveledStructure:
         return out
 
     def remove_match_batch(self, eids: Sequence[EdgeId]) -> List[Edge]:
-        """Batched ``remove_match``; returns the concatenated owned edges."""
+        """Batched ``remove_match``; returns the concatenated owned edges.
+        Same route rule as :meth:`add_cross_edge_batch`."""
         if not eids:
             return []
         led = self.ledger
-        if not (self._fast and led._observer is None):
-            subs = parallel_for(led, eids, self.remove_match)
-            return [e for sub in subs for e in sub]
-        if self._edits_on():
+        if self._fast and led._observer is None and self._kernels_on(len(eids)):
             out = self._kernel_remove_match(eids)
             if out is not None:
                 return out
-        slot = self._slot
-        verts = self._verts
-        tarr = self._type
-        oarr = self._owner
-        oslc = self._ownslot
-        edges = self._edge
-        cards = self._card
-        crs = self._cross
-        smp = self._samples
-        larr = self._level
-        sarr = self._settle
-        matched = self.matched
-        discard = matched.discard
-        P = self._P
-        p = self._p
-        Pget = P.get
-        pget = p.get
-        pcol = self._pcol
-        vid = self.interner._index
-        w_elems = 0.0
-        w_batch = 0.0
-        w_rehash = 0.0
-        w_rm = 0.0
-        max_d = 0
-        out: List[Edge] = []
-        oapp = out.append
-        for eid in eids:
-            i = slot[eid]
-            if eid not in matched:
-                raise ValueError(f"edge {eid} is not matched")
-            discard(eid)
-            cd = crs[i]
-            if cd is not None:
-                n = len(cd)
-                w_elems += float(max(n, 1))
-                d_total = (n - 1).bit_length() if n > 1 else 1
-                owned = list(cd)
-            else:
-                d_total = 0
-                owned = []
-            lvl = larr[i]
-            max_bd = 0
-            for ceid in owned:
-                j = slot[ceid]
-                bd = 1
-                for v in verts[j]:
-                    Pv = Pget(v)
-                    if Pv is None:
-                        continue
-                    b = Pv.get(lvl)
-                    if b is None:
-                        continue
-                    d = b[0]
-                    nd = len(d)
-                    w_batch += 1.0
-                    bd += nd.bit_length() if nd >= 2 else 1
-                    d.pop(ceid, None)
-                    nd = len(d)
-                    cap = b[1]
-                    if cap > _MIN_CAP and nd < cap * _SHRINK_AT:
-                        ws = max(nd, 1)
-                        ds = (nd - 1).bit_length() if nd > 1 else 1
-                        while cap > _MIN_CAP and nd < cap * _SHRINK_AT:
-                            cap //= 2
-                            w_rehash += ws
-                            bd += ds
-                        b[1] = cap
-                    if not d:
-                        del Pv[lvl]
-                tarr[j] = _T_UNSETTLED
-                oarr[j] = None
-                oslc[j] = -1
-                oapp(edges[j])
-                w_rm += cards[j]
-                if bd > max_bd:
-                    max_bd = bd
-            d_total += max_bd
-            for v in verts[i]:
-                if pget(v) == eid:
-                    p[v] = None
-                    pcol[vid[v]] = -1
-            smp[i] = None
-            crs[i] = None
-            larr[i] = -1
-            sarr[i] = 0
-            if tarr[i] == _T_MATCHED:
-                tarr[i] = _T_UNSETTLED
-                oarr[i] = None
-                oslc[i] = -1
-            w_rm += cards[i]
-            no = len(owned)
-            d_total += (no - 1).bit_length() if no > 1 else 1
-            if d_total > max_d:
-                max_d = d_total
-        led.work += w_elems + w_batch + w_rehash + w_rm
-        led._stack[-1].depth += max_d
-        bt = led.by_tag
-        if w_elems:
-            bt["dict_elements"] = bt.get("dict_elements", 0.0) + w_elems
-        if w_batch:
-            bt["dict_batch"] = bt.get("dict_batch", 0.0) + w_batch
-        if w_rehash:
-            bt["dict_rehash"] = bt.get("dict_rehash", 0.0) + w_rehash
-        bt["remove_match"] = bt.get("remove_match", 0.0) + w_rm
-        return out
+        subs = parallel_for(led, eids, self.remove_match)
+        return [e for sub in subs for e in sub]
 
     def install_match_batch(self, matches: Sequence) -> List[int]:
         """Batched ``install_match`` over ``Matched(edge, samples)`` records;

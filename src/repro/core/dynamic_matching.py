@@ -82,23 +82,23 @@ class DynamicMatching:
     backend:
         Structure backend: "array" (flat-array hot-path engine, default)
         or "dict" (the original record-dict oracle).  Identical behavior
-        and ledger totals; the array backend is simply faster.
+        and ledger totals; the array backend is simply faster.  The
+        array backend routes every batch phase through the ``*_batch``
+        methods of :class:`ArrayLeveledStructure`, and each call picks
+        its route by size (docs/hotpath.md, "Route selection"): calls
+        of at least :data:`repro.native.VEC_MIN` items take the columnar
+        route (:class:`~repro.parallel.frames.BatchFrame`, the vector
+        matcher, the edit kernels), smaller calls the scalar matcher and
+        the per-edge edits.  A charge observer forces the scalar route
+        wherever the columnar one would aggregate charges, so the
+        observer sees the unchanged charge stream (counted in
+        ``vec_stats["kernel_fallbacks"]``).
+        The dict backend keeps the per-edge pipeline throughout.
     engine:
         Optional :class:`repro.parallel.engine.Engine` — runs the greedy
         matcher's round sweeps on the real worker pool (settle phases of
         large batches).  Matchings, ledger totals, and certificates stay
         bit-identical to serial execution.
-    vectorized:
-        Route batch phases through the struct-of-arrays fast path:
-        :class:`~repro.parallel.frames.BatchFrame` columns feed the
-        columnar greedy matcher, and structure edits go through the
-        ``*_batch`` methods of :class:`ArrayLeveledStructure` (aggregated
-        ledger emission).  ``None`` (default) enables it exactly when the
-        backend is "array"; ``True`` with the "dict" backend is an error.
-        Results and ledger totals are bit-identical either way — with a
-        charge observer attached, the fast path transparently falls back
-        per batch so the observer sees the unchanged charge stream
-        (counted in ``vec_stats["kernel_fallbacks"]``).
 
     Notes
     -----
@@ -117,7 +117,6 @@ class DynamicMatching:
         ledger: Optional[Ledger] = None,
         backend: str = "array",
         engine=None,
-        vectorized: Optional[bool] = None,
     ) -> None:
         self.ledger = ledger if ledger is not None else Ledger()
         self.engine = engine
@@ -128,12 +127,7 @@ class DynamicMatching:
                 f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
             ) from None
         self.backend = backend
-        if vectorized is None:
-            vectorized = backend == "array"
-        elif vectorized and backend != "array":
-            raise ValueError("vectorized=True requires the 'array' backend")
-        self.vectorized = bool(vectorized)
-        self._vec = self.vectorized
+        self._vec = backend == "array"
         #: Fast-path accounting, surfaced through observability
         #: (repro_dynamic_batch_* metrics): BatchFrames built, batches that
         #: took the vector vs the object path, and batches that *wanted*
@@ -253,10 +247,8 @@ class DynamicMatching:
         per-batch ``np.unique``.
         """
         structure = self.structure
-        fd = getattr(structure, "frame_dense", None)
-        if fd is None or not structure._edits_on():
-            return
-        frame.attach_dense(fd(frame), structure.interner)
+        if not structure._pcol_dirty:
+            frame.attach_dense(structure.frame_dense(frame), structure.interner)
 
     def _greedy(
         self,
@@ -270,8 +262,7 @@ class DynamicMatching:
         :class:`BatchFrame` here so its eid/cardinality/vertex columns are
         extracted once per batch (callers that already hold a frame over
         ``edges`` — e.g. a :meth:`BatchFrame.select` of the batch frame —
-        pass it in); a non-vectorized instance pins the scalar matcher so
-        the pre-fast-path behavior is preserved exactly.
+        pass it in); the dict oracle pins the scalar matcher.
         ``collect_samples=False`` is passed by the level-0 settle, which
         resets every new match's sample space to the singleton and never
         reads the matcher's (the vector path then skips materializing

@@ -1,69 +1,52 @@
-"""Optional compiled backend for the dynamic fast path's hot kernels.
+"""The dynamic fast path's numpy kernels, counted and timed.
 
-The vectorized pipeline (PR 5) spends its time in a handful of
-argsort-skeleton kernels — stable grouping, segmented gathers, dedup,
-pack, and the greedy matcher's batched ``find_next`` search.  This
-package routes those kernels through a selectable backend:
+The columnar pipeline spends its time in a handful of argsort-skeleton
+kernels — stable grouping, segmented gathers, dedup, pack, the greedy
+matcher's batched ``find_next`` search — plus the columnar
+structure-edit kernels.  Their bodies live in
+:mod:`repro.native.kernels`; this package exports each one as a module
+attribute wrapped in a counting, wall-clock-timing shim, and callers
+call them directly (``native.seg_gather_index(...)``).
 
-``numba``
-    numba-JIT machine-code kernels (:mod:`repro.native._numba`).
-    Selected only when numba is importable.
-``numpy``
-    The canonical pure-numpy bodies (:mod:`repro.native.kernels`),
-    dispatch-counted like the numba tier.  This is the mandatory
-    fallback — the repo must work with numba absent.
-``off``
-    No native dispatch at all: callers run their inline fallback
-    (behaviorally the same numpy code, uncounted).  This restores the
-    pre-native pipeline exactly.
+Every kernel call is counted and timed into a per-kernel stats table
+(:func:`stats`); an attached timing hook (:func:`set_timing_hook` —
+installed by ``repro.obs.Observer.attach_native_kernels``) feeds the
+``repro_native_*`` metrics.  The ledger is never touched here: callers
+charge the model cost of the operation a kernel executes.
 
-Selection happens at import from ``REPRO_NATIVE`` (``auto`` | ``numba``
-| ``numpy`` | ``off``, default ``auto`` = numba when available, else
-numpy) and can be changed at runtime with :func:`configure` (the CLI's
-``--native`` flag does this — call sites look kernels up per call, so
-reconfiguration takes effect immediately).
-
-Every kernel call is counted and wall-clock-timed into a per-kernel
-stats table (:func:`stats`); an attached timing hook
-(:func:`set_timing_hook` — installed by
-``repro.obs.Observer.attach_native_kernels``) feeds the
-``repro_native_*`` metrics.  The contract for every kernel is *output
-identity* with its numpy reference: the ledger is never touched here,
-and the five-way differential enforces bit-identical matchings and
-charge totals across backends.
+:data:`VEC_MIN` is the one route rule of the dynamic fast path (see
+docs/hotpath.md, "Route selection"): a call with at least ``VEC_MIN``
+input items takes the columnar route — ``BatchFrame``, the vector
+matcher and the edit kernels — and a smaller call takes the scalar
+matcher and the per-edge structure edits.  Both routes charge the
+ledger bit-identically.
 """
 
 from __future__ import annotations
 
-import os
 import time
-import warnings
 from typing import Callable, Dict, Optional
 
+from repro.native import kernels as _kernels
 from repro.native.arena import ColumnArena  # noqa: F401  (re-export)
-from repro.native.kernels import NUMPY_KERNELS
 
-MODES = ("auto", "numba", "numpy", "off")
+#: Calls with at least this many input items take the columnar route;
+#: below it the numpy setup costs more than the scalar loops save.
+VEC_MIN = 64
 
-#: Requested mode (the env var / configure() argument, post-validation).
-MODE: str = "auto"
-#: Resolved backend actually serving kernels: "numba" | "numpy" | "off".
-BACKEND: str = "off"
-
-_KERNELS: Dict[str, Callable] = {}
 _STATS: Dict[str, Dict[str, float]] = {}
 _TIMING_HOOK: Optional[Callable[[str, float], None]] = None
 
 
 class _Counted:
-    """Dispatch-counting, wall-clock-timing wrapper around one kernel."""
+    """Counting, wall-clock-timing wrapper around one kernel."""
 
     __slots__ = ("fn", "name", "cell")
 
-    def __init__(self, fn: Callable, name: str) -> None:
+    def __init__(self, fn: Callable) -> None:
         self.fn = fn
-        self.name = name
-        self.cell = _STATS.setdefault(name, {"calls": 0, "seconds": 0.0})
+        self.name = fn.__name__
+        self.cell = _STATS.setdefault(self.name, {"calls": 0, "seconds": 0.0})
 
     def __call__(self, *args):
         t0 = time.perf_counter()
@@ -78,69 +61,21 @@ class _Counted:
         return out
 
 
-def _resolve(mode: str) -> None:
-    """(Re)build the kernel registry for ``mode``."""
-    global MODE, BACKEND, _KERNELS
-    MODE = mode
-    if mode == "off":
-        BACKEND = "off"
-        _KERNELS = {}
-        return
-    backend = "numpy"
-    table = NUMPY_KERNELS
-    if mode in ("auto", "numba"):
-        try:
-            from repro.native._numba import NUMBA_KERNELS
-
-            table = NUMBA_KERNELS
-            backend = "numba"
-        except ImportError:
-            if mode == "numba":
-                warnings.warn(
-                    "REPRO_NATIVE=numba requested but numba is not "
-                    "importable; using the pure-numpy backend",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-    BACKEND = backend
-    _KERNELS = {name: _Counted(fn, name) for name, fn in table.items()}
-
-
-def configure(mode: str) -> str:
-    """Select the backend at runtime; returns the resolved backend name.
-
-    Invalid modes warn and fall back to ``auto`` (never raise — backend
-    selection must not take the pipeline down).
-    """
-    if mode not in MODES:
-        warnings.warn(
-            f"invalid native backend {mode!r} (expected one of {MODES}); "
-            "using 'auto'",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        mode = "auto"
-    _resolve(mode)
-    return BACKEND
-
-
-def available() -> bool:
-    """True when kernels dispatch natively (backend is not ``off``)."""
-    return BACKEND != "off"
-
-
-def get(name: str) -> Optional[Callable]:
-    """The active kernel for ``name``, or None when the backend is off
-    (callers then run their inline fallback)."""
-    return _KERNELS.get(name)
+group_index = _Counted(_kernels.group_index)
+seg_gather_index = _Counted(_kernels.seg_gather_index)
+dedup_first_index = _Counted(_kernels.dedup_first_index)
+pack_index = _Counted(_kernels.pack_index)
+first_alive = _Counted(_kernels.first_alive)
+edit_add_level0 = _Counted(_kernels.edit_add_level0)
+edit_cross_scan = _Counted(_kernels.edit_cross_scan)
+edit_cross_sim = _Counted(_kernels.edit_cross_sim)
+edit_remove_match = _Counted(_kernels.edit_remove_match)
+intern_localize = _Counted(_kernels.intern_localize)
 
 
 def stats() -> Dict[str, Dict[str, float]]:
-    """Cumulative per-kernel dispatch stats: ``{kernel: {calls, seconds}}``.
-
-    Counts survive :func:`configure` calls (they are per-kernel-name,
-    not per-backend); :func:`reset_stats` clears them.
-    """
+    """Cumulative per-kernel call stats: ``{kernel: {calls, seconds}}``;
+    :func:`reset_stats` clears them."""
     return {k: dict(v) for k, v in _STATS.items()}
 
 
@@ -156,15 +91,12 @@ def set_timing_hook(
     """Install (or clear, with None) the per-call timing hook; returns
     the previously installed hook so callers can restore it.
 
-    Called as ``hook(kernel_name, seconds)`` after every dispatch; the
-    observability layer uses this to feed the ``repro_native_*`` metric
-    family.  One hook at a time — a new attach replaces the previous.
+    Called as ``hook(kernel_name, seconds)`` after every kernel call;
+    the observability layer uses this to feed the ``repro_native_*``
+    metric family.  One hook at a time — a new attach replaces the
+    previous.
     """
     global _TIMING_HOOK
     prev = _TIMING_HOOK
     _TIMING_HOOK = hook
     return prev
-
-
-_env = os.environ.get("REPRO_NATIVE", "auto").strip().lower()
-configure(_env)

@@ -1,17 +1,14 @@
-"""Canonical pure-numpy implementations of the hot-path skeleton kernels.
+"""Pure-numpy bodies of the fast path's hot kernels.
 
-These are the reference bodies for the optional compiled backend
-(:mod:`repro.native`): each function here has a numba twin in
-``repro/native/_numba.py`` with the exact same signature and an
-output-identical contract.  The callers (``repro.parallel.semisort``,
-``repro.parallel.primitives``, the columnar greedy matcher and
-``BatchFrame``) fall back to these directly when the native backend is
-``off``, so the bodies must stay behaviorally identical to the PR 5
-inline versions they were extracted from.
+:mod:`repro.native` wraps each function here in a counting timer and
+exports it as a module attribute; the callers
+(``repro.parallel.semisort``, ``repro.parallel.primitives``, the
+columnar greedy matcher, ``BatchFrame``, the vertex interner and the
+array structure's batched edits) call those wrappers.
 
 None of these touch the ledger — cost accounting stays at the call
-sites, which charge the same model work regardless of which backend
-executes the kernel.
+sites, which charge the model work of the operation each kernel
+executes.
 """
 
 from __future__ import annotations
@@ -87,9 +84,8 @@ def first_alive(
 
     Runs the same doubling schedule as the scalar search (round ``k``
     probes the next ``2^(k-1)`` slots of every still-searching vertex).
-    The compiled twin scans each list linearly instead; both return the
-    identical first-alive position, and the caller derives the model
-    charges from that position, not from the probe pattern.
+    The caller derives the model charges from the returned position,
+    not from the probe pattern.
     """
     nb = bt.size
     j = np.full(nb, -1, dtype=np.int64)
@@ -317,18 +313,3 @@ def intern_localize(
     label[uniq] = np.arange(uniq.size, dtype=np.int32)
     vinv = label[dense]
     return vinv, uniq
-
-
-#: The kernel registry this backend exports (name -> callable).
-NUMPY_KERNELS = {
-    "group_index": group_index,
-    "seg_gather_index": seg_gather_index,
-    "dedup_first_index": dedup_first_index,
-    "pack_index": pack_index,
-    "first_alive": first_alive,
-    "edit_add_level0": edit_add_level0,
-    "edit_cross_scan": edit_cross_scan,
-    "edit_cross_sim": edit_cross_sim,
-    "edit_remove_match": edit_remove_match,
-    "intern_localize": intern_localize,
-}

@@ -34,7 +34,7 @@ from repro.obs.tracing import Span, Tracer
 #: Buckets for small nonneg integers (settle rounds per delete batch).
 ROUNDS_BUCKETS = (0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
 
-#: Buckets for native kernel dispatch latency (microseconds to ~100ms —
+#: Buckets for native kernel call latency (microseconds to ~100ms —
 #: kernels are per-batch, far below the batch-seconds scale).
 KERNEL_SECONDS_BUCKETS = (
     1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 0.1,
@@ -121,18 +121,17 @@ class Observer:
             "repro_dynamic_batch_vectorized_fraction",
             "Fraction of this instance's batches that ran vectorized",
         )
-        # Native kernel backend (docs/hotpath.md): per-kernel dispatch
-        # counts (labeled by the backend that served the call) and
-        # per-call wall-clock timing, fed by repro.native's timing hook
-        # (attach_native_kernels).
+        # Numpy hot kernels (docs/hotpath.md): per-kernel call counts
+        # and per-call wall-clock timing, fed by repro.native's timing
+        # hook (attach_native_kernels).
         self.native_kernel_calls = reg.counter(
             "repro_native_kernel_calls_total",
-            "Hot-kernel dispatches through the repro.native backend",
-            ("kernel", "backend"),
+            "Hot-kernel calls through repro.native",
+            ("kernel",),
         )
         self.native_kernel_seconds = reg.histogram(
             "repro_native_kernel_seconds",
-            "Wall-clock seconds per native kernel dispatch",
+            "Wall-clock seconds per native kernel call",
             ("kernel",),
             buckets=KERNEL_SECONDS_BUCKETS,
         )
@@ -199,7 +198,7 @@ class Observer:
         return detach
 
     def attach_native_kernels(self) -> Callable[[], None]:
-        """Feed the ``repro_native_*`` metrics from the native backend's
+        """Feed the ``repro_native_*`` metrics from :mod:`repro.native`'s
         per-call timing hook.  Returns a zero-arg detach that restores
         the previously installed hook."""
         from repro import native
@@ -208,7 +207,7 @@ class Observer:
         seconds = self.native_kernel_seconds
 
         def hook(kernel: str, dt: float) -> None:
-            calls.labels(kernel=kernel, backend=native.BACKEND).inc()
+            calls.labels(kernel=kernel).inc()
             seconds.labels(kernel=kernel).observe(dt)
 
         prev = native.set_timing_hook(hook)

@@ -37,7 +37,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import native
-from repro.native import kernels as _np_kernels
 from repro.hypergraph.edge import Edge
 
 _I32 = np.iinfo(np.int32)
@@ -201,12 +200,7 @@ class BatchFrame:
         np.cumsum(cards, out=voff[1:])
         total = int(voff[-1])
         starts = self.voff[index]
-        k = native.get("seg_gather_index")
-        idx = (
-            k(starts, cards, total)
-            if k is not None
-            else _np_kernels.seg_gather_index(starts, cards, total)
-        )
+        idx = native.seg_gather_index(starts, cards, total)
         sub = BatchFrame(edges, self.eids[index], cards, voff, self.vflat[idx])
         if self.dense is not None:
             sub.dense = self.dense[idx]

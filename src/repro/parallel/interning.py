@@ -21,7 +21,7 @@ ascending *raw-vertex* order.  The columnar matcher is insensitive to
 this relabeling: it consumes only the count of distinct vertices and
 per-vertex CSR segments whose contents are canonicalized by priority
 lexsorts, so every output (and every ledger charge) is bit-identical
-either way — the five-way differential enforces exactly that.
+either way — the array-vs-dict differential enforces exactly that.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Dict, Hashable, Iterable, List, Tuple
 import numpy as np
 
 from repro import native
-from repro.native import kernels as _npk
 
 __all__ = ["VertexInterner"]
 
@@ -157,8 +156,7 @@ class VertexInterner:
             return np.empty(0, dtype=np.int32), 0
         stamp, label = self._scratch()
         self._epoch += 1
-        kern = native.get("intern_localize") or _npk.intern_localize
-        vinv, uniq = kern(
+        vinv, uniq = native.intern_localize(
             np.ascontiguousarray(dense, dtype=np.int32),
             stamp,
             label,

@@ -151,8 +151,7 @@ def pack_index(
     n = len(flags)
     ledger.charge(work=n, depth=log2ceil_cached(n), tag=tag)
     if isinstance(flags, np.ndarray):
-        k = native.get("pack_index")
-        return k(flags) if k is not None else np.flatnonzero(flags)
+        return native.pack_index(flags)
     return [i for i, f in enumerate(flags) if f]
 
 

@@ -26,7 +26,6 @@ from typing import Dict, Hashable, Iterable, List, Sequence, Tuple, TypeVar, Uni
 import numpy as np
 
 from repro import native
-from repro.native import kernels as _np_kernels
 from repro.parallel.ledger import Ledger, log2ceil
 
 K = TypeVar("K", bound=Hashable)
@@ -48,22 +47,13 @@ def _group_index(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     the sort is stable, ``order[starts[g]]`` is the earliest original
     index of group ``g``, so sorting groups by it reproduces the dict
     iteration order of the pure-Python originals.
-
-    Dispatches through the :mod:`repro.native` backend when one is
-    active (output-identical; see repro/native/kernels.py).
     """
-    k = native.get("group_index")
-    if k is not None:
-        return k(keys)
-    return _np_kernels.group_index(keys)
+    return native.group_index(keys)
 
 
 def _seg_index(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
-    """Multi-segment gather index (native-dispatched)."""
-    k = native.get("seg_gather_index")
-    if k is not None:
-        return k(starts, counts, total)
-    return _np_kernels.seg_gather_index(starts, counts, total)
+    """Multi-segment gather index."""
+    return native.seg_gather_index(starts, counts, total)
 
 
 def semisort(ledger: Ledger, pairs: Sequence[Tuple[K, V]]) -> List[Tuple[K, V]]:
@@ -121,9 +111,7 @@ def remove_duplicates(ledger: Ledger, items: Union[Iterable[K], np.ndarray]) -> 
         _charge(ledger, items.size, "remove_duplicates")
         if items.size == 0:
             return items.copy()
-        k = native.get("dedup_first_index")
-        first = k(items) if k is not None else _np_kernels.dedup_first_index(items)
-        return items[first]
+        return items[native.dedup_first_index(items)]
     items = list(items)
     _charge(ledger, len(items), "remove_duplicates")
     seen: Dict[K, None] = {}

@@ -147,7 +147,6 @@ class ShardedMatching:
         alpha: int = 2,
         heavy_factor: float = 4.0,
         backend: str = "array",
-        vectorized: Optional[bool] = None,
         transport: Optional[str] = None,
         durability_root: Optional[str] = None,
         checkpoint_every: int = 16,
@@ -192,7 +191,6 @@ class ShardedMatching:
                 alpha=alpha,
                 heavy_factor=heavy_factor,
                 backend=backend,
-                vectorized=vectorized,
                 durability_dir=(
                     shard_dir(durability_root, s)
                     if durability_root is not None

@@ -40,7 +40,6 @@ class ShardConfig:
     alpha: int = 2
     heavy_factor: float = 4.0
     backend: str = "array"
-    vectorized: Optional[bool] = None
     durability_dir: Optional[str] = None
     checkpoint_every: int = 16
     keep: int = 2
@@ -58,7 +57,6 @@ class Shard:
             alpha=config.alpha,
             heavy_factor=config.heavy_factor,
             backend=config.backend,
-            vectorized=config.vectorized,
         )
         self.manager = None
         if config.durability_dir is not None:

@@ -36,7 +36,6 @@ sequence is unchanged from the object-based version.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -49,71 +48,6 @@ from repro.parallel.semisort import group_by
 from repro.parallel.sorting import sort_by_priority
 from repro.static_matching.result import Matched, MatchResult
 from repro.static_matching.sequential_greedy import _assign_priorities
-
-#: Below this many edges the vectorized matcher's numpy setup costs more
-#: than the scalar loop saves.  Tunable for experiments/tests via env.
-_VEC_MIN_DEFAULT = 64
-
-#: With a JIT backend the kernel launches amortize sooner, so the auto
-#: cutoff drops.  Dispatch differences are results-safe: scalar and
-#: vector paths are bit-identical by contract.
-_VEC_MIN_NUMBA = 32
-
-#: Parse cache + warn-once state for REPRO_VEC_MIN, keyed by the raw
-#: string so a changed env var re-parses (tests flip it per-case).
-_VEC_MIN_CACHE: dict = {}
-
-
-def _vec_min_warn(raw: str, reason: str) -> None:
-    import warnings
-
-    warnings.warn(
-        f"REPRO_VEC_MIN={raw!r} {reason}; using default",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    try:  # count it where dashboards can see it; obs is optional here
-        from repro.obs.observer import default_observer
-
-        default_observer().registry.counter(
-            "repro_config_warnings_total",
-            "Invalid configuration values replaced by defaults.",
-            labelnames=("var",),
-        ).labels(var="REPRO_VEC_MIN").inc()
-    except Exception:
-        pass
-
-
-def _vec_min_default() -> int:
-    return (
-        _VEC_MIN_NUMBA if native.BACKEND == "numba" else _VEC_MIN_DEFAULT
-    )
-
-
-def _vec_min() -> int:
-    raw = os.environ.get("REPRO_VEC_MIN")
-    if raw is None:
-        return _vec_min_default()
-    hit = _VEC_MIN_CACHE.get(raw)
-    if hit is None:
-        try:
-            val = int(raw)
-        except ValueError:
-            val = None
-        if val is None:
-            hit = (None, True)
-        elif val < 0:
-            hit = (0, True)  # clamp: "always vectorize" is the nearest intent
-        else:
-            hit = (val, False)
-        if hit[1] and raw not in _VEC_MIN_CACHE:
-            _vec_min_warn(
-                raw,
-                "is not an integer" if hit[0] is None else "is negative (clamped to 0)",
-            )
-        _VEC_MIN_CACHE[raw] = hit
-    val = hit[0]
-    return _vec_min_default() if val is None else val
 
 
 def _ledger_compatible(ledger: Ledger) -> bool:
@@ -139,9 +73,10 @@ def should_vectorize(
 ) -> bool:
     """Dispatch decision shared with the dynamic pipeline's accounting.
 
-    ``vectorize=None`` is auto (size threshold + ledger compatibility);
-    ``True`` requests the vector path whenever the ledger permits it;
-    ``False`` forces scalar.
+    ``vectorize=None`` is auto: the columnar route for calls of at least
+    :data:`repro.native.VEC_MIN` edges on a compatible ledger; ``True``
+    requests the vector path whenever the ledger permits it; ``False``
+    forces scalar.
     """
     if vectorize is False:
         return False
@@ -149,7 +84,7 @@ def should_vectorize(
         return False
     if vectorize is True:
         return True
-    return m >= _vec_min()
+    return m >= native.VEC_MIN
 
 
 def parallel_greedy_match(

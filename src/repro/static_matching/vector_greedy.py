@@ -41,7 +41,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro import native
-from repro.native import kernels as _np_kernels
 from repro.hypergraph.edge import Edge, EdgeId
 from repro.parallel.engine.kernels import KERNELS
 from repro.parallel.frames import BatchFrame
@@ -60,21 +59,6 @@ _I32_MAX = np.iinfo(np.int32).max
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
     return np.searchsorted(_POW2, x, side="right")
-
-
-def _first_alive(
-    done: np.ndarray,
-    csr_edge: np.ndarray,
-    boff: np.ndarray,
-    bt: np.ndarray,
-    bL: np.ndarray,
-) -> np.ndarray:
-    """First alive position per vertex (see repro/native/kernels.py);
-    dispatches to the active native backend when one is configured."""
-    k = native.get("first_alive")
-    if k is not None:
-        return k(done, csr_edge, boff, bt, bL)
-    return _np_kernels.first_alive(done, csr_edge, boff, bt, bL)
 
 
 def vector_greedy_match(
@@ -320,7 +304,7 @@ def _update_top_region(
         boff = off[case_b]
         bt = t[case_b]
         bL = L[case_b]
-        j = _first_alive(done, csr_edge, boff, bt, bL)
+        j = native.first_alive(done, csr_edge, boff, bt, bL)
         hit = j >= 0
         top[touched[case_b]] = np.where(hit, j, bL)
 

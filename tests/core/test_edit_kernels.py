@@ -1,98 +1,93 @@
-"""Columnar structure-edit kernels vs the dict-backed reference.
+"""Columnar structure-edit kernels vs the per-edge route and the dict oracle.
 
 The batched edit kernels (``edit_add_level0`` / ``edit_cross_scan`` /
 ``edit_cross_sim`` / ``edit_remove_match`` / ``intern_localize``) are
-the compiled twins of ``ArrayLeveledStructure``'s scalar edit loops.
-Their contract is the same bit-identity bar as the rest of the fast
-path: with the kernels on (``REPRO_EDIT_KERNELS=auto``) and off
-(``off``), a fixed-seed run must agree after every batch on the
-matching, every sample space, the live epochs, and the ledger's
-work/depth/per-tag totals — including streams whose edge and vertex
-ids straddle the int32 boundary (the frame columns widen; the dense
-interned ids the kernels consume stay narrow).
+the columnar twins of ``ArrayLeveledStructure``'s per-edge edits.  Which
+one runs is decided per call by size (``repro.native.VEC_MIN``): calls
+of at least that many items take the kernels, smaller calls the scalar
+matcher and the per-edge edits.  The contract is the same bit-identity
+bar as the rest of the fast path: with every call on the kernel route
+(constant 1), every call on the per-edge route (constant above any batch
+size) and on the dict oracle, a fixed-seed run must agree after every
+batch on the matching, every sample space, the live epochs, and the
+ledger's work/depth/per-tag totals — including streams whose edge and
+vertex ids straddle the int32 boundary (the frame columns widen; the
+dense interned ids the kernels consume stay narrow).
 
 Three layers:
 
-* **trace parity** (hypothesis) — random update scripts through two
-  ``DynamicMatching`` instances, kernels on vs off, full-state
+* **trace parity** (hypothesis) — random update scripts through the
+  kernel route, the per-edge route and the dict oracle, full-state
   fingerprints per batch plus ``check_invariants`` (which asserts the
   columnar mirrors against the dicts);
+* **route rule** — calls of 64+ items fire the kernels, a 63-item call
+  fires none and still charges exactly what the oracle charges;
 * **kernel-level parity** (hypothesis) — ``edit_cross_sim``'s
   jump-based capacity simulation vs a naive sequential re-derivation
-  of the scalar loop, and ``intern_localize`` vs ``np.unique``;
-* **numba twins** (skipped without numba) — the compiled kernels in
-  ``repro.native._numba`` vs the numpy bodies on identical inputs,
-  outputs AND mutated argument arrays compared.
+  of the scalar loop, and ``intern_localize`` vs ``np.unique``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import native
 from repro.core.dynamic_matching import DynamicMatching
+from repro.core.level_structure import EdgeType
 from repro.hypergraph.edge import Edge
 from repro.native import kernels as npk
-
-try:
-    from repro.native._numba import NUMBA_KERNELS
-
-    HAVE_NUMBA = True
-except ImportError:
-    NUMBA_KERNELS = {}
-    HAVE_NUMBA = False
 
 #: Edge/vertex id offset that puts ids astride the int32 boundary.
 BIG = 2**31 - 2
 
+#: A route constant no test batch reaches: every call per-edge.
+PER_EDGE = 10**9
 
-@pytest.fixture(autouse=True)
-def _vectorize_and_restore(monkeypatch):
-    monkeypatch.setenv("REPRO_VEC_MIN", "1")
-    prev = native.MODE
-    yield
-    native.configure(prev)
+EDIT_KERNELS = (
+    "edit_add_level0", "edit_cross_scan", "edit_cross_sim",
+    "edit_remove_match", "intern_localize",
+)
 
 
-def _run_script(rank, script, seed, edits: str):
-    """One DynamicMatching pass with the edit kernels pinned on/off,
-    fingerprinting after every batch."""
-    prev = os.environ.get("REPRO_EDIT_KERNELS")
-    os.environ["REPRO_EDIT_KERNELS"] = edits
+def _kernel_calls():
+    stats = native.stats()
+    return {k: stats.get(k, {}).get("calls", 0) for k in EDIT_KERNELS}
+
+
+def _fingerprint(dm):
+    led = (dm.ledger.work, dm.ledger.depth, dict(dm.ledger.by_tag))
+    matched = dm.matched_ids()
+    samples = {
+        mid: [e.eid for e in dm.structure.samples_of(mid)] for mid in matched
+    }
+    epochs = sorted(
+        (ep.eid, ep.level, ep.sample_size) for ep in dm.tracker.live_epochs()
+    )
+    return led, matched, samples, epochs
+
+
+def _run_script(rank, script, seed, vec_min=None, backend="array"):
+    """One DynamicMatching pass with the route constant pinned to
+    ``vec_min`` (None keeps the default), fingerprinting after every
+    batch."""
+    prev = native.VEC_MIN
+    if vec_min is not None:
+        native.VEC_MIN = vec_min
     try:
-        native.configure("auto")
-        dm = DynamicMatching(
-            rank=rank, seed=seed, backend="array", vectorized=True
-        )
+        dm = DynamicMatching(rank=rank, seed=seed, backend=backend)
         fps = []
         for kind, payload in script:
             if kind == "insert":
                 dm.insert_edges(list(payload))
             else:
                 dm.delete_edges(list(payload))
-            led = (dm.ledger.work, dm.ledger.depth, dict(dm.ledger.by_tag))
-            matched = dm.matched_ids()
-            samples = {
-                mid: [e.eid for e in dm.structure.samples_of(mid)]
-                for mid in matched
-            }
-            epochs = sorted(
-                (ep.eid, ep.level, ep.sample_size)
-                for ep in dm.tracker.live_epochs()
-            )
-            fps.append((led, matched, samples, epochs))
+            fps.append(_fingerprint(dm))
             dm.check_invariants()
         return fps, dm
     finally:
-        if prev is None:
-            os.environ.pop("REPRO_EDIT_KERNELS", None)
-        else:
-            os.environ["REPRO_EDIT_KERNELS"] = prev
+        native.VEC_MIN = prev
 
 
 @st.composite
@@ -143,31 +138,54 @@ class TestTraceParity:
     @settings(max_examples=40, deadline=None)
     @given(data=_scripts(), seed=st.integers(0, 9))
     def test_edits_on_off_bit_identical(self, data, seed):
+        """Kernel route (every call columnar) vs per-edge route vs the
+        dict oracle."""
         rank, script = data
-        fps_off, dm_off = _run_script(rank, script, seed + 1, "off")
-        fps_on, dm_on = _run_script(rank, script, seed + 1, "auto")
-        for step, (a, b) in enumerate(zip(fps_off, fps_on)):
-            assert a == b, f"step {step}: edit kernels diverged"
+        fps_on, dm_on = _run_script(rank, script, seed + 1, vec_min=1)
+        fps_off, _ = _run_script(rank, script, seed + 1, vec_min=PER_EDGE)
+        fps_dict, _ = _run_script(rank, script, seed + 1, backend="dict")
+        for step, (a, b, c) in enumerate(zip(fps_on, fps_off, fps_dict)):
+            assert a == b, f"step {step}: kernel route != per-edge route"
+            assert a == c, f"step {step}: kernel route != dict oracle"
         assert dm_on.vec_stats["vector_batches"] == len(script)
 
     def test_kernels_actually_fire(self):
-        """A dense insert/delete/insert stream must route through the
-        columnar edit kernels (no silent fallback-to-legacy)."""
-        edges = [Edge(i, (2 * i, 2 * i + 1)) for i in range(12)]
+        """At the default route constant, an insert/delete/insert stream
+        of 64+ item batches must run through the columnar edit kernels
+        (no silent per-edge route)."""
+        assert native.VEC_MIN == 64
+        edges = [Edge(i, (2 * i, 2 * i + 1)) for i in range(240)]
         script = [
-            ("insert", edges[:8]),
-            ("delete", [e.eid for e in edges[:4]]),
-            ("insert", edges[8:]),
+            ("insert", edges[:160]),
+            ("delete", [e.eid for e in edges[:80]]),
+            ("insert", edges[160:]),
         ]
-        before = {
-            k: native.stats().get(k, {}).get("calls", 0)
-            for k in ("edit_add_level0", "edit_remove_match",
-                      "intern_localize")
-        }
-        _run_script(2, script, 5, "auto")
-        after = native.stats()
-        for k, n0 in before.items():
-            assert after[k]["calls"] > n0, f"{k} never fired"
+        before = _kernel_calls()
+        _run_script(2, script, 5)
+        after = _kernel_calls()
+        for k in ("edit_add_level0", "edit_remove_match", "intern_localize"):
+            assert after[k] > before[k], f"{k} never fired"
+
+
+class TestRouteRule:
+    def test_63_item_call_takes_per_edge_route(self):
+        """A 63-item insert (all of it cross edges) fires no edit kernel
+        and charges the dict oracle's ledger bit for bit."""
+        assert native.VEC_MIN == 64
+        base = [Edge(i, (2 * i, 2 * i + 1)) for i in range(100)]
+        extra = [Edge(1000 + i, (2 * i, 2 * i + 3)) for i in range(63)]
+        dm = DynamicMatching(rank=2, seed=5)
+        oracle = DynamicMatching(rank=2, seed=5, backend="dict")
+        for d in (dm, oracle):
+            d.insert_edges(base)
+        assert _fingerprint(dm) == _fingerprint(oracle)
+        before = _kernel_calls()
+        for d in (dm, oracle):
+            d.insert_edges(extra)
+        assert _kernel_calls() == before
+        assert all(dm.structure.type_of(e.eid) == EdgeType.CROSS for e in extra)
+        assert _fingerprint(dm) == _fingerprint(oracle)
+        dm.check_invariants()
 
 
 # --------------------------------------------------------------------- #
@@ -244,104 +262,3 @@ class TestInternLocalize:
         exp_uniq, exp_inv = np.unique(dense, return_inverse=True)
         assert np.array_equal(uniq, exp_uniq)
         assert np.array_equal(vinv.astype(np.int64), exp_inv.astype(np.int64))
-
-
-# --------------------------------------------------------------------- #
-# Numba twins (CI native job; skipped when numba is absent)
-# --------------------------------------------------------------------- #
-def _edit_args(name, n, rng):
-    """Deterministic argument tuples for the stateful edit kernels —
-    same shapes the structure hands them."""
-    if name == "edit_add_level0":
-        nm = max(1, n // 4)
-        slots = rng.permutation(n)[:nm].astype(np.int32)
-        cards = rng.integers(1, 4, size=nm)
-        total = int(cards.sum())
-        dflat = rng.permutation(4 * n)[:total].astype(np.int32)
-        return (
-            slots, cards, dflat,
-            np.zeros(n, np.int32), np.full(n, -1, np.int32),
-            np.zeros(n, np.int32), np.full(n, -1, np.int32),
-            np.zeros(n, np.int64), np.zeros(n, np.int64),
-            np.full(4 * n, -1, np.int32),
-        )
-    if name == "edit_cross_scan":
-        nm = max(1, n // 4)
-        ne = max(1, n // 4)
-        nvtx = 2 * n
-        cards = rng.integers(1, 4, size=ne)
-        total = int(cards.sum())
-        pcol = rng.integers(-1, nm, size=nvtx).astype(np.int32)
-        larr = np.full(n, -1, np.int32)
-        larr[:nm] = rng.integers(0, 6, size=nm)
-        tarr = np.zeros(n, np.int32)
-        tarr[:nm] = 1
-        osl = np.full(n, -1, np.int32)
-        osl[:nm] = np.arange(nm, dtype=np.int32)
-        return (
-            np.arange(nm, nm + ne, dtype=np.int32), cards,
-            rng.integers(0, nvtx, size=total).astype(np.int32),
-            pcol, larr, tarr, osl,
-        )
-    if name == "edit_cross_sim":
-        u = max(1, n // 4)
-        return (
-            rng.integers(0, u, size=n),
-            rng.integers(0, 7, size=u),
-            np.full(u, 8, dtype=np.int64),
-        )
-    if name == "edit_remove_match":
-        nm = max(1, n // 4)
-        nc = max(1, n // 4)
-        nvtx = 4 * n
-        mslots = np.arange(nm, dtype=np.int32)
-        mcards = rng.integers(1, 4, size=nm)
-        total = int(mcards.sum())
-        mdflat = rng.permutation(nvtx)[:total].astype(np.int32)
-        pcol = np.full(nvtx, -1, np.int32)
-        rep = np.repeat(mslots, mcards)
-        steal = rng.random(total) < 0.2
-        pcol[mdflat] = np.where(steal, (rep + 1) % np.int32(nm), rep)
-        tarr = np.zeros(n, np.int32)
-        tarr[:nm] = 1
-        tarr[nm:nm + nc] = 3
-        return (
-            mslots, mcards, mdflat, rng.random(nm) < 0.9,
-            np.arange(nm, nm + nc, dtype=np.int32),
-            tarr, np.full(n, -1, np.int32), np.zeros(n, np.int32),
-            np.ones(n, np.int32), rng.integers(1, 4, size=n), pcol,
-        )
-    assert name == "intern_localize"
-    table = max(1, n // 2)
-    return (
-        rng.integers(0, table, size=n).astype(np.int32),
-        np.zeros(table, np.int64), np.zeros(table, np.int32), 1,
-    )
-
-
-EDIT_KERNELS = (
-    "edit_add_level0", "edit_cross_scan", "edit_cross_sim",
-    "edit_remove_match", "intern_localize",
-)
-
-
-def _tuple_equal(a, b):
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(map(np.array_equal, a, b))
-    return np.array_equal(a, b)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
-class TestNumbaTwins:
-    @pytest.mark.parametrize("name", EDIT_KERNELS)
-    @pytest.mark.parametrize("n", [1, 7, 64, 500])
-    def test_twin_parity(self, name, n):
-        """Compiled twin vs numpy body: outputs and post-call argument
-        state bit-identical on identically-seeded inputs."""
-        for seed in range(3):
-            a_np = _edit_args(name, n, np.random.default_rng(seed))
-            a_nb = _edit_args(name, n, np.random.default_rng(seed))
-            out_np = npk.NUMPY_KERNELS[name](*a_np)
-            out_nb = NUMBA_KERNELS[name](*a_nb)
-            assert _tuple_equal(out_np, out_nb), f"{name} output n={n}"
-            assert _tuple_equal(a_np, a_nb), f"{name} arg state n={n}"

@@ -1,33 +1,29 @@
-"""Vectorized dynamic fast path vs the object pipeline and dict oracle.
+"""Array backend vs the dict oracle, on both sides of the route rule.
 
-The acceptance bar for the struct-of-arrays pipeline (docs/hotpath.md) is
-*bit-identity*, not mere equivalence: for a fixed seed, the vectorized
-array backend (with the native kernel backend off AND with it on), the
-object (per-edge) array backend, and the record-dict oracle must agree
-after every batch on
+The acceptance bar for the columnar fast path (docs/hotpath.md) is
+*bit-identity*, not mere equivalence: for a fixed seed, the array
+backend and the record-dict oracle must agree after every batch on
 
 * the matching (ids, in order),
 * every match's sample space (contents and order),
 * the live epoch state (level, sample size), and
 * the ledger — global work, composed depth, and per-tag totals.
 
-The native legs run whatever ``REPRO_NATIVE`` selects (CI runs the
-differential once under ``numba`` and once under ``numpy``; without the
-env var they exercise the counted numpy tier) against the ``off`` leg's
-inline fallbacks, once with the columnar structure-edit kernels forced
-off (``REPRO_EDIT_KERNELS=off``) and once with them on — the five-way
-seam of docs/hotpath.md.
+Each trace runs the array backend twice: once with the route constant
+``repro.native.VEC_MIN`` monkeypatched to 1, so every call takes the
+columnar route (BatchFrame, vector matcher, edit kernels), and once at
+its default of 64, so small calls take the scalar matcher and the
+per-edge edits while the traces' larger batches take the kernels.
 
-On top of the trace differential this file checks the fallback seam (an
-attached charge observer routes batches to the object pipeline without
-changing one bit), the engine-backed settle rounds (pool and shm
+On top of the trace differential this file checks the observer seam (an
+attached charge observer routes every call to the per-edge route
+without changing one bit), the engine-backed settle rounds (pool and shm
 transports), the ``vec_stats``-to-metrics export, and certified crash
-recovery of a journal written by a vectorized instance.
+recovery of a journal written by the array backend.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List
 
 import numpy as np
@@ -40,45 +36,31 @@ from repro.hypergraph.edge import Edge
 
 N_TRACES = 50
 
-#: Backend mode for the native differential leg: the CI native job sets
-#: REPRO_NATIVE to numba / numpy explicitly; default exercises the
-#: counted numpy tier ("auto" also resolves to it when numba is absent).
-NATIVE_MODE = os.environ.get("REPRO_NATIVE", "auto").strip().lower() or "auto"
-if NATIVE_MODE == "off":  # an off native leg would duplicate the vec leg
-    NATIVE_MODE = "auto"
+#: Edit kernels whose calls the differential expects to see.
+EDIT_KERNELS = (
+    "edit_add_level0", "edit_cross_scan", "edit_cross_sim",
+    "edit_remove_match", "intern_localize",
+)
 
 
 @pytest.fixture(autouse=True)
-def _vectorize_every_batch(monkeypatch):
-    """Drop the size cutoff so even tiny trace batches take the vector
-    path (the differential is pointless if everything falls back), and
-    restore whatever native backend was configured before the test."""
-    monkeypatch.setenv("REPRO_VEC_MIN", "1")
-    prev = native.MODE
-    yield
-    native.configure(prev)
+def _columnar_every_call(monkeypatch):
+    """Drop the route constant so even tiny trace batches take the
+    columnar route (tests that need the default raise it back)."""
+    monkeypatch.setattr(native, "VEC_MIN", 1)
 
 
-def _apply_with_native(
-    dm: DynamicMatching, op, mode: str, edits: str = "off"
-) -> None:
-    """Apply one batch with the native backend pinned to ``mode`` and
-    the batched edit kernels pinned to ``edits`` (the interleaved legs
-    of the differential each run under their own)."""
-    native.configure(mode)
-    prev = os.environ.get("REPRO_EDIT_KERNELS")
-    os.environ["REPRO_EDIT_KERNELS"] = edits
-    try:
-        _apply(dm, op)
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_EDIT_KERNELS", None)
-        else:
-            os.environ["REPRO_EDIT_KERNELS"] = prev
+def _kernel_calls():
+    st = native.stats()
+    return {k: st.get(k, {}).get("calls", 0) for k in EDIT_KERNELS}
 
 
 def _script(seed: int):
-    """One random batch script: [("insert", edges) | ("delete", eids)]."""
+    """One random batch script: [("insert", edges) | ("delete", eids)].
+
+    About a quarter of the batches are large (64+ updates), so at the
+    default route constant a trace mixes columnar and per-edge calls.
+    """
     rng = np.random.default_rng(seed)
     max_vertices = int(rng.integers(6, 14))
     rank = int(rng.integers(2, 4))
@@ -87,8 +69,9 @@ def _script(seed: int):
     live: List[int] = []
     next_eid = 0
     for _ in range(steps):
+        big = rng.random() < 0.25
         if not live or rng.random() < 0.6:
-            k = int(rng.integers(1, 7))
+            k = int(rng.integers(64, 100)) if big else int(rng.integers(1, 7))
             batch = []
             for _ in range(k):
                 card = int(rng.integers(1, rank + 1))
@@ -98,7 +81,8 @@ def _script(seed: int):
                 next_eid += 1
             script.append(("insert", batch))
         else:
-            k = int(rng.integers(1, min(len(live), 6) + 1))
+            most = len(live) if big else min(len(live), 6)
+            k = int(rng.integers(1, most + 1))
             idx = sorted(rng.choice(len(live), size=k, replace=False), reverse=True)
             eids = [live[i] for i in idx]
             for i in idx:
@@ -133,87 +117,66 @@ def _fingerprint(dm: DynamicMatching):
     return led, matched, samples, epochs
 
 
+def _trace(rank: int, script, seed: int, backend: str = "array"):
+    """Run ``script`` on a fresh instance; fingerprints per batch."""
+    dm = DynamicMatching(rank=rank, seed=seed, backend=backend)
+    fps = []
+    for op in script:
+        _apply(dm, op)
+        fps.append(_fingerprint(dm))
+        dm.check_invariants()
+    return fps, dm
+
+
 class TestFiveWayDifferential:
+    """The array backend at route constant 1 and at 64 against the dict
+    oracle."""
+
     @pytest.mark.parametrize("chunk", range(5))
-    def test_traces(self, chunk):
-        """N_TRACES seeded traces: vectorized array (native off), the
-        native-backend leg with edit kernels off, the native-backend
-        leg with edit kernels on (both NATIVE_MODE), object array, and
-        the dict oracle, bit-identical at every batch boundary."""
+    def test_traces(self, chunk, monkeypatch):
+        """N_TRACES seeded traces: array with every call columnar, array
+        with routes mixed by size, and the dict oracle, bit-identical at
+        every batch boundary."""
         per = N_TRACES // 5
-        for seed in range(chunk * per, (chunk + 1) * per):
-            rank, script = _script(seed)
-            dm_vec = DynamicMatching(
-                rank=rank, seed=seed + 1, backend="array", vectorized=True
-            )
-            dm_nat = DynamicMatching(
-                rank=rank, seed=seed + 1, backend="array", vectorized=True
-            )
-            dm_edt = DynamicMatching(
-                rank=rank, seed=seed + 1, backend="array", vectorized=True
-            )
-            dm_obj = DynamicMatching(
-                rank=rank, seed=seed + 1, backend="array", vectorized=False
-            )
-            dm_dict = DynamicMatching(rank=rank, seed=seed + 1, backend="dict")
-            for step, op in enumerate(script):
-                _apply_with_native(dm_vec, op, "off")
-                _apply_with_native(dm_nat, op, NATIVE_MODE, edits="off")
-                _apply_with_native(dm_edt, op, NATIVE_MODE, edits="auto")
-                _apply(dm_obj, op)
-                _apply(dm_dict, op)
-                fp_vec = _fingerprint(dm_vec)
-                assert fp_vec == _fingerprint(dm_nat), (
-                    f"seed {seed} step {step}: native backend "
-                    f"({NATIVE_MODE}) != inline vectorized"
-                )
-                assert fp_vec == _fingerprint(dm_edt), (
-                    f"seed {seed} step {step}: edit kernels "
-                    f"({NATIVE_MODE}) != inline vectorized"
-                )
-                assert fp_vec == _fingerprint(dm_obj), (
-                    f"seed {seed} step {step}: vectorized != object pipeline"
-                )
-                assert fp_vec == _fingerprint(dm_dict), (
-                    f"seed {seed} step {step}: vectorized != dict oracle"
-                )
-                dm_vec.check_invariants()
-                dm_edt.check_invariants()
-            assert dm_vec.vec_stats["vector_batches"] == len(script)
-            assert dm_vec.vec_stats["kernel_fallbacks"] == 0
-            assert dm_nat.vec_stats["vector_batches"] == len(script)
-            assert dm_edt.vec_stats["vector_batches"] == len(script)
-            cert_v, cert_n, cert_e, cert_o = (
-                certify(dm_vec), certify(dm_nat), certify(dm_edt),
-                certify(dm_obj),
-            )
-            assert (
-                cert_v.matched == cert_n.matched == cert_e.matched
-                == cert_o.matched
-            )
-            assert (
-                cert_v.witness == cert_n.witness == cert_e.witness
-                == cert_o.witness
-            )
-            assert dm_obj.vec_stats["vector_batches"] == 0
-            assert dm_obj.vec_stats["object_batches"] == len(script)
-        # the edit-kernel leg must actually have exercised the columnar
-        # twins (global dispatch stats are cumulative across the chunk)
-        st = native.stats()
-        assert st.get("edit_add_level0", {}).get("calls", 0) > 0
-        assert st.get("intern_localize", {}).get("calls", 0) > 0
+        fired = {}
+        for vec_min in (1, 64):
+            monkeypatch.setattr(native, "VEC_MIN", vec_min)
+            before = _kernel_calls()
+            for seed in range(chunk * per, (chunk + 1) * per):
+                rank, script = _script(seed)
+                fps_dict, dm_dict = _trace(rank, script, seed + 1, "dict")
+                fps_arr, dm_arr = _trace(rank, script, seed + 1)
+                for step, (a, b) in enumerate(zip(fps_arr, fps_dict)):
+                    assert a == b, (
+                        f"seed {seed} step {step}: array (VEC_MIN={vec_min}) "
+                        f"!= dict oracle"
+                    )
+                assert dm_arr.vec_stats["vector_batches"] == len(script)
+                assert dm_arr.vec_stats["kernel_fallbacks"] == 0
+                assert dm_dict.vec_stats["object_batches"] == len(script)
+                cert_a, cert_d = certify(dm_arr), certify(dm_dict)
+                assert cert_a.matched == cert_d.matched
+                assert cert_a.witness == cert_d.witness
+            after = _kernel_calls()
+            fired[vec_min] = {k: after[k] - before[k] for k in EDIT_KERNELS}
+        # Every call columnar must exercise every edit kernel; at the
+        # default the large batches still reach the kernels.
+        assert all(n > 0 for n in fired[1].values()), fired[1]
+        assert fired[64]["edit_cross_scan"] > 0, fired[64]
+        assert fired[64]["intern_localize"] > 0, fired[64]
 
 
 class TestObserverFallback:
     def test_bridge_falls_back_bit_identically(self):
         """A charge observer (Observer(bridge=True)) must route every
-        batch to the object pipeline with zero behavioral difference."""
+        call to the scalar matcher and the per-edge edits with zero
+        behavioral difference from an unobserved all-columnar run."""
         from repro.obs.observer import Observer
 
         for seed in (3, 11, 27):
             rank, script = _script(seed)
-            dm_plain = DynamicMatching(rank=rank, seed=seed + 1, vectorized=False)
-            dm_obs = DynamicMatching(rank=rank, seed=seed + 1, vectorized=True)
+            dm_plain = DynamicMatching(rank=rank, seed=seed + 1)
+            dm_obs = DynamicMatching(rank=rank, seed=seed + 1)
             obs = Observer(bridge=True)
             detach = obs.attach_matching(dm_obs)
             try:
@@ -234,7 +197,7 @@ class TestObserverFallback:
         from repro.obs.observer import Observer
 
         rank, script = _script(7)
-        dm = DynamicMatching(rank=rank, seed=8, vectorized=True)
+        dm = DynamicMatching(rank=rank, seed=8)
         obs = Observer()  # bridge=False: no ledger observer installed
         detach = obs.attach_matching(dm)
         try:
@@ -260,7 +223,7 @@ class TestMetricsExport:
             else UpdateBatch.delete(payload)
             for kind, payload in script
         ]
-        dm = DynamicMatching(rank=rank, seed=20, vectorized=True)
+        dm = DynamicMatching(rank=rank, seed=20)
         obs = Observer()
         run_stream(dm, stream, observer=obs)
         stats = dm.vec_stats
@@ -277,14 +240,14 @@ class TestMetricsExport:
 
 class TestCrashRecoveryReplay:
     def test_certified_recovery_of_vectorized_run(self, tmp_path):
-        """A journal written by a vectorized instance recovers and
-        certifies against the from-scratch oracle replay."""
+        """A journal written by an all-columnar array instance recovers
+        and certifies against the from-scratch oracle replay."""
         from repro.durability import DurabilityManager, recover
         from repro.testing.faults import random_batches
 
         rng = np.random.default_rng(31)
         batches = random_batches(rng, 16)
-        dm = DynamicMatching(rank=3, seed=31, vectorized=True)
+        dm = DynamicMatching(rank=3, seed=31)
         with DurabilityManager.create(
             str(tmp_path), dm, checkpoint_every=4
         ) as mgr:
@@ -306,9 +269,9 @@ class TestCrashRecoveryReplay:
 
 @pytest.mark.parallel
 class TestEngineSettleRounds:
-    """Engine-backed settle rounds under the vectorized pipeline: pool
+    """Engine-backed settle rounds under the columnar pipeline: pool
     and shm transports, forced-parallel scheduler, bit-identity vs the
-    serial vectorized run and the object pipeline."""
+    serial run and the dict oracle."""
 
     @pytest.fixture(scope="class", params=["pool", "shm"])
     def engine(self, request):
@@ -340,20 +303,18 @@ class TestEngineSettleRounds:
                 edges, 64, RandomOrderAdversary(np.random.default_rng(seed + 50))
             )
 
-        dm_serial = DynamicMatching(rank=2, seed=seed + 100, vectorized=True)
-        dm_engine = DynamicMatching(
-            rank=2, seed=seed + 100, vectorized=True, engine=engine
-        )
-        dm_object = DynamicMatching(rank=2, seed=seed + 100, vectorized=False)
+        dm_serial = DynamicMatching(rank=2, seed=seed + 100)
+        dm_engine = DynamicMatching(rank=2, seed=seed + 100, engine=engine)
+        dm_dict = DynamicMatching(rank=2, seed=seed + 100, backend="dict")
         for b1, b2, b3 in zip(make_stream(), make_stream(), make_stream()):
-            for dm, batch in ((dm_serial, b1), (dm_engine, b2), (dm_object, b3)):
+            for dm, batch in ((dm_serial, b1), (dm_engine, b2), (dm_dict, b3)):
                 if batch.kind == "insert":
                     dm.insert_edges(list(batch.edges))
                 else:
                     dm.delete_edges(list(batch.eids))
             fp = _fingerprint(dm_serial)
             assert fp == _fingerprint(dm_engine), f"seed {seed}: engine diverged"
-            assert fp == _fingerprint(dm_object), f"seed {seed}: object diverged"
+            assert fp == _fingerprint(dm_dict), f"seed {seed}: dict diverged"
         assert dm_engine.vec_stats["vector_batches"] > 0
         cert_s, cert_e = certify(dm_serial), certify(dm_engine)
         assert cert_s.matched == cert_e.matched

@@ -141,3 +141,33 @@ class TestCliWiring:
         trace = RunTrace.from_events(events)
         assert trace.points
         assert trace.totals()["updates"] == sum(p.size for p in trace.points)
+
+
+class TestNativeKernelMetrics:
+    def test_calls_labeled_by_kernel_only(self):
+        """One numpy backend, so the kernel-call counter carries only the
+        ``kernel`` label, and it counts exactly what ``native.stats()``
+        counts while attached."""
+        from repro import native
+        from repro.hypergraph.edge import Edge
+
+        obs = Observer()
+        detach = obs.attach_native_kernels()
+        try:
+            before = native.stats()
+            dm = DynamicMatching(rank=2, seed=1)
+            dm.insert_edges([Edge(i, (2 * i, 2 * i + 1)) for i in range(100)])
+            after = native.stats()
+        finally:
+            detach()
+        fam = obs.native_kernel_calls
+        assert fam.labelnames == ("kernel",)
+        fired = {
+            k: after[k]["calls"] - before.get(k, {}).get("calls", 0)
+            for k in after
+        }
+        assert fired["edit_add_level0"] > 0
+        for kernel, n in fired.items():
+            assert fam.value(kernel=kernel) == n
+        text = obs.registry.expose()
+        assert 'repro_native_kernel_calls_total{kernel="edit_add_level0"}' in text

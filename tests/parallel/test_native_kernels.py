@@ -1,11 +1,9 @@
-"""The native kernel backend: parity, overflow guards, arena, config.
+"""The numpy hot kernels: parity, overflow guards, arena, counting.
 
-Four contracts from docs/hotpath.md's native-backend section:
+Four contracts from docs/hotpath.md:
 
 * **Kernel parity** — every kernel in ``repro.native.kernels`` must be
-  output-identical to a direct reference implementation (and, when numba
-  is importable, the compiled twins in ``repro.native._numba`` must
-  match the numpy bodies bit for bit on the same inputs).
+  output-identical to a direct reference implementation.
 * **Overflow guards** — :class:`BatchFrame`'s int32 compaction must
   widen transparently when edge/vertex ids straddle the int32 boundary:
   the compact run and the pinned-int64 run are bit-identical through the
@@ -13,18 +11,13 @@ Four contracts from docs/hotpath.md's native-backend section:
 * **Arena semantics** — :class:`ColumnArena` reuses named buffers
   (zero-copy between batches), keys by dtype so widening never aliases
   a narrow buffer, and grows capacity in powers of two.
-* **Config robustness** — ``REPRO_VEC_MIN`` parsing never raises
-  (invalid values warn once and fall back; negatives clamp to 0), and
-  ``native.configure`` treats an invalid mode as ``auto`` with a
-  warning rather than taking the pipeline down.
+* **Counting** — every call through ``repro.native`` is counted in
+  ``stats()`` and reported to the timing hook.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,25 +27,9 @@ from repro.native import kernels as npk
 from repro.native.arena import ColumnArena
 from repro.parallel.frames import BatchFrame
 from repro.parallel.ledger import Ledger
-from repro.static_matching import parallel_greedy
 from repro.static_matching.parallel_greedy import parallel_greedy_match
 
-try:
-    from repro.native._numba import NUMBA_KERNELS
-
-    HAVE_NUMBA = True
-except ImportError:
-    NUMBA_KERNELS = {}
-    HAVE_NUMBA = False
-
 I32_MAX = np.iinfo(np.int32).max
-
-
-@pytest.fixture(autouse=True)
-def _restore_native_mode():
-    prev = native.MODE
-    yield
-    native.configure(prev)
 
 
 # --------------------------------------------------------------------- #
@@ -168,74 +145,6 @@ class TestNumpyKernelParity:
         z = np.zeros(0, dtype=np.int64)
         out = npk.first_alive(np.zeros(0, dtype=np.uint8), z, z, z, z)
         assert out.size == 0
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-class TestNumbaKernelParity:
-    """The compiled twins must match the numpy bodies bit for bit."""
-
-    @given(keys_arrays.filter(lambda a: a.size > 0))
-    @settings(deadline=None)  # first call JIT-compiles
-    def test_group_index(self, keys):
-        for a, b in zip(
-            NUMBA_KERNELS["group_index"](keys), npk.group_index(keys)
-        ):
-            assert np.array_equal(a, b)
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 30), st.integers(0, 6)), max_size=20
-        )
-    )
-    @settings(deadline=None)
-    def test_seg_gather_index(self, segs):
-        starts = np.array([s for s, _ in segs], dtype=np.int64)
-        counts = np.array([c for _, c in segs], dtype=np.int64)
-        total = int(counts.sum())
-        assert np.array_equal(
-            NUMBA_KERNELS["seg_gather_index"](starts, counts, total),
-            npk.seg_gather_index(starts, counts, total),
-        )
-
-    @given(keys_arrays)
-    @settings(deadline=None)
-    def test_dedup_and_pack(self, items):
-        assert np.array_equal(
-            NUMBA_KERNELS["dedup_first_index"](items),
-            npk.dedup_first_index(items),
-        )
-        flags = (items % 2 == 0) if items.size else items.astype(bool)
-        assert np.array_equal(
-            NUMBA_KERNELS["pack_index"](flags), npk.pack_index(flags)
-        )
-
-    @given(st.data())
-    @settings(deadline=None)
-    def test_first_alive(self, data):
-        ne = data.draw(st.integers(1, 8))
-        done = np.array(
-            data.draw(
-                st.lists(st.integers(0, 1), min_size=ne, max_size=ne)
-            ),
-            dtype=np.uint8,
-        )
-        nv = data.draw(st.integers(1, 5))
-        lists = [
-            data.draw(st.lists(st.integers(0, ne - 1), max_size=6))
-            for _ in range(nv)
-        ]
-        bL = np.array([len(l) for l in lists], dtype=np.int64)
-        boff = np.zeros(nv, dtype=np.int64)
-        np.cumsum(bL[:-1], out=boff[1:])
-        csr_edge = np.array([e for l in lists for e in l], dtype=np.int64)
-        bt = np.array(
-            [data.draw(st.integers(0, len(l))) for l in lists],
-            dtype=np.int64,
-        )
-        assert np.array_equal(
-            NUMBA_KERNELS["first_alive"](done, csr_edge, boff, bt, bL),
-            npk.first_alive(done, csr_edge, boff, bt, bL),
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -372,86 +281,21 @@ class TestColumnArena:
 
 
 # --------------------------------------------------------------------- #
-# Config robustness
+# Call counting
 # --------------------------------------------------------------------- #
-class TestVecMinParsing:
-    @pytest.fixture(autouse=True)
-    def _fresh_cache(self):
-        saved = dict(parallel_greedy._VEC_MIN_CACHE)
-        parallel_greedy._VEC_MIN_CACHE.clear()
-        yield
-        parallel_greedy._VEC_MIN_CACHE.clear()
-        parallel_greedy._VEC_MIN_CACHE.update(saved)
-
-    def test_unset_uses_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VEC_MIN", raising=False)
-        assert parallel_greedy._vec_min() == parallel_greedy._vec_min_default()
-
-    def test_valid_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VEC_MIN", "17")
-        assert parallel_greedy._vec_min() == 17
-
-    def test_invalid_does_not_raise_and_warns_once(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VEC_MIN", "banana")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            val = parallel_greedy._vec_min()
-            parallel_greedy._vec_min()  # cached: no second warning
-        assert val == parallel_greedy._vec_min_default()
-        ours = [w for w in caught if "REPRO_VEC_MIN" in str(w.message)]
-        assert len(ours) == 1
-        assert issubclass(ours[0].category, RuntimeWarning)
-
-    def test_negative_clamps_to_zero_with_warning(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VEC_MIN", "-3")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert parallel_greedy._vec_min() == 0
-        assert any("REPRO_VEC_MIN" in str(w.message) for w in caught)
-
-    def test_invalid_value_still_matches(self, monkeypatch):
-        """A bad REPRO_VEC_MIN must not take the matcher down."""
-        monkeypatch.setenv("REPRO_VEC_MIN", "not-an-int")
-        edges = [Edge(i, (i, i + 1)) for i in range(8)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = parallel_greedy_match(
-                edges, Ledger(), np.random.default_rng(0)
-            )
-        covered = {v for m in res.matches for v in m.edge.vertices}
-        for e in edges:  # maximality
-            assert any(v in covered for v in e.vertices)
-
-
 class TestNativeConfigure:
-    def test_invalid_mode_warns_and_uses_auto(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            backend = native.configure("bogus")
-        assert backend in ("numba", "numpy")
-        assert native.MODE == "auto"
-        assert any("invalid native backend" in str(w.message) for w in caught)
-
-    def test_off_disables_dispatch(self):
-        native.configure("off")
-        assert native.get("group_index") is None
-        assert not native.available()
+    """Call counting and the timing hook of :mod:`repro.native`."""
 
     def test_numpy_mode_counts_dispatches(self):
-        native.configure("numpy")
-        assert native.BACKEND == "numpy"
         native.reset_stats()
-        k = native.get("pack_index")
-        assert k is not None
-        k(np.array([True, False, True]))
+        native.pack_index(np.array([True, False, True]))
         assert native.stats()["pack_index"]["calls"] == 1
 
     def test_timing_hook_fires_and_detaches(self):
-        native.configure("numpy")
         seen = []
         prev = native.set_timing_hook(lambda name, dt: seen.append(name))
         try:
-            native.get("pack_index")(np.array([True]))
+            native.pack_index(np.array([True]))
         finally:
             assert native.set_timing_hook(prev) is not None
         assert seen == ["pack_index"]

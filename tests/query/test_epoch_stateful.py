@@ -5,9 +5,10 @@ primary and published to the query tier) with reads.  Every read at
 epoch ``E`` must bit-match a **dict-backend oracle replay truncated at
 batch E** — matched ids, vertex cover, match levels, and live-edge
 count, field for field (:func:`repro.query.certify_view`).  The machine
-runs across both structure backends and with the vectorized fast path
-on and off; the oracle is always the dict backend, so this doubles as a
-differential test of the backends through the query tier.
+runs across both structure backends, the array backend both at its
+default route constant and with every call on the columnar route; the
+oracle is always the dict backend, so this doubles as a differential
+test of the backends through the query tier.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+from repro import native
 from repro.core.dynamic_matching import DynamicMatching
 from repro.hypergraph.edge import Edge
 from repro.query import EpochNotReady, QueryService, certify_view, oracle_view
@@ -35,13 +37,10 @@ class QueryEpochMachine(RuleBasedStateMachine):
     """Interleave batches and certified reads on one configured primary."""
 
     backend = "array"
-    vectorized: object = None
 
     def __init__(self) -> None:
         super().__init__()
-        self.algo = DynamicMatching(
-            rank=2, seed=SEED, backend=self.backend, vectorized=self.vectorized
-        )
+        self.algo = DynamicMatching(rank=2, seed=SEED, backend=self.backend)
         self.service = QueryService(self.algo)
         self.stream = []
         self.alive = []
@@ -117,19 +116,22 @@ class QueryEpochMachine(RuleBasedStateMachine):
         assert self.service.level_stats() == oracle.level_stats()
 
 
+#: (backend, route constant — None keeps the default ``native.VEC_MIN``)
 CONFIGS = [
     pytest.param("array", None, id="array-vectorized"),
-    pytest.param("array", False, id="array-object"),
+    pytest.param("array", 1, id="array-kernels"),
     pytest.param("dict", None, id="dict"),
 ]
 
 
-@pytest.mark.parametrize("backend,vectorized", CONFIGS)
-def test_epoch_reads_bitmatch_truncated_oracle(backend, vectorized):
+@pytest.mark.parametrize("backend,vec_min", CONFIGS)
+def test_epoch_reads_bitmatch_truncated_oracle(backend, vec_min, monkeypatch):
+    if vec_min is not None:
+        monkeypatch.setattr(native, "VEC_MIN", vec_min)
     machine_cls = type(
-        f"QueryEpochMachine_{backend}_{vectorized}",
+        f"QueryEpochMachine_{backend}_{vec_min}",
         (QueryEpochMachine,),
-        {"backend": backend, "vectorized": vectorized},
+        {"backend": backend},
     )
     run_state_machine_as_test(
         machine_cls,

@@ -13,8 +13,8 @@ the matching, the order, or a single charge.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
+from repro import native
 from repro.parallel.frames import BatchFrame
 from repro.parallel.ledger import Ledger, NullLedger
 from repro.static_matching.parallel_greedy import (
@@ -119,10 +119,10 @@ class TestShouldVectorize:
         assert not should_vectorize(led, 10**6, vectorize=True)
         assert not should_vectorize(led, 10**6)
 
-    def test_auto_threshold(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VEC_MIN", "32")
-        assert not should_vectorize(Ledger(), 31)
-        assert should_vectorize(Ledger(), 32)
+    def test_auto_threshold(self):
+        assert native.VEC_MIN == 64
+        assert not should_vectorize(Ledger(), 63)
+        assert should_vectorize(Ledger(), 64)
 
     def test_subclass_forces_scalar(self):
         class Sub(Ledger):

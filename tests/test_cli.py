@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -87,10 +89,20 @@ def _fastpath_counts(out):
     return {k: int(v) for k, v in (kv.split("=") for kv in pairs)}
 
 
+def _native_totals(out):
+    """Parse the ``native: kernel calls=N   kernel seconds=S`` line."""
+    lines = [l for l in out.splitlines() if l.startswith("native:")]
+    assert lines, f"no native summary in output:\n{out}"
+    m = re.fullmatch(r"native: kernel calls=(\d+)\s+kernel seconds=([\d.]+)",
+                     lines[0])
+    assert m, f"unexpected native summary: {lines[0]!r}"
+    return int(m.group(1)), float(m.group(2))
+
+
 class TestNoVectorized:
-    """--no-vectorized must actually force the object pipeline: zero
-    vector batches AND zero kernel-fallback attempts — the fast path was
-    never even tried, every batch went straight through object code."""
+    """The array backend has no opt-out: every ``paper`` run attempts the
+    columnar pipeline, and the summary reports kernel call totals (one
+    numpy backend, so no backend name)."""
 
     @pytest.fixture
     def stream_file(self, tmp_path):
@@ -99,38 +111,23 @@ class TestNoVectorized:
               "--seed", "3", "--out", out])
         return out
 
-    def test_run_no_vectorized_forces_object_pipeline(self, stream_file, capsys):
-        assert main(["run", "--stream", stream_file, "--algo", "paper",
-                     "--no-vectorized"]) == 0
-        vs = _fastpath_counts(capsys.readouterr().out)
-        assert vs["vector_batches"] == 0
-        assert vs["kernel_fallbacks"] == 0
-        assert vs["object_batches"] > 0  # the batches really ran
-
     def test_run_default_attempts_vector_pipeline(self, stream_file, capsys):
         assert main(["run", "--stream", stream_file, "--algo", "paper"]) == 0
-        vs = _fastpath_counts(capsys.readouterr().out)
-        # The vectorized pipeline engages (or consciously falls back per
-        # batch); it is never silently absent like with --no-vectorized.
-        assert vs["vector_batches"] + vs["kernel_fallbacks"] > 0
-
-    def test_serve_no_vectorized_forces_object_pipeline(self, stream_file,
-                                                        tmp_path, capsys):
-        assert main(["serve", "--journal", str(tmp_path / "j"), "--stream",
-                     stream_file, "--no-vectorized", "--no-fsync"]) == 0
         out = capsys.readouterr().out
-        assert "served" in out
         vs = _fastpath_counts(out)
-        assert vs["vector_batches"] == 0
-        assert vs["kernel_fallbacks"] == 0
-        assert vs["object_batches"] > 0
+        # The columnar pipeline engages (or consciously falls back per
+        # batch); it is never silently absent.
+        assert vs["vector_batches"] + vs["kernel_fallbacks"] > 0
+        _native_totals(out)
 
     def test_serve_default_attempts_vector_pipeline(self, stream_file,
                                                     tmp_path, capsys):
         assert main(["serve", "--journal", str(tmp_path / "j"), "--stream",
                      stream_file, "--no-fsync"]) == 0
-        vs = _fastpath_counts(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        vs = _fastpath_counts(out)
         assert vs["vector_batches"] + vs["kernel_fallbacks"] > 0
+        _native_totals(out)
 
 
 class TestServeSharded:
@@ -207,9 +204,3 @@ class TestParser:
             build_parser().parse_args(
                 ["serve", "--journal", "d", "--shard-transport", "telepathy"]
             )
-
-    def test_run_no_vectorized_flag_parses(self):
-        args = build_parser().parse_args(
-            ["run", "--stream", "s", "--no-vectorized"]
-        )
-        assert args.no_vectorized is True
