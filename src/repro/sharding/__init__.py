@@ -19,7 +19,12 @@ from repro.sharding.partition import (
     split_delete,
     split_insert,
 )
-from repro.sharding.handoff import HandoffResult, proposal_vertices, resolve
+from repro.sharding.handoff import (
+    EndpointIndex,
+    HandoffResult,
+    proposal_vertices,
+    resolve,
+)
 from repro.sharding.shard import Shard, ShardConfig
 from repro.sharding.transport import (
     TRANSPORTS,
@@ -48,6 +53,7 @@ from repro.sharding.recovery import (
 __all__ = [
     "CROSS",
     "BatchSplit",
+    "EndpointIndex",
     "HandoffResult",
     "InlineShardHost",
     "MANIFEST_FILE",

@@ -16,13 +16,13 @@ edge id lands in exactly one bucket, in stable input order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Container, Dict, List, Sequence
 
 import numpy as np
 
 from repro.hypergraph.edge import Edge, EdgeId, Vertex
 
-#: Sentinel "shard id" for cross-shard edges in routing maps.
+#: Sentinel "shard id" :func:`shard_of_edge` returns for a cross-shard edge.
 CROSS = -1
 
 _MIX = 0x9E3779B97F4A7C15  # 64-bit golden-ratio multiplier (splitmix64)
@@ -114,21 +114,29 @@ def split_insert(edges: Sequence[Edge], k: int) -> BatchSplit:
 
 
 def split_delete(
-    eids: Sequence[EdgeId], location: Dict[EdgeId, int], k: int
+    eids: Sequence[EdgeId],
+    location: Dict[EdgeId, int],
+    cross: Container[EdgeId],
+    k: int,
 ) -> BatchSplit:
-    """Route a delete batch using the router's eid → location map.
+    """Route a delete batch using the router's two edge records.
 
-    ``location`` maps every live edge id to its shard id or :data:`CROSS`.
-    Raises ``KeyError`` for an unknown id — mirroring the unsharded
-    pipeline, which rejects deletes of absent edges before mutating.
+    ``location`` maps every live shard-local edge id to its shard id;
+    ``cross`` holds every live cross edge id.  Each live edge is in
+    exactly one of them.  Raises ``KeyError`` for an id in neither —
+    mirroring the unsharded pipeline, which rejects deletes of absent
+    edges before mutating.
     """
     split = BatchSplit(kind="delete", locals_=[[] for _ in range(k)])
+    parts, cross_part = split.locals_, split.cross
     for eid in eids:
-        loc = location[eid]  # KeyError => edge not present anywhere
-        if loc == CROSS:
-            split.cross.append(eid)
+        loc = location.get(eid)
+        if loc is not None:
+            parts[loc].append(eid)
+        elif eid in cross:
+            cross_part.append(eid)
         else:
-            split.locals_[loc].append(eid)
+            raise KeyError(eid)  # edge not present anywhere
     return split
 
 

@@ -55,7 +55,6 @@ from repro.durability.manager import DurabilityManager
 from repro.durability.recovery import RecoveryError, recover
 from repro.hypergraph.edge import Edge, EdgeId
 from repro.sharding.partition import (
-    CROSS,
     BatchSplit,
     shard_rng,
     split_delete,
@@ -106,9 +105,10 @@ def replay_splits(
 ) -> Tuple[List[BatchSplit], Dict[EdgeId, int], Dict[EdgeId, Edge]]:
     """Pure split replay of the router journal's trusted prefix.
 
-    Returns the per-batch splits plus the eid → location map and live
-    cross-edge registry as of the last batch.  Deterministic: splitting
-    depends only on the batch contents and K.
+    Returns the per-batch splits plus the router's two edge records as of
+    the last batch: the eid → shard map of the live local edges and the
+    live cross-edge registry.  Deterministic: splitting depends only on
+    the batch contents and K.
     """
     location: Dict[EdgeId, int] = {}
     cross: Dict[EdgeId, Edge] = {}
@@ -120,18 +120,19 @@ def replay_splits(
                 for e in part:
                     location[e.eid] = s
             for e in split.cross:
-                location[e.eid] = CROSS
                 cross[e.eid] = e
         else:
             try:
-                split = split_delete(batch.eids, location, k)
+                split = split_delete(batch.eids, location, cross, k)
             except KeyError as exc:
                 raise ShardedRecoveryError(
                     f"router journal deletes unknown edge {exc}"
                 ) from exc
-            for eid in batch.eids:
-                if location.pop(eid) == CROSS:
-                    del cross[eid]
+            for part in split.locals_:
+                for eid in part:
+                    del location[eid]
+            for eid in split.cross:
+                del cross[eid]
         splits.append(split)
     return splits, location, cross
 

@@ -48,13 +48,13 @@ from repro.hypergraph.edge import Edge, EdgeId, Vertex
 from repro.parallel.ledger import Ledger, log2ceil
 from repro.core.certify import MatchingCertificate
 from repro.sharding.partition import (
-    CROSS,
     BatchSplit,
     shard_of_vertex,
     split_delete,
     split_insert,
 )
 from repro.sharding import handoff
+from repro.sharding.handoff import EndpointIndex
 from repro.sharding.shard import ShardConfig
 from repro.sharding.transport import TRANSPORTS, make_host
 from repro.workloads.streams import UpdateBatch
@@ -202,9 +202,12 @@ class ShardedMatching:
             )
             self.hosts.append(make_host(transport, cfg))
 
-        # Routing state: eid -> shard id or CROSS; live cross edges.
+        # Routing state: each live edge is recorded once — local edges
+        # as eid -> shard id, cross edges as eid -> edge — plus the
+        # handoff's index of the cross edges' endpoints.
         self._location: Dict[EdgeId, int] = {}
         self._cross: Dict[EdgeId, Edge] = {}
+        self._endpoints = EndpointIndex(shards)
         self._cross_matched: List[EdgeId] = []
         self._cross_witness: Dict[EdgeId, EdgeId] = {}
         # Per-shard caches refreshed from every apply response.
@@ -266,6 +269,7 @@ class ShardedMatching:
         self.hosts = list(hosts)
         self._location = dict(state["location"])
         self._cross = dict(state["cross"])
+        self._endpoints = EndpointIndex(self.k, self._cross.values())
         self._cross_matched = list(state["cross_matched"])
         self._cross_witness = dict(state["cross_witness"])
         self._shard_work = [0.0] * self.k
@@ -307,7 +311,7 @@ class ShardedMatching:
         return sum(self._shard_live) + len(self._cross)
 
     def __contains__(self, eid: EdgeId) -> bool:
-        return eid in self._location
+        return eid in self._location or eid in self._cross
 
     @property
     def num_updates(self) -> int:
@@ -335,9 +339,11 @@ class ShardedMatching:
 
     def match_of(self, v: Vertex) -> Optional[EdgeId]:
         """The merged matching's cover of ``v`` (local first, then cross)."""
-        local = self.hosts[shard_of_vertex(v, self.k)].call("cover_of_many", [v])[0]
-        if local is not None:
-            return local
+        local = self.hosts[shard_of_vertex(v, self.k)].call("cover_of_many", [v])
+        if local:
+            return local[v]
+        if v not in self._endpoints:
+            return None  # no live cross edge touches v
         for eid in self._cross_matched:
             if v in self._cross[eid].vertices:
                 return eid
@@ -393,9 +399,23 @@ class ShardedMatching:
         assert set(self._cross_witness) == live_cross - set(self._cross_matched), (
             "cross witnesses must cover exactly the unmatched live cross edges"
         )
-        by_loc_cross = {e for e, loc in self._location.items() if loc == CROSS}
-        assert by_loc_cross == live_cross, "location map disagrees with registry"
-        self.certificate().verify(self.all_edges())
+        assert not live_cross & self._location.keys(), (
+            "an edge is recorded both as local and as cross"
+        )
+        for host in self.hosts:
+            host.request("all_edges")
+        edges: List[Edge] = []
+        for s, host in enumerate(self.hosts):
+            local = host.response()
+            assert {e.eid for e in local} == {
+                eid for eid, loc in self._location.items() if loc == s
+            }, f"location map disagrees with shard {s}'s edges"
+            edges.extend(local)
+        assert self._endpoints.entries() == EndpointIndex.recount(
+            self._cross.values(), self.k
+        ), "endpoint index disagrees with the cross registry"
+        edges.extend(self._cross.values())
+        self.certificate().verify(edges)
 
     # ------------------------------------------------------------------ #
     # Batch interface
@@ -406,7 +426,7 @@ class ShardedMatching:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate edge ids within the batch")
         for e in edges:
-            if e.eid in self._location:
+            if e.eid in self._location or e.eid in self._cross:
                 raise KeyError(f"edge {e.eid} already present")
             if e.cardinality > self.rank:
                 raise ValueError(
@@ -420,7 +440,7 @@ class ShardedMatching:
         if len(set(eids)) != len(eids):
             raise ValueError("duplicate edge ids within the batch")
         for eid in eids:
-            if eid not in self._location:
+            if eid not in self._location and eid not in self._cross:
                 raise KeyError(eid)
         return self._apply(UpdateBatch.delete(eids))
 
@@ -450,7 +470,7 @@ class ShardedMatching:
         if batch.kind == "insert":
             split = split_insert(batch.edges, self.k)
         else:
-            split = split_delete(batch.eids, self._location, self.k)
+            split = split_delete(batch.eids, self._location, self._cross, self.k)
         self.router_ledger.charge(
             work=batch.size, depth=log2ceil(max(batch.size, 2)), tag="shard_split"
         )
@@ -462,21 +482,21 @@ class ShardedMatching:
         #    shard processes settle concurrently.
         self._dispatch(split, stats)
 
-        # Routing-map and cross-registry maintenance.
+        # Routing-map, cross-registry and endpoint-index maintenance.
+        location, cross = self._location, self._cross
         if batch.kind == "insert":
             for s, part in enumerate(split.locals_):
                 for e in part:
-                    self._location[e.eid] = s
+                    location[e.eid] = s
             for e in split.cross:
-                self._cross[e.eid] = e
-                self._location[e.eid] = CROSS
+                cross[e.eid] = e
+                self._endpoints.add(e)
         else:
             for part in split.locals_:
                 for eid in part:
-                    del self._location[eid]
+                    del location[eid]
             for eid in split.cross:
-                del self._cross[eid]
-                del self._location[eid]
+                self._endpoints.remove(cross.pop(eid))
 
         # 4. Two-phase handoff over the live cross-edge set.
         self._resolve_cross(stats)
@@ -506,22 +526,21 @@ class ShardedMatching:
             self._cross_matched = []
             self._cross_witness = {}
             return
-        # Phase 1: freeness reports, one request per involved shard.
-        plan = handoff.proposal_vertices(self._cross.values(), self.k)
+        # Phase 1: freeness reports, one request per involved shard; each
+        # shard answers with its covered vertices only.
+        plan = handoff.proposal_vertices(self._endpoints)
         order = sorted(plan)
         for s in order:
             self.hosts[s].request("cover_of_many", (plan[s],))
-        cover: Dict[Vertex, Optional[EdgeId]] = {}
-        n_queried = 0
+        cover: Dict[Vertex, EdgeId] = {}
         for s in order:
-            covers = self.hosts[s].response()
-            n_queried += len(plan[s])
-            cover.update(zip(plan[s], covers))
+            cover.update(self.hosts[s].response())
+        n_queried = len(self._endpoints)
         self.router_ledger.charge(
             work=n_queried, depth=log2ceil(max(n_queried, 2)), tag="handoff_propose"
         )
         # Phase 2: deterministic decisions.
-        result = handoff.resolve(list(self._cross.values()), cover, self.k)
+        result = handoff.resolve(self._cross, cover, self._endpoints)
         self.router_ledger.charge(
             work=len(self._cross),
             depth=log2ceil(max(len(self._cross), 2)),

@@ -114,18 +114,18 @@ class Shard:
             "applied": len(payload),
             "work": led.work - w0,
             "depth": led.depth - d0,
-            "matching_size": len(self.dm.matched_ids()),
+            "matching_size": len(self.dm.structure.matched),
             "live_edges": len(self.dm),
         }
 
     # ------------------------------------------------------------------ #
     # Phase-1 freeness report
     # ------------------------------------------------------------------ #
-    def cover_of_many(
-        self, vertices: Sequence[Vertex]
-    ) -> List[Optional[EdgeId]]:
-        """For each vertex, the local matched edge covering it (or None)."""
-        return [self.dm.match_of(v) for v in vertices]
+    def cover_of_many(self, vertices: Sequence[Vertex]) -> Dict[Vertex, EdgeId]:
+        """The local matched edge covering each covered vertex of
+        ``vertices``; free vertices are left out."""
+        cover_of = self.dm.structure.cover_of
+        return {v: m for v in vertices if (m := cover_of(v)) is not None}
 
     # ------------------------------------------------------------------ #
     # Merge/inspection queries (picklable returns)

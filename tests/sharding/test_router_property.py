@@ -3,9 +3,10 @@
 Hypothesis-driven proofs of the bookkeeping laws everything else leans
 on: a batch split is a *partition* of the batch (no edge id lost, none
 duplicated, input order preserved within every bucket), re-merging
-conserves every edge exactly, and the two-phase handoff is a
-deterministic function of its inputs that always produces a valid,
-fully-witnessed cross matching.
+conserves every edge exactly, the endpoint index always equals a recount
+of the live cross edges, and the two-phase handoff is a deterministic
+function of its inputs that always produces a valid, fully-witnessed
+cross matching equal to the reference loop's.
 """
 
 from collections import Counter
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro.hypergraph.edge import Edge
 from repro.sharding import (
     CROSS,
+    EndpointIndex,
     merge_split,
     owner_shard,
     proposal_vertices,
@@ -27,6 +29,7 @@ from repro.sharding import (
     split_delete,
     split_insert,
 )
+from tests.sharding.reference_handoff import reference_resolve
 
 pytestmark = pytest.mark.sharding
 
@@ -78,17 +81,22 @@ def test_split_insert_is_partition(edges, k):
 @given(edges=edge_batches(), k=ks, data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_split_delete_is_partition(edges, k, data):
-    location = {
-        e.eid: shard_of_edge(e, k) for e in edges
-    }  # CROSS or shard id, as the router would hold it
+    # The router's two records: local edges by shard id, cross edges apart.
+    location, cross = {}, {}
+    for e in edges:
+        s = shard_of_edge(e, k)
+        if s == CROSS:
+            cross[e.eid] = e
+        else:
+            location[e.eid] = s
     eids = [e.eid for e in edges]
     subset = data.draw(st.permutations(eids)) if eids else []
-    split = split_delete(subset, location, k)
+    split = split_delete(subset, location, cross, k)
     merged = merge_split(split)
     assert Counter(merged) == Counter(subset)
     for s, part in enumerate(split.locals_):
         assert all(location[eid] == s for eid in part)
-    assert all(location[eid] == CROSS for eid in split.cross)
+    assert all(eid in cross and eid not in location for eid in split.cross)
     # Order stability within buckets.
     order = {eid: i for i, eid in enumerate(subset)}
     for part in list(split.locals_) + [split.cross]:
@@ -98,7 +106,10 @@ def test_split_delete_is_partition(edges, k, data):
 
 def test_split_delete_unknown_id_raises_before_any_routing():
     with pytest.raises(KeyError):
-        split_delete([7], {}, 2)
+        split_delete([7], {}, {}, 2)
+    # An id in neither record raises even after routable ones.
+    with pytest.raises(KeyError):
+        split_delete([1, 2, 7], {1: 0}, {2: Edge(2, (0, 1))}, 2)
 
 
 @given(v=st.integers(0, 2**40), k=st.integers(1, 16))
@@ -123,17 +134,26 @@ def test_shard_of_vertex_spreads_structured_ranges():
 def test_handoff_is_deterministic_valid_and_witnessed(edges, k, data):
     cross = [e for e in edges if shard_of_edge(e, k) == CROSS]
     # A random plausible freeness report: some vertices covered by
-    # fictitious local matches (ids disjoint from the cross edge ids).
+    # fictitious local matches (ids disjoint from the cross edge ids),
+    # some free vertices listed explicitly as None.
     verts = sorted({v for e in cross for v in e.vertices})
     cover = {}
     for v in verts:
-        if data.draw(st.booleans()):
+        state = data.draw(st.integers(0, 2))
+        if state == 1:
             cover[v] = 10_000 + data.draw(st.integers(0, 5))
+        elif state == 2:
+            cover[v] = None
 
-    r1 = resolve(cross, cover, k)
-    r2 = resolve(list(reversed(cross)), dict(cover), k)
-    # Pure function of (edge set, cover): input order is irrelevant.
+    index = EndpointIndex(k, cross)
+    r1 = resolve({e.eid: e for e in cross}, cover, index)
+    r2 = resolve({e.eid: e for e in reversed(cross)}, dict(cover), index)
+    # Pure function of (edge set, cover): input order is irrelevant, and
+    # a free vertex listed as None reads like an absent one.
     assert r1.matched == r2.matched and r1.witness == r2.witness
+    assert r1 == reference_resolve(cross, cover, k)
+    covered_only = {v: m for v, m in cover.items() if m is not None}
+    assert r1 == resolve({e.eid: e for e in cross}, covered_only, index)
 
     by_id = {e.eid: e for e in cross}
     matched = set(r1.matched)
@@ -158,19 +178,76 @@ def test_handoff_is_deterministic_valid_and_witnessed(edges, k, data):
     assert r1.proposals >= r1.accepts
 
 
+def test_handoff_none_cover_entry_does_not_hide_owner_side_cover():
+    # Two owner-side endpoints: the first listed free as None, the second
+    # covered.  The covered one must still reject the edge in phase 1.
+    k = 2
+    a, b = [v for v in range(100) if shard_of_vertex(v, k) == 0][:2]
+    c = next(v for v in range(100) if shard_of_vertex(v, k) == 1)
+    edge = Edge(1, (a, b, c))
+    cover = {a: None, b: 500}
+    got = resolve({1: edge}, cover, EndpointIndex(k, [edge]))
+    assert got == reference_resolve([edge], cover, k)
+    assert got.witness == {1: 500} and got.proposals == 0
+
+
 @given(edges=edge_batches(max_vertex=20), k=st.integers(2, 5))
 @settings(max_examples=60, deadline=None)
 def test_proposal_vertices_covers_every_endpoint_once(edges, k):
     cross = [e for e in edges if shard_of_edge(e, k) == CROSS]
-    plan = proposal_vertices(cross, k)
+    plan = proposal_vertices(EndpointIndex(k, cross))
     flat = [v for vs in plan.values() for v in vs]
     assert len(flat) == len(set(flat)), "a vertex queried twice"
     assert set(flat) == {v for e in cross for v in e.vertices}
     for s, vs in plan.items():
-        assert vs == sorted(vs)
+        assert vs, "a shard with nothing to report is not asked"
         assert all(shard_of_vertex(v, k) == s for v in vs)
     for e in cross:
         assert owner_shard(e, k) == min(shard_of_vertex(v, k) for v in e.vertices)
+
+
+#: Vertex ids the index must keep exact: negative, straddling int32,
+#: at the int64 limits and beyond 64 bits.
+wide_vertices = st.one_of(
+    st.integers(-4, 40),
+    st.sampled_from(
+        [-(2**63), -(2**63) + 1, -(2**31) - 1, -(2**31), 2**31 - 1, 2**31,
+         2**32 + 1, 2**63 - 2, 2**63 - 1, 2**64, 2**64 + 1, -(2**70), 10**30]
+    ),
+)
+
+
+@given(
+    k=st.integers(2, 5),
+    ops=st.lists(
+        st.tuples(
+            st.booleans(),
+            st.lists(wide_vertices, min_size=2, max_size=3, unique=True),
+        ),
+        max_size=40,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_endpoint_index_equals_recount_under_churn(k, ops):
+    index = EndpointIndex(k)
+    live = {}
+    for eid, (delete, vs) in enumerate(ops):
+        if delete and live:
+            victim = min(live)  # deterministic pick among live edges
+            index.remove(live.pop(victim))
+        else:
+            e = Edge(eid, vs)
+            if shard_of_edge(e, k) != CROSS:
+                continue  # the router indexes cross edges only
+            live[eid] = e
+            index.add(e)
+        assert index.entries() == EndpointIndex.recount(live.values(), k)
+        assert len(index) == len({v for e in live.values() for v in e.vertices})
+    plan = proposal_vertices(index)
+    flat = [v for vs in plan.values() for v in vs]
+    assert sorted(flat) == sorted({v for e in live.values() for v in e.vertices})
+    for s, vs in plan.items():
+        assert all(shard_of_vertex(v, k) == s for v in vs)
 
 
 def test_shard_rng_k1_matches_unsharded_seed():

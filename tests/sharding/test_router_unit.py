@@ -63,6 +63,18 @@ class TestValidation:
             with pytest.raises(ValueError, match="cardinality"):
                 r.insert_edges([Edge(1, (0, 1, 2))])
 
+    def test_first_bad_edge_in_batch_order_names_the_error(self):
+        with ShardedMatching(shards=2, rank=2, transport="inline") as r:
+            r.insert_edges([e(1, 0, 1)])
+            with pytest.raises(ValueError, match="cardinality"):
+                r.insert_edges([Edge(5, (2, 3, 4)), e(1, 6, 7)])
+            with pytest.raises(KeyError, match="edge 1 already present"):
+                r.insert_edges([e(1, 6, 7), Edge(5, (2, 3, 4))])
+            with pytest.raises(KeyError, match="98"):
+                r.delete_edges([1, 98, 99])
+            assert len(r) == 1 and 1 in r and 5 not in r
+            r.check_invariants()
+
 
 class TestDurabilityRoot:
     def test_manifest_written_and_detected(self, tmp_path):
@@ -104,20 +116,39 @@ class TestRunStreamContract:
             assert s["total_work"] == pytest.approx(r.ledger.work)
             assert records[-1].matching_size == len(r.matched_ids())
 
+    @staticmethod
+    def _assert_match_of_exact(r):
+        """``match_of`` names exactly the merged matching's edge covering
+        each vertex — local or cross — and None for a free vertex."""
+        matched = set(r.matched_ids())
+        edges = r.all_edges()
+        cover = {v: e.eid for e in edges if e.eid in matched for v in e.vertices}
+        for v in {v for e in edges for v in e.vertices} | {-1, 10**6}:
+            assert r.match_of(v) == cover.get(v), v
+
     def test_match_of_agrees_with_certificate(self):
         batches = random_batches(np.random.default_rng(4), 6, rank=2)
         with ShardedMatching(shards=2, rank=2, seed=6, transport="inline") as r:
             for b in batches:
                 r.apply_batch(b)
-            matched = set(r.matched_ids())
-            covered = {
-                v for edge in r.all_edges() if edge.eid in matched
-                for v in edge.vertices
-            }
-            for edge in r.all_edges():
-                for v in edge.vertices:
-                    got = r.match_of(v)
-                    assert (got is not None) == (v in covered)
+            assert r._cross_matched, "the trace must exercise cross covers"
+            self._assert_match_of_exact(r)
+
+    def test_match_of_exact_rank3_k3_inline(self):
+        batches = random_batches(np.random.default_rng(5), 12, rank=3)
+        with ShardedMatching(shards=3, rank=3, seed=8, transport="inline") as r:
+            for b in batches:
+                r.apply_batch(b)
+                self._assert_match_of_exact(r)
+            assert r._cross_matched, "the trace must exercise cross covers"
+
+    def test_match_of_exact_k2_process(self):
+        batches = random_batches(np.random.default_rng(6), 10, rank=2)
+        with ShardedMatching(shards=2, rank=2, seed=9, transport="process") as r:
+            for b in batches:
+                r.apply_batch(b)
+            assert r._cross_matched, "the trace must exercise cross covers"
+            self._assert_match_of_exact(r)
 
 
 class TestMetrics:
