@@ -38,6 +38,9 @@ class BaselineMatching:
     def matched_ids(self) -> List[EdgeId]:
         return sorted(self.matched)
 
+    def matching_size(self) -> int:
+        return len(self.matched)
+
     def matching(self) -> List[Edge]:
         return [self.graph.edge(eid) for eid in sorted(self.matched)]
 

@@ -202,7 +202,7 @@ def _shard_summary(router) -> None:
     print(
         f"shards: {router.k} ({router.transport})   "
         f"local/cross updates: {st['local_updates']}/{st['cross_updates']}   "
-        f"handoff accepts/rejects: {st['accepts']}/{st['rejects']}"
+        f"handoff re-decisions matched/unmatched: {st['accepts']}/{st['rejects']}"
     )
     breakdown = router.ledger_breakdown()
     per = "  ".join(

@@ -169,6 +169,9 @@ class DynamicMatching:
     def matched_ids(self) -> List[EdgeId]:
         return self.structure.matched_ids()
 
+    def matching_size(self) -> int:
+        return len(self.structure.matched)
+
     def match_of(self, vertex: Vertex) -> Optional[EdgeId]:
         """The matched edge covering ``vertex``, or None (O(1) expected)."""
         return self.structure.cover_of(vertex)

@@ -409,7 +409,7 @@ def _capture_sharded(router, epoch: int) -> EpochView:
         levels.update(snap["levels"])
         live += snap["live_edges"]
     # Cross-shard matches come from the router's handoff registry.
-    for eid in router._cross_matched:
+    for eid in router.cross_matched():
         matched.append(eid)
         levels[eid] = CROSS_LEVEL
         for v in router._cross[eid].vertices:

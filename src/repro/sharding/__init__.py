@@ -4,8 +4,9 @@ A :class:`ShardedMatching` router hash-partitions the vertex universe
 across K shards — each hosting its own batch-dynamic matching, per-shard
 write-ahead journal, and metrics — settles shard-local edges in parallel
 shard processes, and resolves cross-shard edges with a deterministic
-two-phase handoff, producing a certified maximal matching of the whole
-graph.  See ``docs/sharding.md``.
+incremental handoff that re-decides only the cross edges each batch
+touches, producing a certified maximal matching of the whole graph.
+See ``docs/sharding.md``.
 """
 
 from repro.sharding.partition import (
@@ -20,8 +21,11 @@ from repro.sharding.partition import (
     split_insert,
 )
 from repro.sharding.handoff import (
-    EndpointIndex,
+    CrossState,
+    Decisions,
+    Frontier,
     HandoffResult,
+    derive,
     proposal_vertices,
     resolve,
 )
@@ -53,7 +57,9 @@ from repro.sharding.recovery import (
 __all__ = [
     "CROSS",
     "BatchSplit",
-    "EndpointIndex",
+    "CrossState",
+    "Decisions",
+    "Frontier",
     "HandoffResult",
     "InlineShardHost",
     "MANIFEST_FILE",
@@ -68,6 +74,7 @@ __all__ = [
     "ShardedRecoveryError",
     "ShardedRecoveryResult",
     "TRANSPORTS",
+    "derive",
     "is_sharded_root",
     "make_host",
     "merge_split",

@@ -27,9 +27,11 @@ the whole service.  Recovery is then:
    router journal is a complete backup of every shard.
 4. **Re-run the handoff.**  The cross registry at sequence ``R`` falls
    out of the split replay; the cross matching is a pure, history-free
-   function of (live cross edges, shard covers), so one
-   :meth:`~repro.sharding.router.ShardedMatching.resettle_cross` round
-   reproduces it exactly.
+   function of (live cross edges, shard covers), so
+   :meth:`~repro.sharding.router.ShardedMatching.resettle_cross` —
+   which rebuilds every shard's frontier from the registry and runs the
+   incremental handoff seeded with every live cross edge — reproduces
+   it exactly.
 5. **Certify** (unless ``do_certify=False``): every shard journal's
    content must equal the recomputed splits record-for-record, and the
    recovered merged state must agree — matching ids, live edge set, and
@@ -297,13 +299,7 @@ def recover_sharded(
         config,
         hosts,
         writer,
-        {
-            "location": location,
-            "cross": cross,
-            "cross_matched": [],
-            "cross_witness": {},
-            "durability_root": directory,
-        },
+        {"location": location, "cross": cross, "durability_root": directory},
     )
     router.resettle_cross()
 

@@ -8,14 +8,17 @@ and metrics — in-process or in ``K`` forked shard processes
 
 1. **journaled** at the router (write-ahead, when durable);
 2. **split** into shard-local sub-batches plus cross-shard edges;
-3. **dispatched**: every shard receives its sub-batch (pipelined across
-   shard processes, so local settling runs concurrently), journals it,
-   and settles it with its local algorithm;
-4. **resolved**: the live cross-shard edge set is re-settled by the
-   deterministic two-phase handoff (:mod:`repro.sharding.handoff`) —
-   lower-shard-id proposes, peers accept/reject against their local
-   matchings — yielding the cross matching and a witness for every
-   rejected cross edge.
+3. **dispatched**: every shard receives its sub-batch and the
+   registrations of the batch's cross-edge endpoints it owns (pipelined
+   across shard processes, so local settling runs concurrently),
+   journals it, settles it with its local algorithm, and answers with a
+   frontier report of the cross-frontier vertices whose local cover
+   changed;
+4. **resolved**: the incremental handoff (:mod:`repro.sharding.handoff`)
+   re-decides, in ascending edge id, only the cross edges the batch
+   touches, keeping the cross matching equal to the greedy two-phase
+   resolve of the whole live cross-edge set; witnesses for rejected
+   cross edges are derived from the state on demand.
 
 The merged result — union of shard-local matchings and accepted cross
 edges — is a certified maximal matching of the whole graph
@@ -33,8 +36,9 @@ edges across the split/merge, and merged-ledger == sum-of-shard-ledgers.
 
 Duck-typing: the router exposes the algorithm interface the workload
 runner expects (``insert_edges`` / ``delete_edges`` / ``matched_ids`` /
-``ledger`` / ``__len__``), so ``run_stream(router, stream, check=True)``
-certifies merged maximality batch by batch with zero special-casing.
+``matching_size`` / ``ledger`` / ``__len__``), so
+``run_stream(router, stream, check=True)`` certifies merged maximality
+batch by batch with zero special-casing.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from repro.sharding.partition import (
     split_insert,
 )
 from repro.sharding import handoff
-from repro.sharding.handoff import EndpointIndex
+from repro.sharding.handoff import CrossState, ReportEntry
 from repro.sharding.shard import ShardConfig
 from repro.sharding.transport import TRANSPORTS, make_host
 from repro.workloads.streams import UpdateBatch
@@ -63,6 +67,8 @@ from repro.workloads.streams import UpdateBatch
 MANIFEST_FILE = "sharding.json"
 #: Subdirectory holding the router's own write-ahead journal.
 ROUTER_DIR = "router"
+#: Buckets of the per-batch handoff cascade histogram.
+CASCADE_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
 def shard_dir(root: str, shard_id: int) -> str:
@@ -109,9 +115,10 @@ class ShardBatchStats:
     n_cross: int = 0
     work: float = 0.0
     depth: float = 0.0
-    proposals: int = 0
-    accepts: int = 0
-    rejects: int = 0
+    proposals: int = 0  # cross edges re-decided
+    accepts: int = 0  # re-decided edges now matched
+    rejects: int = 0  # re-decided edges now unmatched
+    cascade: int = 0  # longest chain of status flips
     per_shard: List[dict] = field(default_factory=list)
 
 
@@ -204,12 +211,10 @@ class ShardedMatching:
 
         # Routing state: each live edge is recorded once — local edges
         # as eid -> shard id, cross edges as eid -> edge — plus the
-        # handoff's index of the cross edges' endpoints.
+        # handoff's cross state over the registry.
         self._location: Dict[EdgeId, int] = {}
         self._cross: Dict[EdgeId, Edge] = {}
-        self._endpoints = EndpointIndex(shards)
-        self._cross_matched: List[EdgeId] = []
-        self._cross_witness: Dict[EdgeId, EdgeId] = {}
+        self._state = CrossState(self._cross)
         # Per-shard caches refreshed from every apply response.
         self._shard_work = [0.0] * shards
         self._shard_depth = [0.0] * shards
@@ -269,9 +274,7 @@ class ShardedMatching:
         self.hosts = list(hosts)
         self._location = dict(state["location"])
         self._cross = dict(state["cross"])
-        self._endpoints = EndpointIndex(self.k, self._cross.values())
-        self._cross_matched = list(state["cross_matched"])
-        self._cross_witness = dict(state["cross_witness"])
+        self._state = CrossState(self._cross)
         self._shard_work = [0.0] * self.k
         self._shard_depth = [0.0] * self.k
         self._shard_matching = [0] * self.k
@@ -324,8 +327,16 @@ class ShardedMatching:
         merged: List[EdgeId] = []
         for host in self.hosts:
             merged.extend(host.response())
-        merged.extend(self._cross_matched)
+        merged.extend(self._state.matched())
         return sorted(merged)
+
+    def matching_size(self) -> int:
+        """Size of the merged matching, from the cached shard sizes."""
+        return sum(self._shard_matching) + self._state.num_matched()
+
+    def cross_matched(self) -> List[EdgeId]:
+        """The accepted cross edges, ascending."""
+        return self._state.matched()
 
     def all_edges(self) -> List[Edge]:
         """Every live edge across shards and the cross registry."""
@@ -338,14 +349,14 @@ class ShardedMatching:
         return edges
 
     def match_of(self, v: Vertex) -> Optional[EdgeId]:
-        """The merged matching's cover of ``v`` (local first, then cross)."""
-        local = self.hosts[shard_of_vertex(v, self.k)].call("cover_of_many", [v])
-        if local:
-            return local[v]
-        if v not in self._endpoints:
-            return None  # no live cross edge touches v
-        for eid in self._cross_matched:
-            if v in self._cross[eid].vertices:
+        """The merged matching's cover of ``v`` (local first, then cross):
+        one call to ``v``'s shard, then a scan of ``v``'s cross edges."""
+        local, eids = self.hosts[shard_of_vertex(v, self.k)].call("cross_cover", v)
+        if local is not None or eids is None:
+            return local
+        unmatched = self._state.unmatched
+        for eid in eids if isinstance(eids, list) else (eids,):
+            if eid not in unmatched:
                 return eid
         return None
 
@@ -375,7 +386,7 @@ class ShardedMatching:
         """An independently verifiable proof of merged maximality.
 
         Local witnesses come from each shard's owner pointers; cross
-        witnesses from the handoff decisions.  Verify with
+        witnesses are derived from the handoff state.  Verify with
         ``certificate().verify(router.all_edges())``.
         """
         matched = tuple(self.matched_ids())
@@ -384,7 +395,7 @@ class ShardedMatching:
             host.request("certificate_pairs")
         for host in self.hosts:
             witness.update(dict(host.response()))
-        witness.update(self._cross_witness)
+        witness.update(handoff.derive(self._state, self.k).witness)
         return MatchingCertificate(matched=matched, witness=witness)
 
     def check_invariants(self) -> None:
@@ -394,12 +405,10 @@ class ShardedMatching:
             host.request("check_invariants")
         for host in self.hosts:
             host.response()
-        live_cross = set(self._cross)
-        assert set(self._cross_matched) <= live_cross, "matched cross edge not live"
-        assert set(self._cross_witness) == live_cross - set(self._cross_matched), (
-            "cross witnesses must cover exactly the unmatched live cross edges"
-        )
-        assert not live_cross & self._location.keys(), (
+        state = self._state
+        assert state.cross is self._cross, "cross state lost the registry"
+        assert state.unmatched <= self._cross.keys(), "unmatched cross edge not live"
+        assert not self._cross.keys() & self._location.keys(), (
             "an edge is recorded both as local and as cross"
         )
         for host in self.hosts:
@@ -411,9 +420,37 @@ class ShardedMatching:
                 eid for eid, loc in self._location.items() if loc == s
             }, f"location map disagrees with shard {s}'s edges"
             edges.extend(local)
-        assert self._endpoints.entries() == EndpointIndex.recount(
-            self._cross.values(), self.k
-        ), "endpoint index disagrees with the cross registry"
+        # Shard frontiers against a recount of the registry, and the
+        # router's cov and multi against the shards' own covers.
+        recount: Dict[Vertex, List[EdgeId]] = {}
+        for eid in sorted(self._cross):
+            for v in self._cross[eid].vertices:
+                recount.setdefault(v, []).append(eid)
+        for host in self.hosts:
+            host.request("frontier_entries")
+        frontier: Dict[Vertex, tuple] = {}
+        for s, host in enumerate(self.hosts):
+            for v, entry in host.response().items():
+                assert shard_of_vertex(v, self.k) == s, f"shard {s} holds vertex {v}"
+                frontier[v] = entry
+        assert {v: eids for v, (_, eids) in frontier.items()} == recount, (
+            "shard frontiers disagree with the cross registry"
+        )
+        assert state.cov == {
+            v: m for v, (m, _) in frontier.items() if m is not None
+        }, "router cov disagrees with the shards' covers"
+        assert {v: sorted(eids) for v, eids in state.multi.items()} == {
+            v: eids for v, eids in recount.items() if len(eids) > 1
+        }, "router multi disagrees with the shared endpoints"
+        # Every status follows the rule: matched edges are matchable, and
+        # every unmatched edge has a witness.
+        derived = handoff.derive(state, self.k)
+        assert all(state.matchable(e) for e in derived.matched), (
+            "a matched cross edge breaks the greedy rule"
+        )
+        assert derived.witness.keys() == state.unmatched, (
+            "an unmatched cross edge has no blocker"
+        )
         edges.extend(self._cross.values())
         self.certificate().verify(edges)
 
@@ -478,28 +515,37 @@ class ShardedMatching:
         stats.n_cross = split.n_cross
 
         # 3. Dispatch every shard's sub-batch (empty ones included, so
-        #    shard journals stay seq-aligned with the router journal);
-        #    shard processes settle concurrently.
-        self._dispatch(split, stats)
-
-        # Routing-map, cross-registry and endpoint-index maintenance.
+        #    shard journals stay seq-aligned with the router journal) and
+        #    its cross-endpoint registrations; shard processes settle
+        #    concurrently.
         location, cross = self._location, self._cross
+        if batch.kind == "insert":
+            cross_edges = split.cross
+        else:
+            cross_edges = [cross[eid] for eid in split.cross]
+        plan = handoff.proposal_vertices(cross_edges, self.k)
+        report = self._dispatch(split, plan, stats)
+
+        # Routing-map and cross-registry maintenance, after every shard
+        # acknowledged.
         if batch.kind == "insert":
             for s, part in enumerate(split.locals_):
                 for e in part:
                     location[e.eid] = s
-            for e in split.cross:
+            for e in cross_edges:
                 cross[e.eid] = e
-                self._endpoints.add(e)
+            inserted, deleted = cross_edges, ()
         else:
             for part in split.locals_:
                 for eid in part:
                     del location[eid]
             for eid in split.cross:
-                self._endpoints.remove(cross.pop(eid))
+                del cross[eid]
+            inserted, deleted = (), cross_edges
 
-        # 4. Two-phase handoff over the live cross-edge set.
-        self._resolve_cross(stats)
+        # 4. Incremental handoff over what the batch touched.
+        if cross_edges or report:
+            self._resolve_cross(inserted, deleted, report, stats)
 
         stats.work = self.ledger.work - w0
         stats.depth = self.ledger.depth - d0
@@ -510,49 +556,53 @@ class ShardedMatching:
         self._publish_metrics()
         return stats
 
-    def _dispatch(self, split: BatchSplit, stats: ShardBatchStats) -> None:
+    def _dispatch(
+        self,
+        split: BatchSplit,
+        plan: List[Tuple[List[Vertex], List[EdgeId]]],
+        stats: ShardBatchStats,
+    ) -> Dict[Vertex, ReportEntry]:
+        """Send every shard its sub-batch and registrations; return the
+        merged frontier report (shards own disjoint vertices)."""
         for s, host in enumerate(self.hosts):
-            host.request("apply", (split.kind, split.locals_[s]))
+            xv, xe = plan[s]
+            host.request("apply", (split.kind, split.locals_[s], xv, xe))
+        report: Dict[Vertex, ReportEntry] = {}
         for s, host in enumerate(self.hosts):
             reading = host.response()
+            frontier = reading.pop("frontier", None)
+            if frontier:
+                report.update(frontier)
             self._shard_work[s] += reading["work"]
             self._shard_depth[s] += reading["depth"]
             self._shard_matching[s] = reading["matching_size"]
             self._shard_live[s] = reading["live_edges"]
             stats.per_shard.append(reading)
+        return report
 
-    def _resolve_cross(self, stats: ShardBatchStats) -> None:
-        if not self._cross:
-            self._cross_matched = []
-            self._cross_witness = {}
-            return
-        # Phase 1: freeness reports, one request per involved shard; each
-        # shard answers with its covered vertices only.
-        plan = handoff.proposal_vertices(self._endpoints)
-        order = sorted(plan)
-        for s in order:
-            self.hosts[s].request("cover_of_many", (plan[s],))
-        cover: Dict[Vertex, EdgeId] = {}
-        for s in order:
-            cover.update(self.hosts[s].response())
-        n_queried = len(self._endpoints)
+    def _resolve_cross(
+        self,
+        inserted: Sequence[Edge],
+        deleted: Sequence[Edge],
+        report: Dict[Vertex, ReportEntry],
+        stats: ShardBatchStats,
+    ) -> None:
+        n_report = len(report)
         self.router_ledger.charge(
-            work=n_queried, depth=log2ceil(max(n_queried, 2)), tag="handoff_propose"
+            work=n_report, depth=log2ceil(max(n_report, 2)), tag="handoff_propose"
         )
-        # Phase 2: deterministic decisions.
-        result = handoff.resolve(self._cross, cover, self._endpoints)
+        decided, accepts, cascade = handoff.resolve(
+            self._state, inserted, deleted, report
+        )
         self.router_ledger.charge(
-            work=len(self._cross),
-            depth=log2ceil(max(len(self._cross), 2)),
-            tag="handoff_decide",
+            work=decided, depth=log2ceil(max(decided, 2)), tag="handoff_decide"
         )
-        self._cross_matched = result.matched
-        self._cross_witness = result.witness
-        stats.proposals = result.proposals
-        stats.accepts = result.accepts
-        stats.rejects = result.rejects_local + result.rejects_cross
-        self.shard_stats["proposals"] += result.proposals
-        self.shard_stats["accepts"] += result.accepts
+        stats.proposals = decided
+        stats.accepts = accepts
+        stats.rejects = decided - accepts
+        stats.cascade = cascade
+        self.shard_stats["proposals"] += decided
+        self.shard_stats["accepts"] += accepts
         self.shard_stats["rejects"] += stats.rejects
 
     # ------------------------------------------------------------------ #
@@ -578,13 +628,19 @@ class ShardedMatching:
                 "repro_shard_cross_matched", "Cross-shard edges in the merged matching"
             ),
             "proposals": reg.counter(
-                "repro_shard_handoff_proposals_total", "Two-phase handoff proposals"
+                "repro_shard_handoff_proposals_total",
+                "Cross edges re-decided by the incremental handoff",
             ),
             "accepts": reg.counter(
-                "repro_shard_handoff_accepts_total", "Handoff proposals accepted"
+                "repro_shard_handoff_accepts_total", "Re-decided cross edges matched"
             ),
             "rejects": reg.counter(
-                "repro_shard_handoff_rejects_total", "Cross edges rejected by the handoff"
+                "repro_shard_handoff_rejects_total", "Re-decided cross edges unmatched"
+            ),
+            "cascade": reg.histogram(
+                "repro_shard_handoff_cascade",
+                "Longest chain of cross-edge status flips per batch",
+                buckets=CASCADE_BUCKETS,
             ),
             "matching": reg.gauge(
                 "repro_shard_matching_size", "Local matching size", ("shard",)
@@ -608,25 +664,37 @@ class ShardedMatching:
         m["rejects"].inc(self.shard_stats["rejects"] - prev["rejects"])
         self._published = dict(self.shard_stats)
         m["cross_live"].set(len(self._cross))
-        m["cross_matched"].set(len(self._cross_matched))
+        m["cross_matched"].set(self._state.num_matched())
         last = self.batch_stats[-1]
+        m["cascade"].observe(last.cascade)
         for s, reading in enumerate(last.per_shard):
             m["local"].labels(shard=str(s)).inc(reading["applied"])
             m["matching"].labels(shard=str(s)).set(self._shard_matching[s])
             m["work"].labels(shard=str(s)).set(self._shard_work[s])
 
     def resettle_cross(self) -> ShardBatchStats:
-        """Re-run the two-phase handoff outside a batch.
+        """Rebuild the shard frontiers and the cross state from the cross
+        registry, outside a batch.
 
         Coordinated recovery uses this: once the shards are recovered and
         the cross registry is rebuilt from the router journal, the cross
         matching is a pure function of ``(live cross edges, shard
-        covers)`` and one handoff round reproduces it exactly.
+        covers)``, and the incremental handoff seeded with every live
+        cross edge reproduces it exactly.
         """
         stats = ShardBatchStats(
             kind="resettle", batch_index=self.shard_stats["batches"], batch_size=0
         )
-        self._resolve_cross(stats)
+        self._state = CrossState(self._cross)
+        edges = list(self._cross.values())
+        if edges:
+            plan = handoff.proposal_vertices(edges, self.k)
+            for host, (xv, xe) in zip(self.hosts, plan):
+                host.request("reset_frontier", (xv, xe))
+            report: Dict[Vertex, ReportEntry] = {}
+            for host in self.hosts:
+                report.update(host.response())
+            self._resolve_cross(edges, (), report, stats)
         return stats
 
     # ------------------------------------------------------------------ #

@@ -11,6 +11,11 @@ The same class runs in both transports: in-process (inline) or inside a
 forked shard process (:mod:`repro.sharding.transport`) — every public
 method takes and returns picklable values only.
 
+Cross frontier: at K >= 2 the shard also keeps the cross-edge
+adjacency of the frontier vertices it owns
+(:class:`~repro.sharding.handoff.Frontier`) and returns a frontier
+report with every apply; see :mod:`repro.sharding.handoff`.
+
 Durability protocol: the shard journals **every router batch** it is
 dispatched, including empty sub-batches, so shard journal sequence
 numbers align 1:1 with the router journal.  Coordinated recovery uses
@@ -25,6 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.dynamic_matching import DynamicMatching
 from repro.hypergraph.edge import Edge, EdgeId, Vertex
+from repro.sharding.handoff import Frontier, ReportEntry
 from repro.sharding.partition import shard_rng
 from repro.workloads.streams import UpdateBatch
 
@@ -70,6 +76,7 @@ class Shard:
                 fsync=config.fsync,
             )
         self.stats: Dict[str, int] = {"batches": 0, "updates": 0}
+        self._reset_cursors()
 
     @classmethod
     def adopt(cls, config: ShardConfig, dm: DynamicMatching, manager=None) -> "Shard":
@@ -80,18 +87,36 @@ class Shard:
         self.dm = dm
         self.manager = manager
         self.stats = {"batches": 0, "updates": 0}
+        self._reset_cursors()
         return self
+
+    def _reset_cursors(self) -> None:
+        """An empty frontier, with the epoch-log cursors at the logs' ends."""
+        self.frontier = Frontier()
+        tracker = self.dm.tracker
+        self._births = len(tracker.epochs)
+        self._deaths = len(tracker.death_log)
 
     # ------------------------------------------------------------------ #
     # Batch application (write-ahead when durable)
     # ------------------------------------------------------------------ #
-    def apply(self, kind: str, payload: Sequence) -> Dict[str, Any]:
+    def apply(
+        self,
+        kind: str,
+        payload: Sequence,
+        xv: Sequence[Vertex] = (),
+        xe: Sequence[EdgeId] = (),
+    ) -> Dict[str, Any]:
         """Apply one (possibly empty) local sub-batch.
 
         Journals the sub-batch before applying (write-ahead), then applies
         and acknowledges.  Returns the per-batch reading the router folds
         into its merged ledger and metrics — work/depth deltas, matching
         size, and live edge count.
+
+        ``xv``/``xe`` register (insert batch) or unregister (delete
+        batch) endpoint ``xv[i]`` of cross edge ``xe[i]``.  With two or
+        more shards the reading also carries the ``frontier`` report.
         """
         batch = (
             UpdateBatch.insert(list(payload))
@@ -110,22 +135,68 @@ class Shard:
             self.manager.note_applied(self.dm)
         self.stats["batches"] += 1
         self.stats["updates"] += len(payload)
-        return {
+        reading = {
             "applied": len(payload),
             "work": led.work - w0,
             "depth": led.depth - d0,
             "matching_size": len(self.dm.structure.matched),
             "live_edges": len(self.dm),
         }
+        if self.config.shards > 1:
+            if kind == "insert":
+                self.frontier.register(xv, xe)
+                reading["frontier"] = self._frontier_report(xv)
+            else:
+                self.frontier.unregister(xv, xe)
+                reading["frontier"] = self._frontier_report(())
+        return reading
 
     # ------------------------------------------------------------------ #
-    # Phase-1 freeness report
+    # Cross frontier
     # ------------------------------------------------------------------ #
-    def cover_of_many(self, vertices: Sequence[Vertex]) -> Dict[Vertex, EdgeId]:
-        """The local matched edge covering each covered vertex of
-        ``vertices``; free vertices are left out."""
+    def _frontier_report(self, registered: Sequence[Vertex]) -> Dict[Vertex, ReportEntry]:
+        """The frontier vertices born into or dying out of a local match
+        since the last report, plus the ``registered`` ones that are
+        covered or shared."""
+        tracker = self.dm.tracker
+        epochs, deaths = tracker.epochs, tracker.death_log
+        adj = self.frontier.adj
+        touched = set()
+        if adj:
+            changed = epochs[self._births:]
+            changed.extend(epochs[idx] for idx in deaths[self._deaths:])
+            for ep in changed:
+                for v in ep.vertices:
+                    if v in adj:
+                        touched.add(v)
+        self._births, self._deaths = len(epochs), len(deaths)
+        return self.frontier.report(touched, registered, self.dm.structure.cover_of)
+
+    def reset_frontier(
+        self, xv: Sequence[Vertex], xe: Sequence[EdgeId]
+    ) -> Dict[Vertex, ReportEntry]:
+        """Rebuild the frontier from scratch (coordinated recovery):
+        register every pair and report every covered or shared one."""
+        self._reset_cursors()
+        self.frontier.register(xv, xe)
+        return self.frontier.report((), xv, self.dm.structure.cover_of)
+
+    def cross_cover(self, v: Vertex) -> ReportEntry:
+        """``v``'s local cover and incident live cross edge ids (None
+        off the frontier) — all a merged point read needs."""
+        cover = self.dm.structure.cover_of(v)
+        if v in self.frontier.adj:
+            return self.frontier.entry(v, cover)
+        return cover, None
+
+    def frontier_entries(self) -> Dict[Vertex, ReportEntry]:
+        """Every frontier vertex with its local cover and sorted incident
+        ids (invariant checks)."""
         cover_of = self.dm.structure.cover_of
-        return {v: m for v in vertices if (m := cover_of(v)) is not None}
+        return {
+            v: (cover_of(v), sorted(eids) if isinstance(eids, list) else [eids])
+            for v, eids in self.frontier.adj.items()
+        }
 
     # ------------------------------------------------------------------ #
     # Merge/inspection queries (picklable returns)

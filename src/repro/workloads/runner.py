@@ -4,7 +4,9 @@ Works with anything exposing the duck-typed algorithm interface shared by
 :class:`repro.core.DynamicMatching` and every baseline:
 
 * ``insert_edges(edges)`` / ``delete_edges(eids)``;
-* ``matched_ids()`` returning the current matching;
+* ``matched_ids()`` returning the current matching, and
+  ``matching_size()`` its size (read after every batch, so it must not
+  cost more than the batch: the ids are listed only for ``check=True``);
 * a ``ledger`` attribute with ``work``/``depth`` (cost accounting).
 
 The runner measures per-batch ledger cost, optionally mirrors the stream
@@ -133,9 +135,8 @@ def run_stream(
                         path = durability.note_applied(algo)
                         if ckpt_span is not None:
                             ckpt_span.set(written=path is not None)
-                matched = algo.matched_ids()
                 if mirror is not None:
-                    assert mirror.is_maximal_matching(matched), (
+                    assert mirror.is_maximal_matching(algo.matched_ids()), (
                         f"matching not maximal after {batch.kind} batch of {batch.size}"
                     )
                 record = RunRecord(
@@ -143,7 +144,7 @@ def run_stream(
                     size=batch.size,
                     work=algo.ledger.work - w0,
                     depth=algo.ledger.depth - d0,
-                    matching_size=len(matched),
+                    matching_size=algo.matching_size(),
                     live_edges=len(mirror) if mirror is not None else len(algo),
                 )
                 records.append(record)

@@ -262,6 +262,9 @@ class TestRunnerIntegration:
             def matched_ids(self):
                 return list(self._matched)
 
+            def matching_size(self):
+                return len(self._matched)
+
             def __len__(self):
                 return len(self.graph)
 

@@ -1,18 +1,18 @@
-"""Per-batch differential: the router's handoff against the reference loop.
+"""Per-batch differential: the incremental handoff against the full resolve.
 
-The router resolves its live cross edges through
-:func:`repro.sharding.handoff.resolve`, reading endpoint shards from its
-:class:`~repro.sharding.EndpointIndex` and the shards' covered-only
-freeness reports.  Here every such call is intercepted on real inline
-routers (K ∈ {2, 3, 5}, ranks 2 and 3) and checked against
-:func:`tests.sharding.reference_handoff.reference_resolve`, which hashes
-every endpoint afresh:
+The router keeps its cross matching incrementally: shards report the
+cross-frontier vertices whose local cover changed, and
+:func:`repro.sharding.handoff.resolve` re-decides only the cross edges a
+batch touches.  Here real routers (K ∈ {2, 3, 5}, ranks 2 and 3, inline;
+K = 2 over the process transport) are checked after **every batch**
+against :func:`tests.sharding.reference_handoff.reference_resolve`, the
+plain full pass over every live cross edge:
 
-* the merged report equals the shards' own covers of the live cross
-  endpoints, free vertices left out;
-* the router's :class:`~repro.sharding.HandoffResult` equals the
-  reference result for the same live cross edges and merged cover —
-  matching, witnesses and every tally.
+* the cross matching and the witnesses derived from the router's state
+  (:func:`repro.sharding.handoff.derive`) equal the reference run on the
+  live cross edges and the shards' own covers — every tally included;
+* ``check_invariants`` passes: shard frontiers, ``cov`` and ``multi``
+  equal a recount, and the merged certificate verifies.
 
 Vertex ids include negatives and ids straddling int32 and the int64
 limits; ids beyond 64 bits run on ``backend="dict"`` shards.  A recovery
@@ -24,7 +24,14 @@ import numpy as np
 import pytest
 
 from repro.hypergraph.edge import Edge
-from repro.sharding import ShardedMatching, handoff, recover_sharded, shard_of_vertex
+from repro.sharding import (
+    CROSS,
+    ShardedMatching,
+    handoff,
+    recover_sharded,
+    shard_of_edge,
+    shard_of_vertex,
+)
 from repro.testing.faults import random_batches
 from repro.workloads.streams import UpdateBatch
 from tests.sharding.reference_handoff import reference_resolve
@@ -67,32 +74,33 @@ def _trace(seed: int, rank: int, table):
     return out
 
 
-class CheckedResolve:
-    """Stands in for ``handoff.resolve``: checks every call's inputs and
-    result against the shards and the reference loop."""
+def shard_covers(r: ShardedMatching) -> dict:
+    """Every shard's own local cover, read from its matching (not from
+    the frontier code under test)."""
+    cover = {}
+    for host in r.hosts:
+        cover.update(host.call("query_snapshot")["cover"])
+    return cover
 
-    def __init__(self, resolve, router: ShardedMatching) -> None:
+
+def assert_equals_reference(r: ShardedMatching):
+    expect = reference_resolve(list(r._cross.values()), shard_covers(r), r.k)
+    got = handoff.derive(r._state, r.k)
+    assert got == expect
+    assert r.cross_matched() == expect.matched
+    return expect
+
+
+class CountingResolve:
+    """Stands in for ``handoff.resolve`` to count the router's calls."""
+
+    def __init__(self, resolve) -> None:
         self.resolve = resolve
-        self.router = router
         self.calls = 0
-        self.totals = {"accepts": 0, "rejects_local": 0, "rejects_cross": 0}
 
-    def __call__(self, cross, cover, index):
-        r = self.router
-        endpoints = {v for e in cross.values() for v in e.vertices}
-        expect = {}
-        for v in endpoints:
-            m = r.hosts[shard_of_vertex(v, r.k)].shard.dm.match_of(v)
-            if m is not None:
-                expect[v] = m
-        assert cover == expect, "freeness report differs from the shards' covers"
-
-        got = self.resolve(cross, cover, index)
-        assert got == reference_resolve(list(cross.values()), cover, r.k)
+    def __call__(self, *args):
         self.calls += 1
-        for key in self.totals:
-            self.totals[key] += getattr(got, key)
-        return got
+        return self.resolve(*args)
 
 
 @pytest.mark.parametrize("table", sorted(TABLES))
@@ -104,16 +112,62 @@ def test_router_handoff_equals_reference_every_batch(monkeypatch, k, rank, table
         shards=k, rank=rank, seed=k + rank, transport="inline",
         backend=BACKEND[table],
     ) as r:
-        checked = CheckedResolve(handoff.resolve, r)
-        monkeypatch.setattr(handoff, "resolve", checked)
-        resolving = 0
+        counting = CountingResolve(handoff.resolve)
+        monkeypatch.setattr(handoff, "resolve", counting)
+        totals = {"accepts": 0, "rejects_local": 0, "rejects_cross": 0}
+        for b in batches:
+            calls = counting.calls
+            stats = r.apply_batch(b)
+            if stats.n_cross:
+                assert counting.calls == calls + 1, "the router bypassed handoff.resolve"
+            expect = assert_equals_reference(r)
+            r.check_invariants()
+            for key in totals:
+                totals[key] += getattr(expect, key)
+        assert r.shard_stats["proposals"] > 0
+    # The traces are dense enough to reach every decision kind.
+    assert all(totals.values()), totals
+
+
+def test_process_transport_equals_reference_every_batch():
+    batches = _trace(77, 2, TABLES["small"])
+    matched_cross = 0
+    with ShardedMatching(shards=2, rank=2, seed=5, transport="process") as r:
         for b in batches:
             r.apply_batch(b)
-            resolving += bool(r._cross)
-            assert checked.calls == resolving, "the router bypassed handoff.resolve"
-            r.check_invariants()
-    # The traces are dense enough to reach every decision kind.
-    assert all(checked.totals.values()), checked.totals
+            matched_cross += len(assert_equals_reference(r).matched)
+        r.check_invariants()
+    assert matched_cross, "the trace must exercise cross matches"
+
+
+def _cross_star(k: int, center: int, leaves: int, eid0: int):
+    """``leaves`` cross edges sharing the endpoint ``center``."""
+    home = shard_of_vertex(center, k)
+    others = [v for v in range(1_000, 2_000) if shard_of_vertex(v, k) != home]
+    return [Edge(eid0 + i, (center, others[i])) for i in range(leaves)]
+
+
+@pytest.mark.parametrize("transport", ["inline", "process"])
+def test_deleting_edges_that_share_a_matched_endpoint(transport):
+    k = 2
+    star = _cross_star(k, center=7, leaves=6, eid0=100)
+    assert all(shard_of_edge(e, k) == CROSS for e in star)
+    with ShardedMatching(shards=k, rank=2, seed=1, transport=transport) as r:
+        r.insert_edges(star)
+        assert r.cross_matched() == [100]  # the lowest id takes the center
+        assert_equals_reference(r)
+        # Delete the matched edge with two unmatched edges at its center:
+        # the next-lowest survivor must take the center over.
+        r.delete_edges([102, 100, 101])
+        assert r.cross_matched() == [103]
+        assert_equals_reference(r)
+        r.check_invariants()
+        # Down to one edge: the center is no longer shared.
+        r.delete_edges([104, 103])
+        assert r.cross_matched() == [105]
+        assert_equals_reference(r)
+        assert 7 not in r._state.multi
+        r.check_invariants()
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -134,11 +188,17 @@ def test_recovered_router_continues_like_uninterrupted(tmp_path, k):
     ) as ref:
         for b in head:
             ref.apply_batch(b)
-        rec.check_invariants()
-        assert rec._endpoints.entries() == ref._endpoints.entries()
-        assert rec._cross_matched == ref._cross_matched
-        assert rec._cross_witness == ref._cross_witness
 
+        def same_state():
+            assert rec._state.cov == ref._state.cov
+            assert {v: sorted(x) for v, x in rec._state.multi.items()} == {
+                v: sorted(x) for v, x in ref._state.multi.items()
+            }
+            assert rec._state.unmatched == ref._state.unmatched
+            assert handoff.derive(rec._state, k) == handoff.derive(ref._state, k)
+
+        rec.check_invariants()
+        same_state()
         recovered_cross = set(rec._cross)
         deleted_after = set()
         for b in tail:
@@ -146,9 +206,9 @@ def test_recovered_router_continues_like_uninterrupted(tmp_path, k):
             ref.apply_batch(b)
             if b.kind == "delete":
                 deleted_after.update(b.eids)
-            assert rec._cross_matched == ref._cross_matched
-            assert rec._cross_witness == ref._cross_witness
+            same_state()
             assert rec.matched_ids() == ref.matched_ids()
+        assert_equals_reference(rec)
         rec.check_invariants()
-        # The tail deleted cross edges the recovered index was rebuilt with.
+        # The tail deleted cross edges the recovered frontiers were rebuilt with.
         assert recovered_cross & deleted_after

@@ -3,10 +3,10 @@
 Hypothesis-driven proofs of the bookkeeping laws everything else leans
 on: a batch split is a *partition* of the batch (no edge id lost, none
 duplicated, input order preserved within every bucket), re-merging
-conserves every edge exactly, the endpoint index always equals a recount
-of the live cross edges, and the two-phase handoff is a deterministic
-function of its inputs that always produces a valid, fully-witnessed
-cross matching equal to the reference loop's.
+conserves every edge exactly, the shard frontiers always equal a recount
+of the live cross edges, and the handoff is a deterministic function of
+its inputs that always produces a valid, fully-witnessed cross matching
+equal to the reference loop's.
 """
 
 from collections import Counter
@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 from repro.hypergraph.edge import Edge
 from repro.sharding import (
     CROSS,
-    EndpointIndex,
+    CrossState,
+    Frontier,
+    derive,
     merge_split,
     owner_shard,
     proposal_vertices,
@@ -129,6 +131,17 @@ def test_shard_of_vertex_spreads_structured_ranges():
     assert max(hits.values()) < 2 * 256 // k
 
 
+def resolve_from_scratch(edges, cover, k):
+    """A fresh cross state with every edge inserted at once, reported the
+    way recovery's ``reset_frontier`` reports it."""
+    frontier = Frontier()
+    xv = [v for e in edges for v in e.vertices]
+    frontier.register(xv, [e.eid for e in edges for _ in e.vertices])
+    state = CrossState({e.eid: e for e in edges})
+    resolve(state, edges, (), frontier.report((), xv, cover.get))
+    return derive(state, k)
+
+
 @given(edges=edge_batches(max_vertex=20), k=st.integers(2, 5), data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_handoff_is_deterministic_valid_and_witnessed(edges, k, data):
@@ -145,15 +158,14 @@ def test_handoff_is_deterministic_valid_and_witnessed(edges, k, data):
         elif state == 2:
             cover[v] = None
 
-    index = EndpointIndex(k, cross)
-    r1 = resolve({e.eid: e for e in cross}, cover, index)
-    r2 = resolve({e.eid: e for e in reversed(cross)}, dict(cover), index)
+    r1 = resolve_from_scratch(cross, cover, k)
+    r2 = resolve_from_scratch(cross[::-1], dict(cover), k)
     # Pure function of (edge set, cover): input order is irrelevant, and
     # a free vertex listed as None reads like an absent one.
-    assert r1.matched == r2.matched and r1.witness == r2.witness
+    assert r1 == r2
     assert r1 == reference_resolve(cross, cover, k)
     covered_only = {v: m for v, m in cover.items() if m is not None}
-    assert r1 == resolve({e.eid: e for e in cross}, covered_only, index)
+    assert r1 == resolve_from_scratch(cross, covered_only, k)
 
     by_id = {e.eid: e for e in cross}
     matched = set(r1.matched)
@@ -186,7 +198,7 @@ def test_handoff_none_cover_entry_does_not_hide_owner_side_cover():
     c = next(v for v in range(100) if shard_of_vertex(v, k) == 1)
     edge = Edge(1, (a, b, c))
     cover = {a: None, b: 500}
-    got = resolve({1: edge}, cover, EndpointIndex(k, [edge]))
+    got = resolve_from_scratch([edge], cover, k)
     assert got == reference_resolve([edge], cover, k)
     assert got.witness == {1: 500} and got.proposals == 0
 
@@ -195,18 +207,18 @@ def test_handoff_none_cover_entry_does_not_hide_owner_side_cover():
 @settings(max_examples=60, deadline=None)
 def test_proposal_vertices_covers_every_endpoint_once(edges, k):
     cross = [e for e in edges if shard_of_edge(e, k) == CROSS]
-    plan = proposal_vertices(EndpointIndex(k, cross))
-    flat = [v for vs in plan.values() for v in vs]
-    assert len(flat) == len(set(flat)), "a vertex queried twice"
-    assert set(flat) == {v for e in cross for v in e.vertices}
-    for s, vs in plan.items():
-        assert vs, "a shard with nothing to report is not asked"
-        assert all(shard_of_vertex(v, k) == s for v in vs)
+    plan = proposal_vertices(cross, k)
+    assert len(plan) == k
+    pairs = [(v, e) for xv, xe in plan for v, e in zip(xv, xe, strict=True)]
+    assert len(pairs) == len(set(pairs)), "an endpoint registered twice"
+    assert set(pairs) == {(v, e.eid) for e in cross for v in e.vertices}
+    for s, (xv, _) in enumerate(plan):
+        assert all(shard_of_vertex(v, k) == s for v in xv)
     for e in cross:
         assert owner_shard(e, k) == min(shard_of_vertex(v, k) for v in e.vertices)
 
 
-#: Vertex ids the index must keep exact: negative, straddling int32,
+#: Vertex ids the frontiers must keep exact: negative, straddling int32,
 #: at the int64 limits and beyond 64 bits.
 wide_vertices = st.one_of(
     st.integers(-4, 40),
@@ -221,33 +233,46 @@ wide_vertices = st.one_of(
     k=st.integers(2, 5),
     ops=st.lists(
         st.tuples(
-            st.booleans(),
+            st.integers(0, 3),
             st.lists(wide_vertices, min_size=2, max_size=3, unique=True),
         ),
         max_size=40,
     ),
 )
 @settings(max_examples=150, deadline=None)
-def test_endpoint_index_equals_recount_under_churn(k, ops):
-    index = EndpointIndex(k)
+def test_shard_frontier_equals_recount_under_churn(k, ops):
+    """Registrations planned by ``proposal_vertices`` keep every shard's
+    frontier equal to a recount of the live cross edges' endpoints, and
+    a report of every endpoint lists exactly the shared ones."""
+    frontiers = [Frontier() for _ in range(k)]
     live = {}
-    for eid, (delete, vs) in enumerate(ops):
-        if delete and live:
-            victim = min(live)  # deterministic pick among live edges
-            index.remove(live.pop(victim))
+    for eid, (deletes, vs) in enumerate(ops):
+        if deletes and live:
+            # Several deletes in one batch, sharing endpoints or not.
+            victims = [live.pop(victim) for victim in sorted(live)[:deletes]]
+            for frontier, (xv, xe) in zip(frontiers, proposal_vertices(victims, k)):
+                frontier.unregister(xv, xe)
         else:
             e = Edge(eid, vs)
             if shard_of_edge(e, k) != CROSS:
-                continue  # the router indexes cross edges only
+                continue  # the router registers cross edges only
             live[eid] = e
-            index.add(e)
-        assert index.entries() == EndpointIndex.recount(live.values(), k)
-        assert len(index) == len({v for e in live.values() for v in e.vertices})
-    plan = proposal_vertices(index)
-    flat = [v for vs in plan.values() for v in vs]
-    assert sorted(flat) == sorted({v for e in live.values() for v in e.vertices})
-    for s, vs in plan.items():
-        assert all(shard_of_vertex(v, k) == s for v in vs)
+            for frontier, (xv, xe) in zip(frontiers, proposal_vertices([e], k)):
+                frontier.register(xv, xe)
+        recount = {}
+        for e in sorted(live.values(), key=lambda e: e.eid):
+            for v in e.vertices:
+                recount.setdefault(v, []).append(e.eid)
+        for s, frontier in enumerate(frontiers):
+            got = {
+                v: sorted(x) if isinstance(x, list) else [x]
+                for v, x in frontier.adj.items()
+            }
+            assert got == {
+                v: eids for v, eids in recount.items() if shard_of_vertex(v, k) == s
+            }
+            shared = frontier.report((), list(frontier.adj), lambda v: None)
+            assert set(shared) == {v for v in got if len(got[v]) > 1}
 
 
 def test_shard_rng_k1_matches_unsharded_seed():

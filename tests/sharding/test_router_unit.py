@@ -131,7 +131,7 @@ class TestRunStreamContract:
         with ShardedMatching(shards=2, rank=2, seed=6, transport="inline") as r:
             for b in batches:
                 r.apply_batch(b)
-            assert r._cross_matched, "the trace must exercise cross covers"
+            assert r.cross_matched(), "the trace must exercise cross covers"
             self._assert_match_of_exact(r)
 
     def test_match_of_exact_rank3_k3_inline(self):
@@ -140,14 +140,14 @@ class TestRunStreamContract:
             for b in batches:
                 r.apply_batch(b)
                 self._assert_match_of_exact(r)
-            assert r._cross_matched, "the trace must exercise cross covers"
+            assert r.cross_matched(), "the trace must exercise cross covers"
 
     def test_match_of_exact_k2_process(self):
         batches = random_batches(np.random.default_rng(6), 10, rank=2)
         with ShardedMatching(shards=2, rank=2, seed=9, transport="process") as r:
             for b in batches:
                 r.apply_batch(b)
-            assert r._cross_matched, "the trace must exercise cross covers"
+            assert r.cross_matched(), "the trace must exercise cross covers"
             self._assert_match_of_exact(r)
 
 
@@ -168,6 +168,7 @@ class TestMetrics:
                 "repro_shard_local_updates_total",
                 "repro_shard_cross_edges",
                 "repro_shard_handoff_proposals_total",
+                "repro_shard_handoff_cascade",
                 "repro_shard_matching_size",
                 "repro_shard_ledger_work",
             ):
@@ -176,6 +177,10 @@ class TestMetrics:
             fam = obs.registry.get("repro_shard_local_updates_total")
             local = sum(child.value for _, child in fam.samples())
             assert local == st["local_updates"]
+            cascade = obs.registry.get("repro_shard_handoff_cascade")
+            (_, hist), = cascade.samples()
+            assert hist.count == len(batches)
+            assert hist.sum == sum(s.cascade for s in r.batch_stats)
             assert obs.registry.get("repro_shard_count").value() == r.k
         obs.close()
 

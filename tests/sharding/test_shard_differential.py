@@ -96,12 +96,18 @@ def test_differential_trace(trial):
 def test_shard_counts_actually_split_work():
     """Sanity on the suite itself: at K >= 2 the traces do produce both
     local and cross updates, so the differential above exercises the
-    handoff rather than vacuously passing."""
+    handoff rather than vacuously passing.  The handoff tallies count
+    re-decided cross edges: every inserted cross edge is decided, and the
+    decisions include both outcomes."""
     rank, batches = _trace(1)
     for k in (2, 4):
         with ShardedMatching(shards=k, rank=rank, seed=7, transport="inline") as r:
             for batch in batches:
                 _apply(r, batch)
-            assert r.shard_stats["local_updates"] > 0, k
-            assert r.shard_stats["cross_updates"] > 0, k
-            assert r.shard_stats["proposals"] > 0, k
+            st = r.shard_stats
+            assert st["local_updates"] > 0, k
+            assert st["cross_updates"] > 0, k
+            inserted = sum(s.n_cross for s in r.batch_stats if s.kind == "insert")
+            assert st["proposals"] >= inserted > 0, k
+            assert st["proposals"] == st["accepts"] + st["rejects"], k
+            assert st["accepts"] > 0 and st["rejects"] > 0, k
