@@ -93,40 +93,6 @@ def bench_e5() -> list:
     return rows
 
 
-def bench_e1_engine() -> list:
-    """E1 smoke with the real execution engine on vs off.
-
-    One row per size: serial seconds, engine (shm, 1 worker) seconds, and
-    the overhead ratio.  With one worker the engine never forks — the row
-    isolates the cost of session setup + the vectorized in-master kernels,
-    which must stay within a few percent of the plain serial path.
-    """
-    from repro.parallel.engine import Engine, EngineConfig
-
-    rows = []
-    for m in E1_SIZES:
-        serial = min(
-            _replay(DynamicMatching(rank=2, seed=m + 2), _e1_stream(m, seed=m))
-            for _ in range(3)
-        )
-        engine_secs = []
-        for _ in range(3):
-            eng = Engine(EngineConfig(mode="shm", workers=1))
-            dm = DynamicMatching(rank=2, seed=m + 2, engine=eng)
-            engine_secs.append(_replay(dm, _e1_stream(m, seed=m)))
-            eng.close()
-        engine_best = min(engine_secs)
-        rows.append(
-            {
-                "m": m,
-                "serial_seconds": round(serial, 4),
-                "engine_seconds": round(engine_best, 4),
-                "overhead_ratio": round(engine_best / max(serial, 1e-9), 3),
-            }
-        )
-    return rows
-
-
 def bench_e9() -> list:
     rows = []
     for batch in E9_BATCHES:
@@ -159,7 +125,6 @@ def main() -> int:
 
     record = {
         "e1": bench_e1(),
-        "e1_engine": bench_e1_engine(),
         "e5": bench_e5(),
         "e9": bench_e9(),
     }

@@ -29,13 +29,6 @@ JSONL event log for offline analysis (``repro.obs.read_events``,
 ``RunTrace.from_events``).  See docs/observability.md for the metric
 catalog and span taxonomy.
 
-Parallel execution
-------------------
-``run``, ``static`` and ``serve`` accept ``--engine {serial,pool,shm}``
-and ``--workers N``: the pool/shm engines run the greedy matcher's round
-sweeps on a persistent worker pool (see docs/parallelism.md).  Output is
-bit-identical across engines; only wall-clock time changes.
-
 ``--selftest``
     Replay a canned workload through both structure backends, verifying
     the Definition 4.1 invariants and an independently-checked matching
@@ -144,31 +137,6 @@ def _setup_observability(args: argparse.Namespace):
     return obs, teardown
 
 
-def _build_engine(args: argparse.Namespace, obs=None):
-    """Construct the real execution engine from --engine/--workers (or
-    None for the default serial execution)."""
-    mode = getattr(args, "engine", "serial")
-    if mode == "serial":
-        return None
-    from repro.parallel.engine import Engine, EngineConfig
-
-    return Engine(
-        EngineConfig(mode=mode, workers=getattr(args, "workers", 0)),
-        observer=obs,
-    )
-
-
-def _engine_summary(engine) -> None:
-    if engine is None:
-        return
-    st = engine.stats
-    print(
-        f"engine: {engine.config.mode} x{engine.workers} workers   "
-        f"rounds serial/parallel: {st['rounds_serial']}/{st['rounds_parallel']}   "
-        f"tasks: {st['tasks']}   bytes shipped: {st['bytes_shipped']}"
-    )
-
-
 def _fastpath_summary(algo) -> None:
     """One line saying how many batches ran the columnar fast path vs
     the object pipeline, plus the numpy kernel call totals."""
@@ -243,22 +211,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     stream = read_stream(args.stream)
     algo = ALGOS[args.algo](args.rank, args.seed)
     obs, teardown = _setup_observability(args)
-    engine = _build_engine(args, obs)
-    if engine is not None:
-        if hasattr(algo, "engine"):
-            algo.engine = engine
-        else:
-            print(f"note: --engine has no effect on algo {args.algo!r}")
     try:
         records = run_stream(algo, stream, check=args.check, observer=obs)
     finally:
-        if engine is not None:
-            engine.close()
         teardown()
     s = summarize(records)
     print(f"algorithm: {args.algo}   batches: {s['batches']}   updates: {s['updates']}")
     print(f"work/update: {s['work_per_update']:.2f}   max batch depth: {s['max_depth']:.1f}")
-    _engine_summary(engine)
     _fastpath_summary(algo)
     if args.check:
         print("maximality verified after every batch ✓")
@@ -277,20 +236,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_static(args: argparse.Namespace) -> int:
     edges = read_edge_list(args.edges)
     led = Ledger()
-    engine = _build_engine(args)
-    try:
-        result = parallel_greedy_match(
-            edges, led, rng=np.random.default_rng(args.seed), engine=engine
-        )
-    finally:
-        if engine is not None:
-            engine.close()
+    result = parallel_greedy_match(edges, led, rng=np.random.default_rng(args.seed))
     m_prime = sum(e.cardinality for e in edges)
     print(f"edges: {len(edges)}   total cardinality m': {m_prime}")
     print(f"matching size: {len(result.matches)}   rounds: {result.rounds}")
     print(f"work: {led.work:.0f} ({led.work / max(m_prime, 1):.2f} per unit of m')   "
           f"depth: {led.depth:.0f}")
-    _engine_summary(engine)
     return 0
 
 
@@ -316,12 +267,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return _cmd_serve_sharded(args, obs)
         finally:
             teardown()
-    engine = _build_engine(args, obs)
     try:
-        return _cmd_serve_observed(args, obs, engine)
+        return _cmd_serve_observed(args, obs)
     finally:
-        if engine is not None:
-            engine.close()
         teardown()
 
 
@@ -416,7 +364,7 @@ def _cmd_serve_sharded(args: argparse.Namespace, obs) -> int:
     return 0
 
 
-def _cmd_serve_observed(args: argparse.Namespace, obs, engine=None) -> int:
+def _cmd_serve_observed(args: argparse.Namespace, obs) -> int:
     from repro.durability import DurabilityManager, recover
     from repro.durability.journal import JournalError
     from repro.durability.recovery import RecoveryError
@@ -427,7 +375,7 @@ def _cmd_serve_observed(args: argparse.Namespace, obs, engine=None) -> int:
             return 2
         stream = read_stream(args.stream)
         dm = DynamicMatching(rank=args.rank, seed=args.seed,
-                             backend=args.backend or "array", engine=engine)
+                             backend=args.backend or "array")
         query, qserver = _start_query_tier(args, dm, obs)
         with DurabilityManager.create(
             args.journal,
@@ -469,7 +417,6 @@ def _cmd_serve_observed(args: argparse.Namespace, obs, engine=None) -> int:
     query, qserver = _start_query_tier(args, res.dm, obs, base_epoch=res.applied)
     if args.stream:
         dm = res.dm
-        dm.engine = engine
         stream = read_stream(args.stream)
         with DurabilityManager.resume(
             args.recover,
@@ -596,13 +543,11 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--check", action="store_true", help="verify maximality per batch")
     _add_obs_args(r)
-    _add_engine_args(r)
     r.set_defaults(func=_cmd_run)
 
     s = sub.add_parser("static", help="static matching on an edge-list file")
     s.add_argument("--edges", required=True)
     s.add_argument("--seed", type=int, default=0)
-    _add_engine_args(s)
     s.set_defaults(func=_cmd_static)
 
     v = sub.add_parser("serve", help="durable (write-ahead journaled) replay / recovery")
@@ -630,7 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "while batches apply (0 picks a free port); epochs "
                         "publish at batch boundaries — see docs/queries.md")
     _add_obs_args(v)
-    _add_engine_args(v)
     v.set_defaults(func=_cmd_serve)
 
     q = sub.add_parser("query", help="read from a live serve --query-port endpoint")
@@ -659,19 +603,6 @@ def _add_obs_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--events", metavar="FILE", default=None,
         help="append batch-lifecycle spans to FILE as JSONL",
-    )
-
-
-def _add_engine_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--engine", choices=["serial", "pool", "shm"], default="serial",
-        help="round execution engine: serial (default), pool (persistent "
-             "workers, pickled arrays), or shm (persistent workers over "
-             "shared-memory segments); output is identical in all modes",
-    )
-    sub.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="engine worker processes (0 = one per available core)",
     )
 
 

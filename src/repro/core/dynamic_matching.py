@@ -94,11 +94,6 @@ class DynamicMatching:
         observer sees the unchanged charge stream (counted in
         ``vec_stats["kernel_fallbacks"]``).
         The dict backend keeps the per-edge pipeline throughout.
-    engine:
-        Optional :class:`repro.parallel.engine.Engine` — runs the greedy
-        matcher's round sweeps on the real worker pool (settle phases of
-        large batches).  Matchings, ledger totals, and certificates stay
-        bit-identical to serial execution.
 
     Notes
     -----
@@ -116,10 +111,8 @@ class DynamicMatching:
         heavy_factor: float = 4.0,
         ledger: Optional[Ledger] = None,
         backend: str = "array",
-        engine=None,
     ) -> None:
         self.ledger = ledger if ledger is not None else Ledger()
-        self.engine = engine
         try:
             structure_cls = BACKENDS[backend]
         except KeyError:
@@ -279,7 +272,6 @@ class DynamicMatching:
             edges,
             self.ledger,
             rng=self.rng,
-            engine=self.engine,
             vectorize=None if self._vec else False,
             frame=frame,
             collect_samples=collect_samples,

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hypergraph.edge import Edge, EdgeId, Vertex
@@ -104,7 +104,7 @@ class MergedLedger:
         return merged
 
 
-@dataclass
+@dataclass(slots=True)
 class ShardBatchStats:
     """Per-batch measurements of one routed batch."""
 
@@ -119,7 +119,6 @@ class ShardBatchStats:
     accepts: int = 0  # re-decided edges now matched
     rejects: int = 0  # re-decided edges now unmatched
     cascade: int = 0  # longest chain of status flips
-    per_shard: List[dict] = field(default_factory=list)
 
 
 class ShardedMatching:
@@ -524,7 +523,7 @@ class ShardedMatching:
         else:
             cross_edges = [cross[eid] for eid in split.cross]
         plan = handoff.proposal_vertices(cross_edges, self.k)
-        report = self._dispatch(split, plan, stats)
+        report, readings = self._dispatch(split, plan)
 
         # Routing-map and cross-registry maintenance, after every shard
         # acknowledged.
@@ -553,21 +552,22 @@ class ShardedMatching:
         self.shard_stats["local_updates"] += split.n_local
         self.shard_stats["cross_updates"] += split.n_cross
         self.batch_stats.append(stats)
-        self._publish_metrics()
+        self._publish_metrics(stats, readings)
         return stats
 
     def _dispatch(
         self,
         split: BatchSplit,
         plan: List[Tuple[List[Vertex], List[EdgeId]]],
-        stats: ShardBatchStats,
-    ) -> Dict[Vertex, ReportEntry]:
+    ) -> Tuple[Dict[Vertex, ReportEntry], List[dict]]:
         """Send every shard its sub-batch and registrations; return the
-        merged frontier report (shards own disjoint vertices)."""
+        merged frontier report (shards own disjoint vertices) and the
+        shards' readings, in shard order."""
         for s, host in enumerate(self.hosts):
             xv, xe = plan[s]
             host.request("apply", (split.kind, split.locals_[s], xv, xe))
         report: Dict[Vertex, ReportEntry] = {}
+        readings = []
         for s, host in enumerate(self.hosts):
             reading = host.response()
             frontier = reading.pop("frontier", None)
@@ -577,8 +577,8 @@ class ShardedMatching:
             self._shard_depth[s] += reading["depth"]
             self._shard_matching[s] = reading["matching_size"]
             self._shard_live[s] = reading["live_edges"]
-            stats.per_shard.append(reading)
-        return report
+            readings.append(reading)
+        return report, readings
 
     def _resolve_cross(
         self,
@@ -653,7 +653,7 @@ class ShardedMatching:
         self._published = dict(self.shard_stats)
         self._published_local = [0] * self.k
 
-    def _publish_metrics(self) -> None:
+    def _publish_metrics(self, stats: ShardBatchStats, readings: List[dict]) -> None:
         if self._metrics is None:
             return
         m = self._metrics
@@ -665,9 +665,8 @@ class ShardedMatching:
         self._published = dict(self.shard_stats)
         m["cross_live"].set(len(self._cross))
         m["cross_matched"].set(self._state.num_matched())
-        last = self.batch_stats[-1]
-        m["cascade"].observe(last.cascade)
-        for s, reading in enumerate(last.per_shard):
+        m["cascade"].observe(stats.cascade)
+        for s, reading in enumerate(readings):
             m["local"].labels(shard=str(s)).inc(reading["applied"])
             m["matching"].labels(shard=str(s)).set(self._shard_matching[s])
             m["work"].labels(shard=str(s)).set(self._shard_work[s])

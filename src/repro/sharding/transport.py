@@ -11,9 +11,7 @@ IPC cost, bit-exact debuggability, and the transport used for ``K == 1``
 (where sharding must stay within 5% of the unsharded pipeline).
 
 ``ProcessShardHost`` forks the shard into its own process **once** at
-construction (mirroring the fork-once discipline of
-:class:`repro.parallel.engine.pool.PersistentPool`) and feeds it method
-calls over a duplex pipe.  Requests pipeline: the router sends to every
+construction and feeds it method calls over a duplex pipe.  Requests pipeline: the router sends to every
 shard before collecting any response, so K shard processes settle their
 local sub-batches concurrently.  A dead shard process surfaces as
 :class:`ShardCrashError` — the router's state is then unusable and must

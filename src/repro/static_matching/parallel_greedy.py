@@ -92,7 +92,6 @@ def parallel_greedy_match(
     ledger: Optional[Ledger] = None,
     rng: Optional[np.random.Generator] = None,
     priorities: Optional[Dict[EdgeId, int]] = None,
-    engine=None,
     vectorize: Optional[bool] = None,
     frame=None,
     collect_samples: bool = True,
@@ -102,14 +101,6 @@ def parallel_greedy_match(
 
     Same interface and output as :func:`sequential_greedy_match`; charges
     the parallel model's work and depth to ``ledger``.
-
-    With an :class:`repro.parallel.engine.Engine`, the per-round aliveness
-    sweep — the only data-parallel bulk of the loop — runs on the engine
-    (vectorized in-master, or fanned out across the worker pool when the
-    round's ledger cost clears the scheduler's cutoff).  The matching, the
-    ledger charges, and the sample spaces are bit-identical either way:
-    the engine's CSR arrays are built in the same order as the alive
-    lists, workers only read, and all mutation stays here.
 
     ``vectorize`` picks between this scalar loop and the columnar
     :func:`~repro.static_matching.vector_greedy.vector_greedy_match`
@@ -139,7 +130,7 @@ def parallel_greedy_match(
         from repro.static_matching.vector_greedy import vector_greedy_match
 
         return vector_greedy_match(
-            edges, ledger, rng, priorities, engine=engine, frame=frame,
+            edges, ledger, rng, priorities, frame=frame,
             collect_samples=collect_samples, arena=arena,
         )
 
@@ -161,19 +152,10 @@ def parallel_greedy_match(
     top: Dict[Vertex, int] = {v: 0 for v in vertex_edges}
     counter: List[int] = [0] * m
     done: List[bool] = [False] * m
-    # Engine session (when big enough): the CSR mirror of vertex_edges +
-    # a shared done array replace the alive dicts below.  The per-vertex
-    # lists are priority-sorted with first-insertion order, so CSR order
-    # filtered by done flags IS the alive-dict iteration order.
-    session = (
-        engine.open_matcher_session(vertex_edges, verts_arr, m)
-        if engine is not None else None
-    )
     # alive(v) "linked list": insertion-ordered dict of alive edge indices.
-    alive: Dict[Vertex, Dict[int, None]] = (
-        {v: dict.fromkeys(lst) for v, lst in vertex_edges.items()}
-        if session is None else {}
-    )
+    alive: Dict[Vertex, Dict[int, None]] = {
+        v: dict.fromkeys(lst) for v, lst in vertex_edges.items()
+    }
 
     m_prime = sum(card_arr)
     # Distributing the sorted edges into per-vertex lists: O(m') work.
@@ -200,89 +182,79 @@ def parallel_greedy_match(
 
     matches: List[Matched] = []
     rounds = 0
-    try:
-        while roots:
-            rounds += 1
-            # Deterministic processing order (priority) — matches are
-            # reported in the same order regardless of root-set iteration
-            # order.
-            roots.sort(key=lambda i: pri_arr[i])
+    while roots:
+        rounds += 1
+        # Deterministic processing order (priority) — matches are
+        # reported in the same order regardless of root-set iteration
+        # order.
+        roots.sort(key=lambda i: pri_arr[i])
 
-            # One aliveness sweep per root, shared by the assignment and
-            # the removal phases below (no state changes in between).
-            if session is not None:
-                nbrs: List[List[int]] = session.gather(roots)
-            else:
-                nbrs = [alive_neighbors(w) for w in roots]
+        # One aliveness sweep per root, shared by the assignment and
+        # the removal phases below (no state changes in between).
+        nbrs = [alive_neighbors(w) for w in roots]
 
-            # (n, w) pairs: every remaining edge adjacent to a root, plus
-            # the root itself, keyed by the non-root edge n.
-            pairs = []
-            for w, nb in zip(roots, nbrs):
-                pairs.append((w, w))
-                for n in nb:
-                    pairs.append((n, w))
-            grouped = group_by(ledger, pairs)
+        # (n, w) pairs: every remaining edge adjacent to a root, plus
+        # the root itself, keyed by the non-root edge n.
+        pairs = []
+        for w, nb in zip(roots, nbrs):
+            pairs.append((w, w))
+            for n in nb:
+                pairs.append((n, w))
+        grouped = group_by(ledger, pairs)
 
-            # Each edge n goes to the sample space of its min-priority
-            # adjacent root (the root itself trivially maps to itself).
-            sample_of: Dict[int, List[int]] = {w: [] for w in roots}
-            for n_idx, adj_roots in grouped:
-                best = min(adj_roots, key=lambda w: pri_arr[w])
-                sample_of[best].append(n_idx)
-            ledger.charge(work=len(pairs), depth=log2ceil(max(len(pairs), 2)), tag="par_assign")
+        # Each edge n goes to the sample space of its min-priority
+        # adjacent root (the root itself trivially maps to itself).
+        sample_of: Dict[int, List[int]] = {w: [] for w in roots}
+        for n_idx, adj_roots in grouped:
+            best = min(adj_roots, key=lambda w: pri_arr[w])
+            sample_of[best].append(n_idx)
+        ledger.charge(work=len(pairs), depth=log2ceil(max(len(pairs), 2)), tag="par_assign")
 
-            for w in roots:
-                samp = sorted(sample_of[w], key=lambda j: (j != w, pri_arr[j]))
-                matches.append(
-                    Matched(edge=edges[w], samples=[edges[j] for j in samp])
-                )
+        for w in roots:
+            samp = sorted(sample_of[w], key=lambda j: (j != w, pri_arr[j]))
+            matches.append(
+                Matched(edge=edges[w], samples=[edges[j] for j in samp])
+            )
 
-            # finished = W ∪ N(W): mark done, unlink, gather touched
-            # vertices.
-            finished: Dict[int, None] = {}
-            for w, nb in zip(roots, nbrs):
-                finished[w] = None
-                for n in nb:
-                    finished[n] = None
-            touched: Dict[Vertex, None] = {}
-            w_delete = 0
-            for i in finished:
-                done[i] = True
-                w_delete += card_arr[i]
-                for v in verts_arr[i]:
-                    touched[v] = None
-            ledger.charge_parallel(len(finished), work=w_delete, depth=1, tag="par_delete")
-            if session is not None:
-                session.mark_done(list(finished))
-            else:
-                for i in finished:
-                    for v in verts_arr[i]:
-                        alive[v].pop(i, None)
+        # finished = W ∪ N(W): mark done, unlink, gather touched
+        # vertices.
+        finished: Dict[int, None] = {}
+        for w, nb in zip(roots, nbrs):
+            finished[w] = None
+            for n in nb:
+                finished[n] = None
+        touched: Dict[Vertex, None] = {}
+        w_delete = 0
+        for i in finished:
+            done[i] = True
+            w_delete += card_arr[i]
+            for v in verts_arr[i]:
+                touched[v] = None
+        ledger.charge_parallel(len(finished), work=w_delete, depth=1, tag="par_delete")
+        for i in finished:
+            for v in verts_arr[i]:
+                alive[v].pop(i, None)
 
-            # updateTop on every touched vertex; new roots surface here.
-            new_roots: List[int] = []
+        # updateTop on every touched vertex; new roots surface here.
+        new_roots: List[int] = []
 
-            def _update_top(v: Vertex) -> None:
-                lst = vertex_edges[v]
-                t = top[v]
-                if t >= len(lst) or not done[lst[t]]:
-                    ledger.charge(work=1, depth=1, tag="update_top")
-                    return
-                t = find_next(ledger, t, len(lst), lambda j: not done[lst[j]])
-                top[v] = t
-                if t == len(lst):
-                    return
-                i_t = lst[t]
-                counter[i_t] += 1
+        def _update_top(v: Vertex) -> None:
+            lst = vertex_edges[v]
+            t = top[v]
+            if t >= len(lst) or not done[lst[t]]:
                 ledger.charge(work=1, depth=1, tag="update_top")
-                if counter[i_t] == card_arr[i_t]:
-                    new_roots.append(i_t)
+                return
+            t = find_next(ledger, t, len(lst), lambda j: not done[lst[j]])
+            top[v] = t
+            if t == len(lst):
+                return
+            i_t = lst[t]
+            counter[i_t] += 1
+            ledger.charge(work=1, depth=1, tag="update_top")
+            if counter[i_t] == card_arr[i_t]:
+                new_roots.append(i_t)
 
-            parallel_for(ledger, touched, _update_top)
-            roots = new_roots
-    finally:
-        if session is not None:
-            session.close()
+        parallel_for(ledger, touched, _update_top)
+        roots = new_roots
 
     return MatchResult(matches=matches, rounds=rounds, priorities=pri)

@@ -4,8 +4,8 @@ This is :func:`~repro.static_matching.parallel_greedy.parallel_greedy_match`
 re-expressed over numpy columns: the per-edge state (priorities,
 cardinalities, done flags, counters) and the per-vertex incidence (CSR,
 priority-ordered) are dense int64 arrays, the per-round aliveness sweep is
-the engine's ``gather_roots`` kernel, and ``updateTop`` runs as a batched
-doubling search over all touched vertices at once.
+one vectorized gather (``_gather_roots``), and ``updateTop`` runs as a
+batched doubling search over all touched vertices at once.
 
 The contract is *bit identity* with the scalar matcher: same matches in
 the same order, same sample spaces in the same order, same rounds, same
@@ -42,7 +42,6 @@ import numpy as np
 
 from repro import native
 from repro.hypergraph.edge import Edge, EdgeId
-from repro.parallel.engine.kernels import KERNELS
 from repro.parallel.frames import BatchFrame
 from repro.parallel.ledger import Ledger, NullLedger, log2ceil
 from repro.parallel.random_perm import random_priorities
@@ -66,7 +65,6 @@ def vector_greedy_match(
     ledger: Ledger,
     rng: Optional[np.random.Generator],
     priorities: Optional[Dict[EdgeId, int]],
-    engine=None,
     frame: Optional[BatchFrame] = None,
     collect_samples: bool = True,
     arena=None,
@@ -149,20 +147,11 @@ def vector_greedy_match(
     roots = np.flatnonzero(counter == cards).astype(np.int64)
     ledger.charge(work=m, depth=log2ceil(max(m, 2)), tag="par_init")
 
-    session = (
-        engine.open_matcher_session_csr(csr_off, csr_edge, ev, m)
-        if engine is not None else None
-    )
-    if session is not None:
-        done = session.done
-    elif arena is not None:
+    if arena is not None:
         done = arena.take("vg.done", m, np.uint8)
         done.fill(0)
     else:
         done = np.zeros(m, dtype=np.uint8)
-    arrays = {
-        "csr_off": csr_off, "csr_edge": csr_edge, "ev": ev, "done": done,
-    }
 
     matches: List[Matched] = []
     rounds = 0
@@ -171,100 +160,151 @@ def vector_greedy_match(
     # the per-round ``np.unique`` sorts over edge/vertex index sets.
     seen_e = np.zeros(m, dtype=np.bool_)
     seen_v = np.zeros(nv, dtype=np.bool_)
-    try:
-        while roots.size:
-            rounds += 1
-            roots = roots[np.argsort(pri[roots])]
-            k = roots.size
+    while roots.size:
+        rounds += 1
+        roots = roots[np.argsort(pri[roots])]
+        k = roots.size
 
-            if session is not None:
-                flat, cnts = session.gather_flat(roots)
-            else:
-                arrays["roots"] = roots
-                flat, cnts = KERNELS["gather_roots"](
-                    arrays, {"start": 0, "stop": k, "m": m}
-                )
+        flat, cnts = _gather_roots(csr_off, csr_edge, ev, done, roots, m)
 
-            P = k + flat.size
-            ledger.charge(
-                work=max(P, 1), depth=log2ceil(max(P, 2)), tag="group_by"
-            )
+        P = k + flat.size
+        ledger.charge(
+            work=max(P, 1), depth=log2ceil(max(P, 2)), tag="group_by"
+        )
 
-            # Assign every dying edge to its min-priority adjacent root.
-            # The model prices the assignment whether or not the sample
-            # spaces get materialized, so the charge is unconditional.
-            if collect_samples and flat.size:
-                owners_n = np.repeat(roots, cnts)
-                o2 = np.lexsort((pri[owners_n], flat))
-                nf = flat[o2]
-                first = np.flatnonzero(np.r_[True, nf[1:] != nf[:-1]])
-                uniq_n = nf[first]
-                best_w = owners_n[o2][first]
-            else:
-                uniq_n = flat
-                best_w = flat
-            ledger.charge(
-                work=P, depth=log2ceil(max(P, 2)), tag="par_assign"
-            )
+        # Assign every dying edge to its min-priority adjacent root.
+        # The model prices the assignment whether or not the sample
+        # spaces get materialized, so the charge is unconditional.
+        if collect_samples and flat.size:
+            owners_n = np.repeat(roots, cnts)
+            o2 = np.lexsort((pri[owners_n], flat))
+            nf = flat[o2]
+            first = np.flatnonzero(np.r_[True, nf[1:] != nf[:-1]])
+            uniq_n = nf[first]
+            best_w = owners_n[o2][first]
+        else:
+            uniq_n = flat
+            best_w = flat
+        ledger.charge(
+            work=P, depth=log2ceil(max(P, 2)), tag="par_assign"
+        )
 
-            if collect_samples:
-                # Global match construction: one lexsort groups members
-                # under their owner root (owners in priority order == this
-                # round's match order) with the root first in each sample.
-                members = np.concatenate([roots, uniq_n])
-                owners = np.concatenate([roots, best_w])
-                mo = np.lexsort((pri[members], pri[owners]))
-                mm = members[mo].tolist()
-                ow = pri[owners][mo]
-                bounds = np.flatnonzero(np.r_[True, ow[1:] != ow[:-1]])
-                spans = np.r_[bounds, len(mm)].tolist()
-                append = matches.append
-                for gi in range(len(spans) - 1):
-                    grp = mm[spans[gi]:spans[gi + 1]]
-                    append(
-                        Matched(
-                            edge=edges[grp[0]],
-                            samples=[edges[i] for i in grp],
-                        )
+        if collect_samples:
+            # Global match construction: one lexsort groups members
+            # under their owner root (owners in priority order == this
+            # round's match order) with the root first in each sample.
+            members = np.concatenate([roots, uniq_n])
+            owners = np.concatenate([roots, best_w])
+            mo = np.lexsort((pri[members], pri[owners]))
+            mm = members[mo].tolist()
+            ow = pri[owners][mo]
+            bounds = np.flatnonzero(np.r_[True, ow[1:] != ow[:-1]])
+            spans = np.r_[bounds, len(mm)].tolist()
+            append = matches.append
+            for gi in range(len(spans) - 1):
+                grp = mm[spans[gi]:spans[gi + 1]]
+                append(
+                    Matched(
+                        edge=edges[grp[0]],
+                        samples=[edges[i] for i in grp],
                     )
-            else:
-                # Roots are already in priority order — identical match
-                # order without grouping the members.  Samples degenerate
-                # to the matched edge (the caller resets them anyway).
-                append = matches.append
-                for ri in roots.tolist():
-                    e = edges[ri]
-                    append(Matched(edge=e, samples=[e]))
+                )
+        else:
+            # Roots are already in priority order — identical match
+            # order without grouping the members.  Samples degenerate
+            # to the matched edge (the caller resets them anyway).
+            append = matches.append
+            for ri in roots.tolist():
+                e = edges[ri]
+                append(Matched(edge=e, samples=[e]))
 
-            # finished = W ∪ N(W); roots never appear in neighbor lists
-            # (pairwise non-adjacent), so the union is a disjoint concat.
-            if flat.size:
-                seen_e[flat] = True
-                uniq_flat = np.flatnonzero(seen_e)
-                seen_e[uniq_flat] = False
-                fin = np.concatenate([roots, uniq_flat])
-            else:
-                fin = roots
-            w_delete = int(cards[fin].sum())
-            ledger.charge_parallel(
-                fin.size, work=w_delete, depth=1, tag="par_delete"
-            )
-            done[fin] = 1
+        # finished = W ∪ N(W); roots never appear in neighbor lists
+        # (pairwise non-adjacent), so the union is a disjoint concat.
+        if flat.size:
+            seen_e[flat] = True
+            uniq_flat = np.flatnonzero(seen_e)
+            seen_e[uniq_flat] = False
+            fin = np.concatenate([roots, uniq_flat])
+        else:
+            fin = roots
+        w_delete = int(cards[fin].sum())
+        ledger.charge_parallel(
+            fin.size, work=w_delete, depth=1, tag="par_delete"
+        )
+        done[fin] = 1
 
-            fv = ev[fin]
-            sel = fv[fv >= 0]
-            seen_v[sel] = True
-            touched = np.flatnonzero(seen_v)
-            seen_v[touched] = False
+        fv = ev[fin]
+        sel = fv[fv >= 0]
+        seen_v[sel] = True
+        touched = np.flatnonzero(seen_v)
+        seen_v[touched] = False
 
-            roots = _update_top_region(
-                ledger, touched, csr_off, csr_edge, done, top, counter, cards
-            )
-    finally:
-        if session is not None:
-            session.close()
+        roots = _update_top_region(
+            ledger, touched, csr_off, csr_edge, done, top, counter, cards
+        )
 
     return MatchResult(matches=matches, rounds=rounds, priorities=pri_map)
+
+
+def _gather_roots(
+    csr_off: np.ndarray,
+    csr_edge: np.ndarray,
+    ev: np.ndarray,
+    done: np.ndarray,
+    roots: np.ndarray,
+    m: int,
+):
+    """One round's aliveness sweep: the alive neighbours of every root.
+
+    ``csr_off``/``csr_edge`` is the priority-ordered incidence (edges on
+    dense vertex ``v`` are ``csr_edge[csr_off[v]:csr_off[v+1]]``), ``ev``
+    the per-edge dense vertex ids padded with ``-1``, ``done`` the uint8
+    removed flags.  Returns ``(flat, counts)``: the concatenated neighbour
+    lists and the per-root lengths, roots in input order.  Per root the
+    order is the scalar matcher's alive-list sweep: vertices in ``ev`` row
+    order, per-vertex edges in CSR order, duplicates collapsed to their
+    first occurrence, the root excluded.
+    """
+    k = int(roots.shape[0])
+    if k == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+
+    vs = ev[roots]                                    # (k, r) dense vertex ids
+    vmask = vs >= 0
+    vflat = vs[vmask]                                 # root-major, vertex order
+    rootpos = np.broadcast_to(
+        np.arange(k, dtype=np.int64)[:, None], vs.shape
+    )[vmask]
+
+    starts = csr_off[vflat]
+    counts = csr_off[vflat + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, np.int64), np.zeros(k, np.int64)
+
+    # Vectorized multi-segment gather: for each incident vertex, the CSR
+    # slice [start, start+count), laid out in segment order.
+    cum = np.cumsum(counts)
+    idx = np.arange(total, dtype=np.int64)
+    idx -= np.repeat(cum - counts, counts)
+    idx += np.repeat(starts, counts)
+    edges = csr_edge[idx]
+    root_of = np.repeat(rootpos, counts)
+
+    keep = (done[edges] == 0) & (edges != roots[root_of])
+    edges = edges[keep]
+    root_of = root_of[keep]
+    if edges.size:
+        # First-occurrence dedup per root, preserving the sweep order:
+        # unique() finds each (root, edge) key's first position; sorting
+        # those positions restores the original (root-major) order.
+        key = root_of * np.int64(m) + edges
+        _, first = np.unique(key, return_index=True)
+        first.sort()
+        edges = edges[first]
+        root_of = root_of[first]
+    cnts = np.bincount(root_of, minlength=k).astype(np.int64)
+    return edges.astype(np.int64, copy=False), cnts
 
 
 def _update_top_region(

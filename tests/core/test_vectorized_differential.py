@@ -17,9 +17,8 @@ per-edge edits while the traces' larger batches take the kernels.
 
 On top of the trace differential this file checks the observer seam (an
 attached charge observer routes every call to the per-edge route
-without changing one bit), the engine-backed settle rounds (pool and shm
-transports), the ``vec_stats``-to-metrics export, and certified crash
-recovery of a journal written by the array backend.
+without changing one bit), the ``vec_stats``-to-metrics export, and
+certified crash recovery of a journal written by the array backend.
 """
 
 from __future__ import annotations
@@ -266,56 +265,3 @@ class TestCrashRecoveryReplay:
             dm.ledger.work, dm.ledger.depth
         )
 
-
-@pytest.mark.parallel
-class TestEngineSettleRounds:
-    """Engine-backed settle rounds under the columnar pipeline: pool
-    and shm transports, forced-parallel scheduler, bit-identity vs the
-    serial run and the dict oracle."""
-
-    @pytest.fixture(scope="class", params=["pool", "shm"])
-    def engine(self, request):
-        from repro.parallel.engine import Engine, EngineConfig, SchedulerConfig
-
-        eng = Engine(
-            EngineConfig(
-                mode=request.param,
-                workers=2,
-                min_session_edges=0,
-                scheduler=SchedulerConfig(
-                    cutoff_work=0.0, min_items_per_task=1,
-                    task_overhead_work=0.0, margin=10.0, assume_cores=8,
-                ),
-            )
-        )
-        yield eng
-        eng.close()
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_engine_bit_identical(self, engine, seed):
-        from repro.workloads.adversary import RandomOrderAdversary
-        from repro.workloads.generators import erdos_renyi_edges
-        from repro.workloads.streams import insert_then_delete_stream
-
-        def make_stream():
-            edges = erdos_renyi_edges(40, 300, np.random.default_rng(seed))
-            return insert_then_delete_stream(
-                edges, 64, RandomOrderAdversary(np.random.default_rng(seed + 50))
-            )
-
-        dm_serial = DynamicMatching(rank=2, seed=seed + 100)
-        dm_engine = DynamicMatching(rank=2, seed=seed + 100, engine=engine)
-        dm_dict = DynamicMatching(rank=2, seed=seed + 100, backend="dict")
-        for b1, b2, b3 in zip(make_stream(), make_stream(), make_stream()):
-            for dm, batch in ((dm_serial, b1), (dm_engine, b2), (dm_dict, b3)):
-                if batch.kind == "insert":
-                    dm.insert_edges(list(batch.edges))
-                else:
-                    dm.delete_edges(list(batch.eids))
-            fp = _fingerprint(dm_serial)
-            assert fp == _fingerprint(dm_engine), f"seed {seed}: engine diverged"
-            assert fp == _fingerprint(dm_dict), f"seed {seed}: dict diverged"
-        assert dm_engine.vec_stats["vector_batches"] > 0
-        cert_s, cert_e = certify(dm_serial), certify(dm_engine)
-        assert cert_s.matched == cert_e.matched
-        assert cert_s.witness == cert_e.witness

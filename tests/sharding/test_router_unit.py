@@ -3,6 +3,7 @@ wiring, metrics, and the run_stream duck-type contract."""
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -183,6 +184,52 @@ class TestMetrics:
             assert hist.sum == sum(s.cascade for s in r.batch_stats)
             assert obs.registry.get("repro_shard_count").value() == r.k
         obs.close()
+
+
+def _deep_size(obj, seen=None) -> int:
+    """Bytes held by ``obj`` and everything it references, each object
+    counted once."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, dict):
+        size += sum(_deep_size(k, seen) + _deep_size(v, seen) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        size += sum(_deep_size(x, seen) for x in obj)
+    else:
+        for slot in getattr(type(obj), "__slots__", ()):
+            if hasattr(obj, slot):
+                size += _deep_size(getattr(obj, slot), seen)
+        if hasattr(obj, "__dict__"):
+            size += _deep_size(obj.__dict__, seen)
+    return size
+
+
+class TestBatchRecords:
+    def test_batch_stats_stay_small(self):
+        """The router keeps one record per routed batch; the record must
+        not carry the shards' readings along with it."""
+        rng = np.random.default_rng(11)
+        n_batches, batch = 200, 64
+        next_eid, live = 0, []
+        with ShardedMatching(shards=2, rank=2, seed=3, transport="inline") as r:
+            for i in range(n_batches):
+                if i % 2 and live:
+                    r.delete_edges(live[:batch])
+                    live = live[batch:]
+                    continue
+                edges = []
+                for _ in range(batch):
+                    u, v = rng.choice(4096, size=2, replace=False).tolist()
+                    edges.append(e(next_eid, u, v))
+                    live.append(next_eid)
+                    next_eid += 1
+                r.insert_edges(edges)
+            assert len(r.batch_stats) == n_batches
+            per_batch = _deep_size(r.batch_stats) / n_batches
+        assert per_batch <= 512, f"{per_batch:.0f} B retained per batch"
 
 
 class TestProcessTransport:

@@ -12,7 +12,10 @@ the matching, the order, or a single charge.
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
+import pytest
 
 from repro import native
 from repro.parallel.frames import BatchFrame
@@ -21,6 +24,7 @@ from repro.static_matching.parallel_greedy import (
     parallel_greedy_match,
     should_vectorize,
 )
+from repro.static_matching.vector_greedy import _gather_roots
 from repro.workloads.generators import erdos_renyi_edges, random_hypergraph_edges
 
 
@@ -129,3 +133,80 @@ class TestShouldVectorize:
             pass
 
         assert not should_vectorize(Sub(), 10**6, vectorize=True)
+
+
+# --------------------------------------------------------------------- #
+# The per-round gather vs a straight-line reference
+# --------------------------------------------------------------------- #
+def gather_roots_reference(csr_off, csr_edge, ev, done, roots) -> List[List[int]]:
+    """Straight-line reference of ``_gather_roots``: per root, its alive
+    neighbours in the scalar matcher's sweep order."""
+    out: List[List[int]] = []
+    for i in roots:
+        seen = {int(i)}
+        nbrs: List[int] = []
+        for v in ev[i]:
+            if v < 0:
+                continue
+            for j in csr_edge[csr_off[v]:csr_off[v + 1]]:
+                j = int(j)
+                if not done[j] and j not in seen:
+                    seen.add(j)
+                    nbrs.append(j)
+        out.append(nbrs)
+    return out
+
+
+def _random_instance(rng, nv, m, rank):
+    """Random CSR incidence + ev table + done flags, matcher-shaped."""
+    verts = [
+        sorted(rng.choice(nv, size=rng.integers(2, rank + 1), replace=False))
+        for _ in range(m)
+    ]
+    vertex_edges = {}
+    for i in rng.permutation(m):
+        for v in verts[i]:
+            vertex_edges.setdefault(int(v), []).append(int(i))
+    vids = {v: d for d, v in enumerate(vertex_edges)}
+    off = np.zeros(len(vids) + 1, dtype=np.int64)
+    np.cumsum([len(l) for l in vertex_edges.values()], out=off[1:])
+    ce = np.fromiter(
+        (i for l in vertex_edges.values() for i in l), np.int64, int(off[-1])
+    )
+    ev = np.full((m, rank), -1, dtype=np.int64)
+    for i, vs in enumerate(verts):
+        for j, v in enumerate(vs):
+            ev[i, j] = vids[int(v)]
+    done = (rng.random(m) < 0.3).astype(np.uint8)
+    return off, ce, ev, done
+
+
+class TestGatherRoots:
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_matches_reference(self, rank):
+        rng = np.random.default_rng(7 + rank)
+        for trial in range(20):
+            nv = int(rng.integers(4, 40))
+            m = int(rng.integers(1, 120))
+            off, ce, ev, done = _random_instance(rng, nv, m, rank)
+            k = int(rng.integers(1, m + 1))
+            roots = rng.choice(m, size=k, replace=False).astype(np.int64)
+            flat, cnts = _gather_roots(off, ce, ev, done, roots, m)
+            ref = gather_roots_reference(off, ce, ev, done, roots)
+            assert cnts.tolist() == [len(r) for r in ref]
+            got, pos = [], 0
+            for c in cnts.tolist():
+                got.append(flat[pos:pos + c].tolist())
+                pos += c
+            assert got == ref
+
+    def test_empty_roots(self):
+        flat, cnts = _gather_roots(
+            np.zeros(1, np.int64),
+            np.zeros(0, np.int64),
+            np.zeros((0, 2), np.int64),
+            np.zeros(0, np.uint8),
+            np.zeros(0, np.int64),
+            0,
+        )
+        assert flat.size == 0 and cnts.size == 0
