@@ -52,14 +52,14 @@ from repro import native
 from repro.hypergraph.edge import Edge, EdgeId, Vertex
 from repro.parallel.interning import VertexInterner
 from repro.parallel.ledger import Ledger, log2ceil, parallel_for
-from repro.core.level_structure import EdgeType, level_of
+from repro.core.level_structure import EDGE_TYPE_CODES, EdgeType, level_of
 
-# Type codes for the flat type array.
+# Type codes for the flat type array (shared with snapshot columns).
 _T_UNSETTLED = 0
 _T_MATCHED = 1
 _T_SAMPLED = 2
 _T_CROSS = 3
-_TYPE_OBJS = (EdgeType.UNSETTLED, EdgeType.MATCHED, EdgeType.SAMPLED, EdgeType.CROSS)
+_TYPE_OBJS = EDGE_TYPE_CODES
 _TYPE_CODE = {t: i for i, t in enumerate(_TYPE_OBJS)}
 
 # Capacity simulation constants — must match repro.parallel.dictionary.
@@ -2081,24 +2081,68 @@ class ArrayLeveledStructure:
         else:
             raise ValueError(f"edge {eid} has transient type {etype.value!r}")
 
-    def level_index_data(self) -> List[list]:
-        """P(v, l) as ``[[v, [[level, [eids...], cap], ...]], ...]`` —
-        bucket membership in iteration order plus simulated capacities
-        (history artifacts that feed scan order and rehash charges)."""
-        out: List[list] = []
-        for v, Pv in self._P.items():
-            if Pv:
-                out.append([v, [[lvl, list(b[0]), b[1]] for lvl, b in Pv.items()]])
-        return out
+    def snapshot_columns(self) -> Dict[str, Dict[str, list]]:
+        """The structure as the flat parallel columns of a version-3
+        snapshot (see :mod:`repro.core.snapshot`), gathered from the slot
+        arrays.
 
-    def restore_level_index(self, index: Sequence[Sequence]) -> None:
-        """Overwrite P(v, l) wholesale from :meth:`level_index_data` output
-        (bucket order and capacities included)."""
-        self._P = {}
-        for v, levels in index:
-            self._P[v] = {
-                int(lvl): [dict.fromkeys(eids), int(cap)] for lvl, eids, cap in levels
-            }
+        Read-only and uncharged.  Reads only authoritative state — the
+        slot arrays, the S(m)/C(m) dicts and ``_P`` — never the
+        ``_pcol``/``_ownslot`` mirrors, so it is exact on a
+        ``_pcol_dirty`` structure too.  Allocates one list per column.
+        """
+        slot = self._slot
+        slots = np.fromiter(slot.values(), dtype=np.int64, count=len(slot))
+        types = np.frombuffer(self._type, dtype=np.int32)[slots]
+        mslots = slots[types == _T_MATCHED]
+        live = slots.tolist()
+        ms = mslots.tolist()
+        S = list(map(self._samples.__getitem__, ms))
+        C = list(map(self._cross.__getitem__, ms))
+        P: Dict[str, list] = {k: [] for k in ("vertex", "level", "cap", "count", "members")}
+        vertex, level, cap, count = P["vertex"], P["level"], P["cap"], P["count"]
+        members = P["members"]
+        for v, Pv in self._P.items():
+            for lvl, (b, c) in Pv.items():
+                vertex.append(v)
+                level.append(lvl)
+                cap.append(c)
+                count.append(len(b))
+                members.extend(b)
+        return {
+            "edges": {
+                "eid": list(slot),
+                "card": np.frombuffer(self._card, dtype=np.int32)[slots].tolist(),
+                "type": types.tolist(),
+                "owner": list(map(self._owner.__getitem__, live)),
+                "vertices": list(chain.from_iterable(map(self._verts.__getitem__, live))),
+            },
+            "matches": {
+                "level": np.frombuffer(self._level, dtype=np.int32)[mslots].tolist(),
+                "settle": np.frombuffer(self._settle, dtype=np.int32)[mslots].tolist(),
+                "scap": np.frombuffer(self._scap, dtype=np.int64)[mslots].tolist(),
+                "ccap": np.frombuffer(self._ccap, dtype=np.int64)[mslots].tolist(),
+                "slen": list(map(len, S)),
+                "samples": list(chain.from_iterable(S)),
+                "clen": list(map(len, C)),
+                "cross": list(chain.from_iterable(C)),
+            },
+            "P": P,
+        }
+
+    def restore_level_index(self, P: Dict[str, Sequence]) -> None:
+        """Overwrite P(v, l) wholesale from the ``P`` columns of
+        :meth:`snapshot_columns` (bucket order and capacities included)."""
+        index: Dict[Vertex, Dict[int, list]] = {}
+        members = P["members"]
+        off = 0
+        for v, lvl, cap, count in zip(P["vertex"], P["level"], P["cap"], P["count"]):
+            Pv = index.get(v)
+            if Pv is None:
+                Pv = index[v] = {}
+            Pv[int(lvl)] = [dict.fromkeys(members[off : off + count]), int(cap)]
+            off += count
+        self._P = index
 
     # ------------------------------------------------------------------ #
     # Invariant checking (test-only; never charged to the ledger)

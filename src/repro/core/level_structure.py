@@ -44,6 +44,12 @@ class EdgeType(Enum):
     UNSETTLED = "unsettled"
 
 
+#: Integer code of each edge type (code = index): the array backend's
+#: type column and the type column of version-3 snapshots.
+EDGE_TYPE_CODES = (EdgeType.UNSETTLED, EdgeType.MATCHED, EdgeType.SAMPLED, EdgeType.CROSS)
+_TYPE_CODE = {t: i for i, t in enumerate(EDGE_TYPE_CODES)}
+
+
 class EdgeRecord:
     """Per-edge state: the edge itself, its type and owner, and (for
     matched edges) the match bookkeeping S(m), C(m), level."""
@@ -464,37 +470,67 @@ class LeveledStructure:
         else:
             raise ValueError(f"edge {eid} has transient type {etype.value!r}")
 
-    def level_index_data(self) -> List[list]:
-        """P(v, l) as ``[[v, [[level, [eids...], cap], ...]], ...]``.
+    def snapshot_columns(self) -> Dict[str, Dict[str, list]]:
+        """The structure as the flat parallel columns of a version-3
+        snapshot (see :mod:`repro.core.snapshot`), built from the records.
 
-        Captures bucket membership *in iteration order* plus the simulated
-        capacities — both are history artifacts that feed future behavior
-        (scan order and rehash charges) and cannot be rederived from the
-        edge records alone.
+        Read-only and uncharged.  Sets and buckets are listed in iteration
+        order and with their simulated capacities: both are history
+        artifacts that feed future behavior (scan order and rehash
+        charges) and cannot be rederived from the content alone.
         """
-        out: List[list] = []
+        eid: List[EdgeId] = []
+        card: List[int] = []
+        etype: List[int] = []
+        owner: List[Optional[EdgeId]] = []
+        verts: List[Vertex] = []
+        m: Dict[str, list] = {
+            k: [] for k in ("level", "settle", "scap", "ccap", "slen", "samples", "clen", "cross")
+        }
+        for rec in self.recs.values():
+            edge = rec.edge
+            eid.append(edge.eid)
+            card.append(edge.cardinality)
+            etype.append(_TYPE_CODE[rec.type])
+            owner.append(rec.owner)
+            verts.extend(edge.vertices)
+            if rec.type is EdgeType.MATCHED:
+                m["level"].append(rec.level)
+                m["settle"].append(rec.settle_size)
+                m["scap"].append(rec.samples.capacity)
+                m["ccap"].append(rec.cross.capacity)
+                m["slen"].append(len(rec.samples))
+                m["samples"].extend(rec.samples)
+                m["clen"].append(len(rec.cross))
+                m["cross"].extend(rec.cross)
+        P: Dict[str, list] = {k: [] for k in ("vertex", "level", "cap", "count", "members")}
         for v, vr in self.verts.items():
-            if vr.P:
-                out.append(
-                    [v, [[lvl, list(b), b.capacity] for lvl, b in vr.P.items()]]
-                )
-        return out
+            for lvl, b in vr.P.items():
+                P["vertex"].append(v)
+                P["level"].append(lvl)
+                P["cap"].append(b.capacity)
+                P["count"].append(len(b))
+                P["members"].extend(b)
+        return {
+            "edges": {"eid": eid, "card": card, "type": etype, "owner": owner, "vertices": verts},
+            "matches": m,
+            "P": P,
+        }
 
-    def restore_level_index(self, index: Sequence[Sequence]) -> None:
-        """Overwrite P(v, l) wholesale from :meth:`level_index_data` output
-        (bucket order and capacities included)."""
+    def restore_level_index(self, P: Dict[str, Sequence]) -> None:
+        """Overwrite P(v, l) wholesale from the ``P`` columns of
+        :meth:`snapshot_columns` (bucket order and capacities included)."""
         from repro.parallel.dictionary import BatchSet
 
         for vr in self.verts.values():
             vr.P = {}
-        for v, levels in index:
-            vr = self.verts[v]
-            P: Dict[int, BatchSet] = {}
-            for lvl, eids, cap in levels:
-                b = BatchSet(self.ledger, eids)
-                b._capacity = int(cap)
-                P[int(lvl)] = b
-            vr.P = P
+        members = P["members"]
+        off = 0
+        for v, lvl, cap, count in zip(P["vertex"], P["level"], P["cap"], P["count"]):
+            b = BatchSet(self.ledger, members[off : off + count])
+            b._capacity = int(cap)
+            self.verts[v].P[int(lvl)] = b
+            off += count
 
     # ------------------------------------------------------------------ #
     # Queries

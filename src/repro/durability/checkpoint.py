@@ -1,19 +1,23 @@
 """Checkpoint files: periodic full-state snapshots beside the journal.
 
 A checkpoint is a single JSON file ``checkpoint-<applied>.json`` holding a
-version-2 :mod:`repro.core.snapshot` state (structure + RNG stream +
-capacity/order history) plus the run telemetry a snapshot deliberately
-excludes: ledger totals, per-tag work, update counters.  ``applied`` is
-the number of journal batches absorbed when the checkpoint was taken, so
-recovery resumes replay at exactly that offset.
+:mod:`repro.core.snapshot` state (structure + RNG stream + capacity/order
+history; version 3 is written, versions 1-3 load) plus the run telemetry
+a snapshot deliberately excludes: ledger totals, per-tag work, update
+counters.  ``applied`` is the number of journal batches absorbed when the
+checkpoint was taken, so recovery resumes replay at exactly that offset.
 
 Checkpoints are written atomically (temp file + ``os.replace``) and
-checksummed the same way as journal records.  A corrupt checkpoint is
-detected by CRC (or JSON) failure and simply skipped — recovery falls
-back to the previous checkpoint, or to a full journal replay.  A
-checkpoint claiming more applied batches than the journal holds violates
-the write-ahead discipline (batches are fsynced before they are applied)
-and is likewise skipped as untrustworthy.
+checksummed the same way as journal records: ``crc`` is the CRC-32 of the
+canonical JSON of the other fields (sorted keys, no whitespace), and the
+file is the canonical JSON of all of them.  Both encodings are one-shot
+``json.dumps`` calls, which take the C encoder (``json.dump`` to a file
+never does).  A corrupt checkpoint is detected by CRC (or JSON) failure
+and simply skipped — recovery falls back to the previous checkpoint, or
+to a full journal replay.  A checkpoint claiming more applied batches
+than the journal holds violates the write-ahead discipline (batches are
+fsynced before they are applied) and is likewise skipped as
+untrustworthy.
 """
 
 from __future__ import annotations
@@ -61,11 +65,12 @@ def checkpoint_payload(dm: DynamicMatching, applied: int) -> Dict[str, Any]:
 def write_checkpoint(directory: str, dm: DynamicMatching, applied: int) -> str:
     """Atomically write a checkpoint; returns its path."""
     payload = checkpoint_payload(dm, applied)
-    payload["crc"] = zlib.crc32(_canonical({k: v for k, v in payload.items() if k != "crc"}))
+    payload["crc"] = zlib.crc32(_canonical(payload))
+    data = _canonical(payload)
     path = os.path.join(directory, checkpoint_name(applied))
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+    with open(tmp, "wb") as fh:
+        fh.write(data)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)

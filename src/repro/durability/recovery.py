@@ -9,7 +9,7 @@ bit-identical to an uninterrupted run.
 The certification oracle is a fresh instance built from the journal
 header (initial config + initial RNG state) replaying every trusted batch
 from sequence 0.  Because the journal is written ahead of every apply and
-version-2 snapshots are behaviorally exact state copies, the recovered
+snapshots are behaviorally exact state copies, the recovered
 instance must agree with the oracle on:
 
 * the matching (edge ids, exactly);

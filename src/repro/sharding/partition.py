@@ -16,7 +16,8 @@ edge id lands in exactly one bucket, in stable input order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Dict, List, Sequence
+from itertools import chain, repeat
+from typing import Container, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -88,6 +89,10 @@ class BatchSplit:
     kind: str  # "insert" | "delete"
     locals_: List[list] = field(default_factory=list)  # per shard: edges or eids
     cross: list = field(default_factory=list)  # edges (insert) or eids (delete)
+    #: Insert splits only: the per-shard cross-endpoint registration plan,
+    #: equal to ``handoff.proposal_vertices(cross, k)`` but built in the
+    #: split pass from the endpoint hashes it already computed.
+    plan: List[Tuple[List[Vertex], List[EdgeId]]] = field(default_factory=list)
 
     @property
     def n_local(self) -> int:
@@ -99,17 +104,33 @@ class BatchSplit:
 
 
 def split_insert(edges: Sequence[Edge], k: int) -> BatchSplit:
-    """Route an insert batch: per-shard local edge lists + cross edges."""
-    split = BatchSplit(kind="insert", locals_=[[] for _ in range(k)])
+    """Route an insert batch: per-shard local edge lists, cross edges, and
+    the cross edges' registration plan.  Hashes every endpoint once."""
+    split = BatchSplit(
+        kind="insert", locals_=[[] for _ in range(k)], plan=[([], []) for _ in range(k)]
+    )
     if k == 1:
         split.locals_[0] = list(edges)
         return split
+    locals_, cross, plan = split.locals_, split.cross, split.plan
+    shards = list(
+        map(shard_of_vertex, chain.from_iterable([e.vertices for e in edges]), repeat(k))
+    )
+    off = 0
     for e in edges:
-        s = shard_of_edge(e, k)
-        if s == CROSS:
-            split.cross.append(e)
-        else:
-            split.locals_[s].append(e)
+        vs = e.vertices
+        n = len(vs)
+        es = shards[off : off + n]
+        off += n
+        if es.count(es[0]) == n:
+            locals_[es[0]].append(e)
+            continue
+        cross.append(e)
+        eid = e.eid
+        for v, s in zip(vs, es):
+            xv, xe = plan[s]
+            xv.append(v)
+            xe.append(eid)
     return split
 
 

@@ -519,10 +519,10 @@ class ShardedMatching:
         #    concurrently.
         location, cross = self._location, self._cross
         if batch.kind == "insert":
-            cross_edges = split.cross
+            cross_edges, plan = split.cross, split.plan
         else:
             cross_edges = [cross[eid] for eid in split.cross]
-        plan = handoff.proposal_vertices(cross_edges, self.k)
+            plan = handoff.proposal_vertices(cross_edges, self.k)
         report, readings = self._dispatch(split, plan)
 
         # Routing-map and cross-registry maintenance, after every shard

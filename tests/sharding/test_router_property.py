@@ -218,6 +218,16 @@ def test_proposal_vertices_covers_every_endpoint_once(edges, k):
         assert owner_shard(e, k) == min(shard_of_vertex(v, k) for v in e.vertices)
 
 
+@given(edges=edge_batches(max_vertex=20), k=ks)
+@settings(max_examples=120, deadline=None)
+def test_split_insert_plan_equals_proposal_vertices(edges, k):
+    # The insert split builds the registration plan from the endpoint
+    # hashes it computes anyway; it must be exactly the plan the handoff
+    # would build from the cross edges.
+    split = split_insert(edges, k)
+    assert split.plan == proposal_vertices(split.cross, k)
+
+
 #: Vertex ids the frontiers must keep exact: negative, straddling int32,
 #: at the int64 limits and beyond 64 bits.
 wide_vertices = st.one_of(

@@ -1,8 +1,8 @@
 """Smoke-mode runs of the benchmark harnesses.
 
 ``REPRO_BENCH_SMOKE=1`` caps every sweep in ``benchmarks/bench_hotpath.py``,
-``benchmarks/bench_dynamic.py`` and ``benchmarks/bench_queries.py`` to tiny
-sizes, so CI can exercise the full harnesses — workload generation, replay,
+``benchmarks/bench_dynamic.py``, ``benchmarks/bench_queries.py`` and
+``benchmarks/bench_checkpoint.py`` to tiny sizes, so CI can exercise the full harnesses — workload generation, replay,
 ledger capture, JSON output, and the identity/comparison/certification
 assertions — in seconds without timing anything meaningful.  Deselect with
 ``-m "not bench_smoke"`` if even that is too much.
@@ -22,6 +22,7 @@ REPO = Path(__file__).resolve().parent.parent
 BENCH = REPO / "benchmarks" / "bench_hotpath.py"
 BENCH_DYNAMIC = REPO / "benchmarks" / "bench_dynamic.py"
 BENCH_QUERIES = REPO / "benchmarks" / "bench_queries.py"
+BENCH_CHECKPOINT = REPO / "benchmarks" / "bench_checkpoint.py"
 
 
 def _run(label: str, out: Path) -> subprocess.CompletedProcess:
@@ -143,3 +144,41 @@ def test_bench_queries_smoke(tmp_path):
     assert record["http_qps"]["final_view_certified"] is True
     wo = record["write_overhead"]
     assert wo["overhead_fraction"] <= wo["asserted_bound"]
+
+
+@pytest.mark.bench_smoke
+@pytest.mark.skipif(
+    os.environ.get("REPRO_BENCH_SMOKE") == "0",
+    reason="REPRO_BENCH_SMOKE=0 explicitly disables the bench smoke run",
+)
+def test_bench_checkpoint_smoke(tmp_path):
+    out = tmp_path / "bench_checkpoint.json"
+    env = dict(os.environ)
+    if not env.get("REPRO_BENCH_SMOKE"):
+        env["REPRO_BENCH_SMOKE"] = "1"
+    env["PYTHONPATH"] = str(REPO / "src")
+    proc = subprocess.run(
+        [
+            sys.executable, str(BENCH_CHECKPOINT),
+            "--label", "smoke", "--out", str(out),
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=str(REPO),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+    record = json.loads(out.read_text())["smoke"]
+    assert record["smoke"] is True
+    rows = record["rows"]
+    assert {(r["graph"], r["m"]) for r in rows} == {("churn-r2", 2**11), ("serve-r3", 2**11)}
+    # The harness asserts the restore before writing a row; re-check the
+    # output so a silently weakened harness still fails here.
+    for r in rows:
+        assert r["restored_identical"] is True
+        assert r["write_s"] > 0 and r["load_s"] > 0 and r["restore_s"] > 0
+        assert r["bytes"] > 0
+        # Flat columns: a few dozen containers, not one per edge.
+        assert r["snapshot_containers"] < 100 < r["live_edges"]
