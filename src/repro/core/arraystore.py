@@ -12,7 +12,13 @@ per-edge state in flat, slot-indexed parallel arrays instead of one
   through a free-list on unregister;
 * sample sets S(m) and cross sets C(m) are plain insertion-ordered dicts
   plus an explicit simulated capacity (the grow/shrink accounting of
-  :class:`~repro.parallel.dictionary.BatchSet`, inlined);
+  :class:`~repro.parallel.dictionary.BatchSet`, inlined).  The common
+  small sets allocate no dict: a singleton S(m) = {m} (every level-0
+  match) is the 1-tuple ``(m,)``, shrinking to a smaller tuple on
+  discard, and an empty C(m) is the shared ``()``, which becomes a dict
+  on its first insert.  Reads go
+  through ``len``/``iter``/``in`` either way; ``None`` still means "not
+  a match", and the capacity columns are independent of the form;
 * the per-vertex per-level index P(v, l) keeps buckets as ``[dict, cap]``
   pairs.
 
@@ -50,7 +56,7 @@ import numpy as np
 
 from repro import native
 from repro.hypergraph.edge import Edge, EdgeId, Vertex
-from repro.parallel.interning import VertexInterner
+from repro.parallel.interning import VertexInterner, fits_int64
 from repro.parallel.ledger import Ledger, log2ceil, parallel_for
 from repro.core.level_structure import EDGE_TYPE_CODES, EdgeType, level_of
 
@@ -68,12 +74,27 @@ _GROW_AT = 0.75
 _SHRINK_AT = 0.125
 
 
+def _as_dict(sets: list, i: int) -> Optional[dict]:
+    """Slot ``i``'s S(m)/C(m) as a mutable dict, materializing the
+    small-set tuple form in place (None stays None: not a match)."""
+    d = sets[i]
+    if d.__class__ is tuple:
+        d = sets[i] = dict.fromkeys(d)
+    return d
+
+
+def _small_discard(sd: tuple, key: EdgeId) -> tuple:
+    """A small-set tuple without ``key`` (the same tuple when absent)."""
+    return tuple([x for x in sd if x != key]) if key in sd else sd
+
+
 class _SetProxy:
     """BatchSet-compatible view over one slot's sample or cross dict.
 
     Mutations charge the ledger exactly like ``BatchSet.insert_one`` /
     ``delete_one`` / ``elements`` so white-box tests that poke
-    ``rec.samples`` / ``rec.cross`` see identical accounting.
+    ``rec.samples`` / ``rec.cross`` see identical accounting; they turn
+    a small-set tuple into a dict first.
     """
 
     __slots__ = ("_dicts", "_caps", "_i", "_ledger")
@@ -107,7 +128,7 @@ class _SetProxy:
         return list(d)
 
     def insert_one(self, key: EdgeId) -> None:
-        d = self._dicts[self._i]
+        d = _as_dict(self._dicts, self._i)
         self._ledger.charge(
             work=1, depth=log2ceil(len(d) + 1) if d else 1, tag="dict_batch"
         )
@@ -123,7 +144,7 @@ class _SetProxy:
             self._caps[self._i] = cap
 
     def delete_one(self, key: EdgeId) -> None:
-        d = self._dicts[self._i]
+        d = _as_dict(self._dicts, self._i)
         self._ledger.charge(
             work=1, depth=log2ceil(len(d) + 1) if d else 1, tag="dict_batch"
         )
@@ -436,6 +457,8 @@ class ArrayLeveledStructure:
                 d = len(idx)
                 idx[v] = d
                 pcol.append(-1)
+                if not fits_int64((v,)):
+                    self.interner.wide = True
             vd.append(d)
         vd_off = self._vd_off
         if i < len(vd_off):
@@ -866,8 +889,9 @@ class ArrayLeveledStructure:
             raise ValueError("a match must belong to its own sample space")
         self.matched.add(eid)
         k = len(samples)
-        self._samples[i], self._scap[i] = self._new_set([s.eid for s in samples])
-        self._cross[i] = {}
+        sd, self._scap[i] = self._new_set([s.eid for s in samples])
+        self._samples[i] = (eid,) if len(sd) == 1 else sd
+        self._cross[i] = ()
         self._ccap[i] = _MIN_CAP
         self._settle[i] = k
         lvl = level_of(k, self.alpha)
@@ -958,8 +982,8 @@ class ArrayLeveledStructure:
                 # C level; matches are vertex-disjoint, so write order
                 # is immaterial).
                 for i, eid in zip(slots_l, ids):
-                    smp[i] = {eid: None}
-                    crs[i] = {}
+                    smp[i] = (eid,)
+                    crs[i] = ()
                     oarr[i] = eid
                 matched.update(ids)
                 vchain = list(chain.from_iterable(e.vertices for e in edges))
@@ -980,9 +1004,9 @@ class ArrayLeveledStructure:
             if eid in matched:
                 raise ValueError(f"edge {eid} is already matched")
             madd(eid)
-            smp[i] = {eid: None}
+            smp[i] = (eid,)
             scap[i] = _MIN_CAP
-            crs[i] = {}
+            crs[i] = ()
             ccap[i] = _MIN_CAP
             sarr[i] = 1
             larr[i] = 0
@@ -1132,6 +1156,8 @@ class ArrayLeveledStructure:
         bi = slot[best]
         self._ownslot[i] = bi
         cd = self._cross[bi]
+        if cd.__class__ is tuple:  # the empty small form
+            cd = self._cross[bi] = {}
         n = len(cd)
         w_batch = 1.0
         w_rehash = 0.0
@@ -1291,7 +1317,10 @@ class ArrayLeveledStructure:
         n = len(sd)
         d_total = n.bit_length() if n >= 2 else 1
         w_rehash = 0.0
-        sd.pop(eid, None)
+        if sd.__class__ is tuple:
+            sd = self._samples[i] = _small_discard(sd, eid)
+        else:
+            sd.pop(eid, None)
         n = len(sd)
         cap = self._scap[i]
         if cap > _MIN_CAP and n < cap * _SHRINK_AT:
@@ -1425,7 +1454,10 @@ class ArrayLeveledStructure:
         n = len(sd)
         bd = n.bit_length() if n >= 2 else 1
         w_rehash = 0.0
-        sd.pop(eid, None)
+        if sd.__class__ is tuple:
+            sd = self._samples[i] = _small_discard(sd, eid)
+        else:
+            sd.pop(eid, None)
         n = len(sd)
         cap = self._scap[i]
         if cap > _MIN_CAP and n < cap * _SHRINK_AT:
@@ -1504,6 +1536,8 @@ class ArrayLeveledStructure:
         )
         ccv[ub] = caps
         bd0_l = bd0.tolist()
+        for bs in ub_l:
+            _as_dict(crs, bs)
         oarr = self._owner
         earr = self._edge
         larr = self._level
@@ -1664,7 +1698,10 @@ class ArrayLeveledStructure:
             sd = samples[i]
             n = len(sd)
             bd = n.bit_length() if n >= 2 else 1
-            sd.pop(mid, None)
+            if sd.__class__ is tuple:
+                sd = samples[i] = _small_discard(sd, mid)
+            else:
+                sd.pop(mid, None)
             n = len(sd)
             cap = scaps[i]
             if cap > _MIN_CAP and n < cap * _SHRINK_AT:
@@ -1925,9 +1962,9 @@ class ArrayLeveledStructure:
                     cap *= 2
                     w_rehash += cap * _GROW_AT
                     bd += dg
-            self._samples[i] = d
+            self._samples[i] = (eid,) if n == 1 else d
             self._scap[i] = cap
-            self._cross[i] = {}
+            self._cross[i] = ()
             self._ccap[i] = _MIN_CAP
             self._settle[i] = k
             lvl = level_of(k, alpha)
@@ -2044,8 +2081,10 @@ class ArrayLeveledStructure:
         self._type[i] = _T_MATCHED
         self._owner[i] = eid
         self._ownslot[i] = i
-        self._samples[i], self._scap[i] = self._new_set(list(samples))
-        self._cross[i], self._ccap[i] = self._new_set(list(cross))
+        sd, self._scap[i] = self._new_set(list(samples))
+        cd, self._ccap[i] = self._new_set(list(cross))
+        self._samples[i] = tuple(sd) if len(sd) == 1 else sd
+        self._cross[i] = cd if cd else ()
         # Shrink hysteresis makes capacity a history artifact; reinstate the
         # captured values so future rehash charges match the original.
         if scap is not None:
@@ -2132,15 +2171,20 @@ class ArrayLeveledStructure:
 
     def restore_level_index(self, P: Dict[str, Sequence]) -> None:
         """Overwrite P(v, l) wholesale from the ``P`` columns of
-        :meth:`snapshot_columns` (bucket order and capacities included)."""
+        :meth:`snapshot_columns` (bucket order and capacities included).
+
+        Each bucket is charged as a fresh set build, exactly like the dict
+        oracle's ``BatchSet`` rebuild, so ``load_state`` costs the same on
+        either backend."""
         index: Dict[Vertex, Dict[int, list]] = {}
         members = P["members"]
+        new_set = self._new_set
         off = 0
         for v, lvl, cap, count in zip(P["vertex"], P["level"], P["cap"], P["count"]):
             Pv = index.get(v)
             if Pv is None:
                 Pv = index[v] = {}
-            Pv[int(lvl)] = [dict.fromkeys(members[off : off + count]), int(cap)]
+            Pv[int(lvl)] = [new_set(members[off : off + count])[0], int(cap)]
             off += count
         self._P = index
 

@@ -214,7 +214,7 @@ class DynamicMatching:
     def check_invariants(self) -> None:
         """Definition 4.1 plus epoch-tracking consistency."""
         self.structure.check_invariants()
-        live = {e.eid for e in self.tracker.live_epochs()}
+        live = set(self.tracker.live_ids())
         assert live == set(self.structure.matched), (
             f"live epochs {live} != matched set {set(self.structure.matched)}"
         )
@@ -246,6 +246,19 @@ class DynamicMatching:
         if not structure._pcol_dirty:
             frame.attach_dense(structure.frame_dense(frame), structure.interner)
 
+    def _columnar(self, n: int) -> bool:
+        """Whether a call of ``n`` edges takes the columnar route: the
+        array backend at :func:`should_vectorize` sizes, unless a vertex
+        id outside int64 (which no raw-id frame column can hold) has
+        been seen — then every call takes the charge-identical per-edge
+        route.  The interner flags such a vertex when it first registers,
+        before any frame could be built over it."""
+        return (
+            self._vec
+            and should_vectorize(self.ledger, n)
+            and not self.structure.interner.wide
+        )
+
     def _greedy(
         self,
         edges: Sequence[Edge],
@@ -264,7 +277,8 @@ class DynamicMatching:
         reads the matcher's (the vector path then skips materializing
         them — same matching, same order, same charges).
         """
-        if frame is None and self._vec and should_vectorize(self.ledger, len(edges)):
+        columnar = self._columnar(len(edges))
+        if frame is None and columnar:
             frame = BatchFrame.from_edges(edges, arena=self.arena, tag="greedy")
             self.vec_stats["frames"] += 1
             self._attach_dense(frame)
@@ -272,7 +286,7 @@ class DynamicMatching:
             edges,
             self.ledger,
             rng=self.rng,
-            vectorize=None if self._vec else False,
+            vectorize=None if columnar else False,
             frame=frame,
             collect_samples=collect_samples,
             arena=self.arena,
@@ -363,11 +377,7 @@ class DynamicMatching:
                     self.ledger, matched,
                     lambda mid: self.structure.sample_discard(mid, mid),
                 )
-            if self._vec:
-                self.tracker.death_batch(matched, NATURAL)
-            else:
-                for mid in matched:
-                    self.tracker.death(mid, NATURAL)
+            self.tracker.death_batch(matched, NATURAL)
             stats.natural_deaths += len(matched)
 
             pool = self._delete_matched_edges(matched, stats)
@@ -412,7 +422,7 @@ class DynamicMatching:
         # via select() — the greedy matcher's columns, so the batch's
         # vertices are extracted from the Edge objects exactly once.
         frame = None
-        if self._vec and should_vectorize(self.ledger, len(edges)):
+        if self._columnar(len(edges)):
             frame = BatchFrame.from_edges(edges, arena=self.arena, tag="frame")
             self.vec_stats["frames"] += 1
             self._attach_dense(frame)
@@ -427,7 +437,7 @@ class DynamicMatching:
         )
 
         sub = None
-        if frame is not None and should_vectorize(self.ledger, len(free)):
+        if frame is not None and self._columnar(len(free)):
             sub = frame.select(np.fromiter(free_flags, dtype=np.bool_, count=len(edges)))
         result = self._greedy(free, collect_samples=False, frame=sub)
         matched_ids: Set[EdgeId] = set(result.matched_ids)
@@ -514,19 +524,15 @@ class DynamicMatching:
 
         if self._vec:
             levels = self.structure.install_match_batch(result.matches)
-            self.tracker.birth_batch(
-                (m.edge.eid, lvl, len(m.samples), m.edge.vertices)
-                for m, lvl in zip(result.matches, levels)
-            )
         else:
-            def _install(matched) -> None:
-                lvl = self.structure.install_match(matched.edge, matched.samples)
-                self.tracker.birth(
-                    matched.edge.eid, lvl, len(matched.samples),
-                    matched.edge.vertices,
-                )
-
-            parallel_for(self.ledger, result.matches, _install)
+            levels = parallel_for(
+                self.ledger, result.matches,
+                lambda m: self.structure.install_match(m.edge, m.samples),
+            )
+        self.tracker.birth_batch(
+            (m.edge.eid, lvl, len(m.samples), m.edge.vertices)
+            for m, lvl in zip(result.matches, levels)
+        )
         rnd.new_matches = len(result.matches)
         rnd.added_sample = sum(len(m.samples) for m in result.matches)
         stats.new_epochs += rnd.new_matches
@@ -538,14 +544,13 @@ class DynamicMatching:
         bloated = [mid for mid, f in zip(new_ids, heavy_flags) if f]
         stolen = sorted(stolen_ids)
 
-        for mid in stolen:
-            self.tracker.death(mid, STOLEN)
-            rnd.stolen += 1
-            rnd.stolen_sample += self.structure.settle_size_of(mid)
-        for mid in bloated:
-            self.tracker.death(mid, BLOATED)
-            rnd.bloated += 1
-            rnd.bloated_sample += self.structure.settle_size_of(mid)
+        settle_size_of = self.structure.settle_size_of
+        self.tracker.death_batch(stolen, STOLEN)
+        rnd.stolen = len(stolen)
+        rnd.stolen_sample = sum(map(settle_size_of, stolen))
+        self.tracker.death_batch(bloated, BLOATED)
+        rnd.bloated = len(bloated)
+        rnd.bloated_sample = sum(map(settle_size_of, bloated))
         stats.induced_deaths += len(stolen) + len(bloated)
         stats.settle_rounds.append(rnd)
 

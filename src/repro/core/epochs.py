@@ -10,16 +10,35 @@ on classifying epoch deaths:
   its level and was resettled.
 
 Stolen and bloated deaths are the *induced* deletions; Lemma 5.6/5.7 bound
-their total sample space by that of natural deletions.  The tracker records
-every event so experiments E1, E2 and E7 can measure those aggregates
-directly, and so tests can assert the bookkeeping (e.g. a match never dies
-twice, sample sizes are positive, the Lemma 5.6 ratio holds per round).
+their total sample space by that of natural deletions.  The tracker keeps
+the §5 aggregates experiments E1, E2, E7 and E16 read (death counts by
+kind, settle-time sample sums, total added sample) as running sums, and an
+event log of births and deaths for consumers that replay it (the query
+tier's lazy epoch capture, the shards' cross-frontier reports).
+
+**The log is columnar and trimmed.**  Births and deaths are numbered by
+absolute sequence numbers (``births``/``deaths`` count every event ever
+recorded) and stored as typed columns, not one object per epoch.  A
+consumer registers a reader (:meth:`EpochTracker.register_reader`) and
+advances its :class:`LogCursor` as it consumes; the *low watermark* is the
+oldest registered cursor, or the start of the current batch when no
+reader is registered.  Compaction drops every dead birth below the
+watermark and every death below it, so the retained log stays
+O(live matches + unread events).  A death record carries the birth
+sequence number, the edge id and the vertices, so a reader never needs a
+birth that was trimmed.  :class:`Epoch` is a read-only view into the
+retained window, built only for callers that ask for one.
 """
 
 from __future__ import annotations
 
+import weakref
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.hypergraph.edge import EdgeId
 
@@ -28,32 +47,190 @@ STOLEN = "stolen"
 BLOATED = "bloated"
 INDUCED_KINDS = (STOLEN, BLOATED)
 
+#: Death-kind codes of the ``kind`` column (0 = alive).
+_KINDS = (None, NATURAL, STOLEN, BLOATED)
+_KIND_CODE = {NATURAL: 1, STOLEN: 2, BLOATED: 3}
 
-@dataclass(slots=True)
+
 class Epoch:
-    """One match lifetime."""
+    """Read-only view of one match lifetime in the tracker's retained log.
 
-    eid: EdgeId
-    level: int
-    sample_size: int  # |S(m)| at settle time
-    birth_batch: int
-    death_batch: Optional[int] = None
-    death_kind: Optional[str] = None  # NATURAL / STOLEN / BLOATED / None (alive)
-    # The matched edge's vertices, shared by reference with the Edge (no
-    # copy).  Together with ``EpochTracker.death_log`` this makes the
-    # tracker a complete event source: the matching/cover/level state at
-    # any batch boundary is a pure function of log prefixes, which is
-    # what lets the query tier materialize epoch snapshots lazily off
-    # the write path.
-    vertices: Tuple = ()
+    Fields are read from the tracker's columns on access, so a view taken
+    at birth reports the death once it happens.  Reading a view whose
+    record compaction has dropped raises ``LookupError``.
+    """
+
+    __slots__ = ("_tracker", "seq")
+
+    def __init__(self, tracker: "EpochTracker", seq: int) -> None:
+        self._tracker = tracker
+        self.seq = seq
+
+    def _get(self, column: str):
+        log = self._tracker._log
+        return getattr(log, column)[log.pos(self.seq)]
+
+    @property
+    def eid(self) -> EdgeId:
+        return self._get("eid")
+
+    @property
+    def level(self) -> int:
+        return self._get("level")
+
+    @property
+    def sample_size(self) -> int:
+        """|S(m)| at settle time."""
+        return self._get("size")
+
+    @property
+    def birth_batch(self) -> int:
+        return self._get("bbatch")
+
+    @property
+    def death_batch(self) -> Optional[int]:
+        b = self._get("dbatch")
+        return None if b < 0 else b
+
+    @property
+    def death_kind(self) -> Optional[str]:
+        """NATURAL / STOLEN / BLOATED, or None while alive."""
+        return _KINDS[self._get("kind")]
+
+    @property
+    def vertices(self) -> Tuple:
+        """The matched edge's vertices (shared with the Edge, no copy)."""
+        return self._get("verts")
 
     @property
     def alive(self) -> bool:
-        return self.death_kind is None
+        return self._get("kind") == 0
 
     @property
     def induced(self) -> bool:
         return self.death_kind in INDUCED_KINDS
+
+    def __repr__(self) -> str:
+        return f"Epoch(seq={self.seq})"
+
+
+class EpochLog:
+    """One generation of the tracker's columns; compaction replaces it whole.
+
+    Readers take a generation (:attr:`EpochTracker.log`) once per read
+    and slice the columns they need between two sequence numbers with
+    :meth:`births` and :meth:`deaths`: rows below the current ends are
+    frozen, so the slices are safe while the writer appends.
+
+    Birth positions ``[0, len(pseq))`` hold live records kept from below
+    the watermark of the compaction that built this generation (their
+    sequence numbers in ``pseq``, ascending); positions from there on are
+    the contiguous births ``b0, b0 + 1, ...``, so ``pos = seq + shift``.
+    Death positions are ``seq - d0``.  Columns are only ever appended to
+    after construction, so a reader that took this generation keeps a
+    consistent view while the writer moves on.
+    """
+
+    __slots__ = (
+        "b0", "shift", "pseq", "eid", "level", "size", "bbatch", "dbatch",
+        "kind", "verts", "d0", "dbseq", "deid", "dverts",
+    )
+
+    def __init__(self) -> None:
+        self.pseq = array("q")
+        self.b0 = 0
+        self.shift = 0
+        self.eid: list = []  # a list: edge ids may exceed 64 bits
+        self.level = array("i")
+        self.size = array("q")
+        self.bbatch = array("q")
+        self.dbatch = array("q")  # -1 while alive
+        self.kind = array("b")  # 0 alive, else a _KIND_CODE
+        self.verts: list = []
+        self.d0 = 0
+        self.dbseq = array("q")
+        self.deid: list = []
+        self.dverts: list = []
+
+    def pos(self, seq: int) -> int:
+        """Column position of birth ``seq`` (LookupError once trimmed)."""
+        if seq >= self.b0:
+            p = seq + self.shift
+            if p < len(self.level):
+                return p
+        else:
+            p = bisect_left(self.pseq, seq)
+            if p < len(self.pseq) and self.pseq[p] == seq:
+                return p
+        raise LookupError(f"epoch record {seq} is not in the retained log")
+
+    def seq_at(self, p: int) -> int:
+        return self.pseq[p] if p < len(self.pseq) else p - self.shift
+
+    def births(self, column: str, start: int, stop: int):
+        """Birth column ``column`` for sequence numbers ``[start, stop)``
+        (``start`` at or above this generation's ``b0``)."""
+        return getattr(self, column)[start + self.shift : stop + self.shift]
+
+    def deaths(self, column: str, start: int, stop: int):
+        """Death column ``column`` (``dbseq``, ``deid`` or ``dverts``) for
+        sequence numbers ``[start, stop)``."""
+        return getattr(self, column)[start - self.d0 : stop - self.d0]
+
+    def _copy(self) -> "EpochLog":
+        new = EpochLog.__new__(EpochLog)
+        for name in EpochLog.__slots__:
+            setattr(new, name, getattr(self, name))
+        return new
+
+    def with_deaths_from(self, d0: int) -> "EpochLog":
+        """This generation with the deaths below ``d0`` dropped (birth
+        columns shared)."""
+        new = self._copy()
+        k = d0 - self.d0
+        new.d0 = d0
+        new.dbseq = self.dbseq[k:]
+        new.deid = self.deid[k:]
+        new.dverts = self.dverts[k:]
+        return new
+
+    def without_dead_below(self, pw: int) -> "EpochLog":
+        """This generation with the dead births at positions below ``pw``
+        dropped (death columns shared).  The live ones kept from below
+        ``pw`` become the new generation's sparse prefix."""
+        kind = np.frombuffer(self.kind, dtype=np.int8)
+        keep = np.concatenate((np.flatnonzero(kind[:pw] == 0), np.arange(pw, kind.size)))
+        npre = keep.size - (kind.size - pw)
+        seqs = np.concatenate((
+            np.frombuffer(self.pseq, dtype=np.int64),
+            np.arange(self.b0, self.b0 + kind.size - len(self.pseq), dtype=np.int64),
+        ))
+        new = self._copy()
+        new.pseq = array("q", seqs[keep[:npre]].tobytes())
+        new.b0 = pw - self.shift
+        new.shift = npre - new.b0
+        for name in ("level", "size", "bbatch", "dbatch", "kind"):
+            old = getattr(self, name)
+            col = array(old.typecode)
+            col.frombytes(np.frombuffer(old, dtype=f"i{old.itemsize}")[keep].tobytes())
+            setattr(new, name, col)
+        kept = keep.tolist()
+        new.eid = list(map(self.eid.__getitem__, kept))
+        new.verts = list(map(self.verts.__getitem__, kept))
+        return new
+
+
+class LogCursor:
+    """A registered reader's position in the epoch log: the next birth and
+    death sequence numbers it has yet to consume.  The reader advances
+    both fields itself; the tracker retains every event at or above the
+    oldest registered cursor."""
+
+    __slots__ = ("births", "deaths", "__weakref__")
+
+    def __init__(self, births: int, deaths: int) -> None:
+        self.births = births
+        self.deaths = deaths
 
 
 @dataclass
@@ -95,144 +272,296 @@ class BatchStats:
         return len(self.settle_rounds)
 
 
+class _EpochsView:
+    """The retained birth log as a read-only sequence of :class:`Epoch`
+    views, oldest first (the whole history while a reader pins 0)."""
+
+    __slots__ = ("_t", "_log")
+
+    def __init__(self, tracker: "EpochTracker") -> None:
+        self._t = tracker
+        self._log = tracker._log
+
+    def __len__(self) -> int:
+        return len(self._log.level)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("epoch index out of range")
+        return Epoch(self._t, self._log.seq_at(i))
+
+    def __iter__(self) -> Iterator[Epoch]:
+        log, t = self._log, self._t
+        return (Epoch(t, log.seq_at(p)) for p in range(len(log.level)))
+
+
 class EpochTracker:
     """Records epoch births and deaths across the run."""
 
     def __init__(self) -> None:
-        self.epochs: List[Epoch] = []
-        self._live: Dict[EdgeId, int] = {}  # eid -> index into epochs
-        # Append-only death order, as indices into ``epochs`` (each entry
-        # names exactly which birth died).  ``epochs`` is the append-only
-        # birth log; deaths mutate records in place, so consumers that
-        # need the event stream (e.g. the query tier's lazy epoch
-        # capture) could not otherwise enumerate "what died since my
-        # last cursor" without an O(all epochs) scan.
-        self.death_log: List[int] = []
+        self._log = EpochLog()
+        self._live: Dict[EdgeId, int] = {}  # eid -> birth sequence number
+        self._readers: "weakref.WeakSet[LogCursor]" = weakref.WeakSet()
+        # Dead records in the current generation's birth columns (an
+        # upper bound on the droppable births), and the (watermark, size)
+        # before which a check that found too little to drop is not
+        # repeated.
+        self._dead = 0
+        self._recheck: Optional[Tuple[int, int]] = None
+        # Running §5 aggregates.
+        self._count = {NATURAL: 0, STOLEN: 0, BLOATED: 0}
+        self._sample = {NATURAL: 0, STOLEN: 0, BLOATED: 0}
+        self._added = 0
         self.batch_index = 0
+
+    # ------------------------------------------------------------------ #
+    # Log positions and readers
+    # ------------------------------------------------------------------ #
+    @property
+    def log(self) -> EpochLog:
+        """The current generation of the log columns (for readers)."""
+        return self._log
+
+    @property
+    def births(self) -> int:
+        """Births ever recorded (the next birth's sequence number)."""
+        log = self._log
+        return len(log.level) - log.shift
+
+    @property
+    def deaths(self) -> int:
+        """Deaths ever recorded (the next death's sequence number)."""
+        log = self._log
+        return log.d0 + len(log.dbseq)
+
+    def register_reader(self) -> LogCursor:
+        """A cursor that pins the log from its current ends until it is
+        released or garbage-collected.  A reader registered before any
+        event keeps the whole history."""
+        cursor = LogCursor(self.births, self.deaths)
+        self._readers.add(cursor)
+        return cursor
+
+    def release_reader(self, cursor: Optional[LogCursor]) -> None:
+        """Stop ``cursor`` pinning the log (no-op for None or unknown)."""
+        if cursor is not None:
+            self._readers.discard(cursor)
+
+    def _watermark(self) -> Tuple[int, int]:
+        """(births, deaths) below which no reader needs the log, at a
+        batch boundary: the oldest registered cursor, or everything
+        recorded so far (the start of the new batch) with no reader."""
+        readers = list(self._readers)
+        if readers:
+            return (min(c.births for c in readers), min(c.deaths for c in readers))
+        return self.births, self.deaths
+
+    def retained(self) -> int:
+        """Birth plus death records currently held."""
+        log = self._log
+        return len(log.level) + len(log.dbseq)
 
     # ------------------------------------------------------------------ #
     # Events (called by DynamicMatching)
     # ------------------------------------------------------------------ #
+    def _append_birth(self, eid: EdgeId, level: int, sample_size: int, vertices) -> int:
+        live = self._live
+        if eid in live:
+            raise ValueError(f"edge {eid} already has a live epoch")
+        log = self._log
+        seq = len(log.level) - log.shift
+        log.eid.append(eid)
+        log.level.append(level)
+        log.size.append(sample_size)
+        log.bbatch.append(self.batch_index)
+        log.dbatch.append(-1)
+        log.kind.append(0)
+        log.verts.append(vertices)
+        live[eid] = seq
+        self._added += sample_size
+        return seq
+
     def birth(
         self, eid: EdgeId, level: int, sample_size: int, vertices: Tuple = ()
     ) -> Epoch:
-        if eid in self._live:
-            raise ValueError(f"edge {eid} already has a live epoch")
-        ep = Epoch(
-            eid=eid,
-            level=level,
-            sample_size=sample_size,
-            birth_batch=self.batch_index,
-            vertices=vertices,
-        )
-        self._live[eid] = len(self.epochs)
-        self.epochs.append(ep)
-        return ep
+        return Epoch(self, self._append_birth(eid, level, sample_size, vertices))
 
     def birth_batch(self, items: Iterable[Tuple]) -> None:
         """Record many births at once: ``(eid, level, sample_size)`` or
         ``(eid, level, sample_size, vertices)`` each.
 
         Identical semantics to calling :meth:`birth` per item (same
-        validation, same epoch order); one tight loop for the dynamic
-        fast path.
+        validation, same epoch order), without building views.
         """
-        live = self._live
-        epochs = self.epochs
-        append = epochs.append
-        bi = self.batch_index
+        add = self._append_birth
         for item in items:
-            eid = item[0]
-            if eid in live:
-                raise ValueError(f"edge {eid} already has a live epoch")
-            live[eid] = len(epochs)
-            append(
-                Epoch(
-                    eid, item[1], item[2], bi, None, None,
-                    item[3] if len(item) > 3 else (),
-                )
-            )
+            add(item[0], item[1], item[2], item[3] if len(item) > 3 else ())
 
     def birth_level0_batch(self, edges: Iterable) -> None:
         """Record level-0 singleton births for freshly matched edges.
 
         Semantically ``birth_batch((e.eid, 0, 1, e.vertices) ...)``, but
-        the common all-new case skips per-item tuple construction: one
-        disjointness pre-check, then bulk list/dict extends.  Falls back
+        the common all-new case extends every column in bulk.  Falls back
         to the per-item loop (for its exact error and partial-state
         semantics) when any edge already has a live epoch.
         """
         edges = list(edges)
         live = self._live
         ids = [e.eid for e in edges]
-        if len(set(ids)) != len(ids) or not live.keys().isdisjoint(ids):
+        n = len(ids)
+        if len(set(ids)) != n or not live.keys().isdisjoint(ids):
             self.birth_batch((e.eid, 0, 1, e.vertices) for e in edges)
             return
-        epochs = self.epochs
-        bi = self.batch_index
-        n0 = len(epochs)
-        epochs.extend(
-            Epoch(e.eid, 0, 1, bi, None, None, e.vertices) for e in edges
-        )
-        live.update(zip(ids, range(n0, n0 + len(ids))))
+        if not n:
+            return
+        log = self._log
+        s0 = len(log.level) - log.shift
+        log.eid.extend(ids)
+        log.level.extend(array("i", (0,)) * n)
+        log.size.extend(array("q", (1,)) * n)
+        log.bbatch.extend(array("q", (self.batch_index,)) * n)
+        log.dbatch.extend(array("q", (-1,)) * n)
+        log.kind.frombytes(bytes(n))
+        log.verts.extend([e.vertices for e in edges])
+        live.update(zip(ids, range(s0, s0 + n)))
+        self._added += n
 
     def death(self, eid: EdgeId, kind: str) -> Epoch:
-        if kind not in (NATURAL, STOLEN, BLOATED):
-            raise ValueError(f"unknown death kind {kind!r}")
-        idx = self._live.pop(eid, None)
-        if idx is None:
-            raise ValueError(f"edge {eid} has no live epoch")
-        ep = self.epochs[idx]
-        ep.death_batch = self.batch_index
-        ep.death_kind = kind
-        self.death_log.append(idx)
-        return ep
+        self.death_batch((eid,), kind)
+        return Epoch(self, self._log.dbseq[-1])
 
     def death_batch(self, eids: Iterable[EdgeId], kind: str) -> None:
         """Record many deaths of one kind — same semantics as per-item
-        :meth:`death` calls, one tight loop for the dynamic fast path."""
-        if kind not in (NATURAL, STOLEN, BLOATED):
+        :meth:`death` calls, without building views."""
+        code = _KIND_CODE.get(kind)
+        if code is None:
             raise ValueError(f"unknown death kind {kind!r}")
+        if not eids:
+            return
         pop = self._live.pop
-        epochs = self.epochs
+        log = self._log
+        b0, shift, pos = log.b0, log.shift, log.pos
+        kcol, dcol, size, verts = log.kind, log.dbatch, log.size, log.verts
+        dbseq, deid, dverts = log.dbseq.append, log.deid.append, log.dverts.append
         bi = self.batch_index
-        log = self.death_log.append
-        for eid in eids:
-            idx = pop(eid, None)
-            if idx is None:
-                raise ValueError(f"edge {eid} has no live epoch")
-            ep = epochs[idx]
-            ep.death_batch = bi
-            ep.death_kind = kind
-            log(idx)
+        n = s = 0
+        try:
+            for eid in eids:
+                seq = pop(eid, None)
+                if seq is None:
+                    raise ValueError(f"edge {eid} has no live epoch")
+                p = seq + shift if seq >= b0 else pos(seq)
+                kcol[p] = code
+                dcol[p] = bi
+                s += size[p]
+                n += 1
+                dbseq(seq)
+                deid(eid)
+                dverts(verts[p])
+        finally:
+            self._count[kind] += n
+            self._sample[kind] += s
+            self._dead += n
 
     def next_batch(self) -> None:
         self.batch_index += 1
+        self._maybe_compact()
+
+    # ------------------------------------------------------------------ #
+    # Trimming
+    # ------------------------------------------------------------------ #
+    def _maybe_compact(self) -> None:
+        """Trim the dead births below the watermark once they are at
+        least half of the birth rows held, and the deaths below it (a
+        prefix) once they are at least half of the death rows held and
+        those outnumber the birth rows.  Each trim is an O(held) rebuild
+        paid for by Ω(held) events since the last one, so amortized O(1)
+        per event; the common batch only compares counts.  The trimmed
+        generation is swapped in whole, so readers holding the previous
+        one are undisturbed."""
+        log = self._log
+        nb, nd = len(log.level), len(log.dbseq)
+        births_due = nb and 2 * self._dead >= nb
+        if not births_due and (not nd or nd < nb):
+            return
+        wb, wd = self._watermark()
+        new = log
+        if births_due:
+            rc = self._recheck
+            if rc is None or rc[0] != wb or nb >= rc[1]:
+                pw = min(max(wb + log.shift, len(log.pseq)), nb)
+                drop = pw - log.kind[:pw].tobytes().count(0)
+                if drop and 2 * drop >= nb:
+                    new = log.without_dead_below(pw)
+                    self._dead = len(new.kind) - new.kind.tobytes().count(0)
+                    self._recheck = None
+                else:
+                    self._recheck = (wb, nb + nb // 4 + 1)
+        k = min(max(wd - log.d0, 0), nd)
+        if k and 2 * k >= nd and nd >= len(new.level):
+            new = new.with_deaths_from(log.d0 + k)
+        if new is not log:
+            self._log = new
 
     # ------------------------------------------------------------------ #
     # Aggregates (§5 quantities)
     # ------------------------------------------------------------------ #
+    def live_ids(self):
+        """The edge ids with a live epoch (a read-only keys view)."""
+        return self._live.keys()
+
     def live_epochs(self) -> List[Epoch]:
-        return [self.epochs[i] for i in self._live.values()]
+        return [Epoch(self, s) for s in self._live.values()]
+
+    @property
+    def epochs(self) -> _EpochsView:
+        """The retained birth log as :class:`Epoch` views."""
+        return _EpochsView(self)
 
     def dead(self, kind: Optional[str] = None) -> List[Epoch]:
-        if kind is None:
-            return [e for e in self.epochs if not e.alive]
-        return [e for e in self.epochs if e.death_kind == kind]
+        """Views of the dead epochs still in the retained log."""
+        log = self._log
+        want = None if kind is None else _KIND_CODE.get(kind, -1)
+        return [
+            Epoch(self, log.seq_at(p))
+            for p, k in enumerate(log.kind)
+            if k and (want is None or k == want)
+        ]
 
     def total_sample(self, kind: Optional[str] = None) -> int:
         """Total settle-time sample size over dead epochs of a kind
         (S_n for natural, S_i summing stolen+bloated), or all dead."""
+        if kind is None:
+            return sum(self._sample.values())
         if kind == "induced":
-            return sum(e.sample_size for e in self.epochs if e.induced)
-        return sum(e.sample_size for e in self.dead(kind))
+            return self._sample[STOLEN] + self._sample[BLOATED]
+        return self._sample.get(kind, 0)
 
     def total_added_sample(self) -> int:
         """S_a: total sample size over *all* epochs ever created."""
-        return sum(e.sample_size for e in self.epochs)
+        return self._added
 
     def counts(self) -> Dict[str, int]:
-        out = {NATURAL: 0, STOLEN: 0, BLOATED: 0, "alive": 0}
-        for e in self.epochs:
-            out[e.death_kind or "alive"] += 1
+        out = dict(self._count)
+        out["alive"] = len(self._live)
         return out
+
+    def sums(self) -> Dict[str, object]:
+        """The running aggregates, JSON-serializable (saved in
+        checkpoints so a recovered tracker reports the same totals)."""
+        return {
+            "counts": dict(self._count),
+            "samples": dict(self._sample),
+            "added": self._added,
+        }
+
+    def restore_sums(self, sums: Dict[str, object]) -> None:
+        """Reinstate aggregates saved by :meth:`sums`."""
+        self._count = {k: int(sums["counts"][k]) for k in self._count}
+        self._sample = {k: int(sums["samples"][k]) for k in self._sample}
+        self._added = int(sums["added"])

@@ -21,8 +21,8 @@ capturing three things that are history, not content:
 
 **History** (epoch tracker telemetry, batch stats, ledger totals) is still
 reset: a snapshot captures state, not the telemetry of how it got there.
-The durability layer (:mod:`repro.durability`) persists those separately
-in its checkpoints.
+The durability layer (:mod:`repro.durability`) persists the ledger totals
+and the tracker's running aggregates separately in its checkpoints.
 
 Version 3 (the only version written) holds that state as flat parallel
 columns — one list per field, no container per edge, match or bucket:
@@ -217,6 +217,7 @@ def load_state(
     # Pass 2: install matches with their bookkeeping.
     matched = [eid for eid, code in zip(eids, types) if code == _MATCHED]
     samples, cross = m["samples"], m["cross"]
+    births = []
     so = co = 0
     for eid, level, settle, scap, ccap, slen, clen in zip(
         matched, m["level"], m["settle"], m["scap"], m["ccap"], m["slen"], m["clen"]
@@ -230,9 +231,10 @@ def load_state(
             scap=scap,
             ccap=ccap,
         )
-        dm.tracker.birth(eid, level, settle, s.edge_of(eid).vertices)
+        births.append((eid, level, settle, s.edge_of(eid).vertices))
         so += slen
         co += clen
+    dm.tracker.birth_batch(births)
 
     # Pass 3: wire sampled and cross edges (owners now exist).
     for eid, code, owner in zip(eids, types, edges["owner"]):

@@ -4,8 +4,10 @@ A checkpoint is a single JSON file ``checkpoint-<applied>.json`` holding a
 :mod:`repro.core.snapshot` state (structure + RNG stream + capacity/order
 history; version 3 is written, versions 1-3 load) plus the run telemetry
 a snapshot deliberately excludes: ledger totals, per-tag work, update
-counters.  ``applied`` is the number of journal batches absorbed when the
-checkpoint was taken, so recovery resumes replay at exactly that offset.
+counters and the epoch tracker's running aggregates (death counts by
+kind, sample sums, total added sample).  ``applied`` is the number of
+journal batches absorbed when the checkpoint was taken, so recovery
+resumes replay at exactly that offset.
 
 Checkpoints are written atomically (temp file + ``os.replace``) and
 checksummed the same way as journal records: ``crc`` is the CRC-32 of the
@@ -58,6 +60,7 @@ def checkpoint_payload(dm: DynamicMatching, applied: int) -> Dict[str, Any]:
         },
         "updates_processed": dm.num_updates,
         "batch_index": dm.tracker.batch_index,
+        "tracker": dm.tracker.sums(),
         "backend": dm.backend,
     }
 
@@ -133,14 +136,18 @@ def restore_from_checkpoint(
     """Rebuild a :class:`DynamicMatching` from a verified checkpoint.
 
     The snapshot restore re-derives structure state (charging the ledger
-    as it goes); the saved ledger totals and counters are then reinstated
-    so the instance is indistinguishable from one that never stopped.
+    as it goes); the saved ledger totals, counters and tracker aggregates
+    are then reinstated so the instance is indistinguishable from one
+    that never stopped.  A checkpoint without saved aggregates keeps the
+    ones the restore derives from the live matches.
     """
     dm = load_state(payload["state"], backend=backend or payload.get("backend", "array"))
     led = payload["ledger"]
     dm.ledger.restore(led["work"], led["depth"], led.get("by_tag"))
     dm._updates_processed = int(payload.get("updates_processed", 0))
     dm.tracker.batch_index = int(payload.get("batch_index", 0))
+    if payload.get("tracker") is not None:
+        dm.tracker.restore_sums(payload["tracker"])
     return dm
 
 

@@ -15,6 +15,14 @@ from registered edges):
   O(n + |table|) with no sort, using a stamped scratch pair — the
   replacement for ``np.unique(..., return_inverse=True)``.
 
+The table also records whether any interned vertex lies outside the
+int64 range (``wide``).  Such a vertex cannot enter a raw-id ``int64``
+column, so a structure whose table is wide keeps its batches off the
+columnar route (:class:`~repro.parallel.frames.BatchFrame`, the vector
+matcher) — the per-edge route is charge-identical.  ``add_ids`` (the
+batch path) checks each fresh vertex once, at first sight; a structure
+that interns a vertex any other way checks it itself.
+
 Local ids from ``localize`` number the batch's distinct vertices in
 ascending *dense-id* order, whereas ``np.unique`` numbers them in
 ascending *raw-vertex* order.  The columnar matcher is insensitive to
@@ -33,16 +41,27 @@ import numpy as np
 
 from repro import native
 
-__all__ = ["VertexInterner"]
+__all__ = ["VertexInterner", "fits_int64"]
+
+_I64_MIN = -(1 << 63)
+_I64_MAX = (1 << 63) - 1
+
+
+def fits_int64(vertices) -> bool:
+    """Whether every vertex of the non-empty collection fits in int64
+    (one C-level ``min``/``max`` pass)."""
+    return _I64_MIN <= min(vertices) and max(vertices) <= _I64_MAX
 
 
 class VertexInterner:
     """Stable vertex -> dense int32 id table with a localize scratch."""
 
-    __slots__ = ("_index", "_stamp", "_label", "_epoch")
+    __slots__ = ("_index", "_stamp", "_label", "_epoch", "wide")
 
     def __init__(self) -> None:
         self._index: Dict[Hashable, int] = {}
+        #: Some interned vertex lies outside the int64 range.
+        self.wide = False
         self._stamp: np.ndarray = np.zeros(0, dtype=np.int64)
         self._label: np.ndarray = np.zeros(0, dtype=np.int32)
         self._epoch: int = 0
@@ -102,6 +121,8 @@ class VertexInterner:
             n = len(idx)
             fresh = dict.fromkeys(vertices[i] for i in miss_l)
             idx.update(zip(fresh, range(n, n + len(fresh))))
+            if not fits_int64(fresh):
+                self.wide = True
             dense[miss] = np.fromiter(
                 map(idx.__getitem__, (vertices[i] for i in miss_l)),
                 dtype=np.int32,

@@ -10,15 +10,15 @@ per-item Python loop over the batch delta costs ~2.5µs/item, which blows
 the query tier's ≤5% write-overhead budget against the vectorized apply
 path (benchmarks/bench_queries.py asserts the budget).  The fix is that
 the write path already *keeps* the event stream the query tier needs:
-the epoch tracker's append-only birth log (``tracker.epochs``, each
-record carrying the settle level and the matched edge's vertices) and
-death log (``tracker.death_log``, birth indices).  The matching, cover
-and level columns at any batch boundary are a pure function of the two
-log prefixes, so:
+the epoch tracker's columnar birth log (each record carrying the settle
+level and the matched edge's vertices) and death log (each record
+carrying the birth's sequence number, edge id and vertices), addressed
+by absolute sequence numbers.  The matching, cover and level columns at
+any batch boundary are a pure function of the two log prefixes, so:
 
 * :meth:`EpochLogIndex.publish` — the writer side — just pins the two
-  log cursors and the live-edge count into a stub view: O(1), three
-  ``len`` calls, no per-item work at all;
+  log positions and the live-edge count into a stub view: O(1), no
+  per-item work at all;
 * the **first reader** of an epoch materializes its delta layer by
   replaying the log window between cursors (under the index lock, each
   epoch built exactly once, in order), so capture cost lands on reader
@@ -429,13 +429,20 @@ class EpochLogIndex:
     """Event-sourced lazy capture for one DynamicMatching.
 
     The write path's :meth:`publish` is O(1): it pins the epoch
-    tracker's two log cursors (births ``tracker.epochs``, deaths
-    ``tracker.death_log``) plus the live-edge count into a stub
-    :class:`EpochView` and appends it to the pending queue — no per-item
-    work at all.  The log prefix up to a batch-boundary cursor pair is a
-    *consistent cut*: deaths precede rebirths in event order, so every
-    death index below a window's birth cursor names a birth the index's
-    masters hold, and in-window birth/death pairs net to zero.
+    tracker's two log positions (``tracker.births``, ``tracker.deaths``)
+    plus the live-edge count into a stub :class:`EpochView` and appends
+    it to the pending queue — no per-item work at all.  The log prefix up
+    to a batch-boundary position pair is a *consistent cut*: deaths
+    precede rebirths in event order, so every death whose birth lies
+    below a window's birth cursor names a match the index's masters
+    hold, and in-window birth/death pairs net to zero.
+
+    The index is a registered reader of the tracker
+    (:meth:`~repro.core.epochs.EpochTracker.register_reader`): its
+    cursor pins the log from the oldest epoch not yet built, and
+    advances as epochs are built, so the tracker trims what every
+    built epoch has consumed.  An index that is dropped (with its
+    service) stops pinning the log once it is garbage-collected.
 
     The **first reader** of an epoch materializes it: ``_build_to``
     takes the index lock and replays each pending epoch's log window (in
@@ -478,8 +485,7 @@ class EpochLogIndex:
         self._counts = counts
         self._cov_acc = _acc(cover)
         self._lev_acc = _acc(levels)
-        self._bcur = len(tr.epochs)
-        self._dcur = len(tr.death_log)
+        self._cursor = tr.register_reader()
         self._cov_chain: Tuple[Mapping, ...] = (dict(cover),)
         self._lev_chain: Tuple[Mapping, ...] = (dict(levels),)
         self._built = 0
@@ -494,7 +500,7 @@ class EpochLogIndex:
         tr = self.dm.tracker
         view = EpochView._lazy(
             self, epoch, self.dm.structure.num_edges(),
-            len(tr.epochs), len(tr.death_log),
+            tr.births, tr.deaths,
         )
         self._pending.append(view)
         return view
@@ -518,10 +524,11 @@ class EpochLogIndex:
             )  # pragma: no cover - unreachable by construction
 
     def _build_one(self, stub: EpochView) -> None:
-        tr = self.dm.tracker
-        births = tr.epochs
-        deaths = tr.death_log
-        b0, d0 = self._bcur, self._dcur
+        # One log generation for the whole window: compaction swaps in a
+        # new one whole and keeps everything at or above this cursor.
+        log = self.dm.tracker.log
+        cur = self._cursor
+        b0, d0 = cur.births, cur.deaths
         b1, d1 = stub._b, stub._d
 
         cover, levels, verts = self._cover, self._levels, self._verts
@@ -530,21 +537,21 @@ class EpochLogIndex:
         layer_cov: Dict[Vertex, object] = {}
         layer_lev: Dict[EdgeId, object] = {}
 
-        # Slices of the append-only logs below the pinned cursors are
-        # frozen history — safe to read while the writer appends.
-        dead = deaths[d0:d1]
+        # Column slices below the pinned positions are frozen history —
+        # safe to read while the writer appends.
+        dead = log.deaths("dbseq", d0, d1)
         dead_set = set(dead)
 
-        # Kills first: a death index below b0 names a birth the masters
-        # hold (it was live at the previous cut — its death would
-        # otherwise have been replayed already).  Its cover slots may be
-        # re-occupied by this window's births, which then overwrite the
-        # tombstones.  In-window births that died (index >= b0, in
-        # ``dead_set``) net to zero and are skipped by both passes.
-        for idx in dead:
-            if idx >= b0:
+        # Kills first: a death whose birth lies below b0 names a match
+        # the masters hold (it was live at the previous cut — its death
+        # would otherwise have been replayed already).  Its cover slots
+        # may be re-occupied by this window's births, which then
+        # overwrite the tombstones.  In-window births that died (birth
+        # >= b0, in ``dead_set``) net to zero and are skipped by both
+        # passes.
+        for bseq, mid in zip(dead, log.deaths("deid", d0, d1)):
+            if bseq >= b0:
                 continue
-            mid = births[idx].eid
             ol = levels.pop(mid, None)
             if ol is None:
                 continue
@@ -564,12 +571,14 @@ class EpochLogIndex:
         # surviving birth applies cleanly once; the birth record's level
         # and vertices are authoritative (level changes always go
         # through death + rebirth).
-        for i in range(b0, b1):
-            if i in dead_set:
+        for seq, mid, nl, vs in zip(
+            range(b0, b1),
+            log.births("eid", b0, b1),
+            log.births("level", b0, b1),
+            log.births("verts", b0, b1),
+        ):
+            if seq in dead_set:
                 continue
-            ep = births[i]
-            mid = ep.eid
-            nl = ep.level
             ol = levels.get(mid)
             if ol is not None:  # defensive; unreachable by construction
                 lev_acc ^= hash((mid, ol))
@@ -580,7 +589,6 @@ class EpochLogIndex:
             lev_acc ^= hash((mid, nl))
             counts[nl] = counts.get(nl, 0) + 1
             layer_lev[mid] = nl
-            vs = ep.vertices
             verts[mid] = vs
             for v in vs:
                 om = cover.get(v)
@@ -593,7 +601,7 @@ class EpochLogIndex:
                 layer_cov[v] = mid
 
         self._cov_acc, self._lev_acc = cov_acc, lev_acc
-        self._bcur, self._dcur = b1, d1
+        cur.births, cur.deaths = b1, d1
 
         # Publish the layers: frozen from here on.
         self._built += 1

@@ -26,6 +26,7 @@ that alignment to top up a shard that crashed behind the router (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.dynamic_matching import DynamicMatching
@@ -76,6 +77,7 @@ class Shard:
                 fsync=config.fsync,
             )
         self.stats: Dict[str, int] = {"batches": 0, "updates": 0}
+        self._cursor = None
         self._reset_cursors()
 
     @classmethod
@@ -87,15 +89,21 @@ class Shard:
         self.dm = dm
         self.manager = manager
         self.stats = {"batches": 0, "updates": 0}
+        self._cursor = None
         self._reset_cursors()
         return self
 
     def _reset_cursors(self) -> None:
-        """An empty frontier, with the epoch-log cursors at the logs' ends."""
+        """An empty frontier, with the epoch-log reader at the logs' ends.
+
+        Only a shard of two or more reports its frontier, so only then
+        is it a registered reader of its tracker; the reset releases the
+        previous cursor, which stops pinning the log.
+        """
         self.frontier = Frontier()
         tracker = self.dm.tracker
-        self._births = len(tracker.epochs)
-        self._deaths = len(tracker.death_log)
+        tracker.release_reader(self._cursor)
+        self._cursor = tracker.register_reader() if self.config.shards > 1 else None
 
     # ------------------------------------------------------------------ #
     # Batch application (write-ahead when durable)
@@ -159,17 +167,20 @@ class Shard:
         since the last report, plus the ``registered`` ones that are
         covered or shared."""
         tracker = self.dm.tracker
-        epochs, deaths = tracker.epochs, tracker.death_log
+        log = tracker.log
+        cur = self._cursor
+        b1, d1 = tracker.births, tracker.deaths
         adj = self.frontier.adj
         touched = set()
         if adj:
-            changed = epochs[self._births:]
-            changed.extend(epochs[idx] for idx in deaths[self._deaths:])
-            for ep in changed:
-                for v in ep.vertices:
+            for vs in chain(
+                log.births("verts", cur.births, b1),
+                log.deaths("dverts", cur.deaths, d1),
+            ):
+                for v in vs:
                     if v in adj:
                         touched.add(v)
-        self._births, self._deaths = len(epochs), len(deaths)
+        cur.births, cur.deaths = b1, d1
         return self.frontier.report(touched, registered, self.dm.structure.cover_of)
 
     def reset_frontier(

@@ -29,8 +29,16 @@ from repro.workloads.generators import (
 from repro.workloads.streams import insert_then_delete_stream
 
 
+def _pinned(dm):
+    """Pin the epoch log at 0 (register before any event): these tests
+    read every epoch ever born, which the tracker otherwise trims once no
+    reader needs it."""
+    dm.history = dm.tracker.register_reader()
+    return dm
+
+
 def _run(edges, batch, adversary, rank=2, seed=0):
-    dm = DynamicMatching(rank=rank, seed=seed)
+    dm = _pinned(DynamicMatching(rank=rank, seed=seed))
     stream = insert_then_delete_stream(edges, batch, adversary)
     for b in stream:
         if b.kind == "insert":
@@ -112,14 +120,14 @@ class TestConservationLaws:
 
 class TestEpochLevelConsistency:
     def test_levels_match_sample_sizes_at_birth(self):
-        dm = DynamicMatching(rank=2, seed=6)
+        dm = _pinned(DynamicMatching(rank=2, seed=6))
         dm.insert_edges(star_edges(100))
         dm.delete_edges(dm.matched_ids())
         for ep in dm.tracker.epochs:
             assert 2**ep.level <= max(ep.sample_size, 1) < 2 ** (ep.level + 1)
 
     def test_batch_indices_monotone(self):
-        dm = DynamicMatching(rank=2, seed=7)
+        dm = _pinned(DynamicMatching(rank=2, seed=7))
         edges = erdos_renyi_edges(15, 60, np.random.default_rng(8))
         dm.insert_edges(edges)
         dm.delete_edges([e.eid for e in edges])

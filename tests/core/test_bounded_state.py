@@ -1,0 +1,199 @@
+"""Bounded state: the library holds O(live graph), not O(updates served).
+
+The epoch tracker keeps no object per epoch and trims its log below the
+oldest registered reader, so a long churn adds no garbage-collector-
+tracked objects per batch; the array backend stores the common small
+sample/cross sets without a dict.  The streams use churn-r2's density
+(16 vertices per live edge).
+"""
+
+import gc
+import sys
+
+import numpy as np
+import pytest
+
+from repro.core.dynamic_matching import DynamicMatching
+from repro.durability import DurabilityManager, recover
+from repro.hypergraph.edge import Edge
+from repro.query import QueryService
+from repro.sharding import ShardedMatching
+from repro.workloads.streams import UpdateBatch
+
+
+def churn_plan(m, batches, batch, seed=3):
+    """Bulk load ``m`` rank-2 edges, then alternate deleting ``batch``
+    random live edges and inserting ``batch`` fresh ones.  Every Edge is
+    built up front, so object counts around a run see only the library."""
+    rng = np.random.default_rng(seed)
+    nv = 16 * m
+    n_ins = (batches + 1) // 2 * batch
+    pairs = rng.integers(0, nv, size=(m + n_ins, 2)).tolist()
+    edges = [Edge(i, (u, v if v != u else v + nv)) for i, (u, v) in enumerate(pairs)]
+    load = [("insert", edges[i : i + batch]) for i in range(0, m, batch)]
+    live, nxt, rest = list(range(m)), m, []
+    for b in range(batches):
+        if b % 2 == 0:
+            idx = set(rng.choice(len(live), batch, replace=False).tolist())
+            rest.append(("delete", [live[i] for i in sorted(idx)]))
+            live = [x for i, x in enumerate(live) if i not in idx]
+        else:
+            rest.append(("insert", edges[nxt : nxt + batch]))
+            live.extend(range(nxt, nxt + batch))
+            nxt += batch
+    return load, rest
+
+
+def apply(algo, batch):
+    kind, items = batch
+    if kind == "insert":
+        algo.insert_edges(items)
+    else:
+        algo.delete_edges(items)
+
+
+def _held(tracker):
+    """(birth records, death records) the tracker holds."""
+    return len(tracker.epochs), tracker.retained() - len(tracker.epochs)
+
+
+def assert_bounded(tracker, births_before, deaths_before):
+    """Birth records <= 2 x live matches + the last batch's births;
+    death records <= the birth records or 2 x the last batch's deaths."""
+    births, deaths = _held(tracker)
+    live = len(tracker.live_ids())
+    assert births <= 2 * live + (tracker.births - births_before), (births, live)
+    assert deaths <= max(births, 2 * (tracker.deaths - deaths_before)), (deaths, births)
+
+
+def test_gc_objects_per_live_edge_and_per_update():
+    load, rest = churn_plan(2**14, 400, 1024)
+    dm = DynamicMatching(rank=2, seed=3)
+    gc.collect()
+    g0 = len(gc.get_objects())
+    for batch in load:
+        apply(dm, batch)
+    gc.collect()
+    g1 = len(gc.get_objects())
+    assert (g1 - g0) / len(dm) <= 0.5
+    updates = 0
+    for batch in rest:
+        apply(dm, batch)
+        updates += len(batch[1])
+    gc.collect()
+    assert (len(gc.get_objects()) - g1) / updates <= 0.01
+    dm.check_invariants()
+
+
+def _small_plan():
+    load, rest = churn_plan(2**12, 160, 256, seed=5)
+    return load + rest
+
+
+def test_no_reader_keeps_the_log_bounded():
+    dm = DynamicMatching(rank=2, seed=5)
+    tr = dm.tracker
+    for batch in _small_plan():
+        b0, d0 = tr.births, tr.deaths
+        apply(dm, batch)
+        assert_bounded(tr, b0, d0)
+    assert tr.births > 3 * len(tr.epochs)
+
+
+def test_query_reader_every_batch_keeps_the_log_bounded():
+    dm = DynamicMatching(rank=2, seed=5)
+    svc = QueryService(dm)
+    tr = dm.tracker
+    for batch in _small_plan():
+        b0, d0 = tr.births, tr.deaths
+        apply(dm, batch)
+        assert_bounded(tr, b0, d0)
+        svc.publish()
+        assert svc.matching_size() == dm.matching_size()
+
+
+def test_sharded_k2_inline_shards_keep_the_log_bounded():
+    with ShardedMatching(shards=2, rank=2, seed=5, transport="inline") as r:
+        trackers = [h.shard.dm.tracker for h in r.hosts]
+        for batch in _small_plan():
+            before = [(t.births, t.deaths) for t in trackers]
+            apply(r, batch)
+            for t, (b0, d0) in zip(trackers, before):
+                assert_bounded(t, b0, d0)
+        r.check_invariants()
+
+
+def test_reader_pinned_at_zero_keeps_the_whole_history():
+    dm = DynamicMatching(rank=2, seed=5)
+    tr = dm.tracker
+    pin = tr.register_reader()
+    for batch in _small_plan()[:40]:
+        apply(dm, batch)
+    assert len(tr.epochs) == tr.births
+    assert tr.retained() == tr.births + tr.deaths
+    assert [ep.seq for ep in tr.epochs] == list(range(tr.births))
+    assert sum(not ep.alive for ep in tr.epochs) == tr.deaths
+    tr.release_reader(pin)
+    for batch in _small_plan()[40:]:
+        b0, d0 = tr.births, tr.deaths
+        apply(dm, batch)
+    assert_bounded(tr, b0, d0)
+
+
+def test_dropped_query_service_stops_pinning():
+    dm = DynamicMatching(rank=2, seed=5)
+    tr = dm.tracker
+    plan = _small_plan()
+    svc = QueryService(dm)
+    for batch in plan[:30]:  # published, never read: the log stays pinned
+        apply(dm, batch)
+        svc.publish()
+    assert len(tr.epochs) == tr.births
+    del svc
+    gc.collect()
+    for batch in plan[30:40]:
+        b0, d0 = tr.births, tr.deaths
+        apply(dm, batch)
+    assert_bounded(tr, b0, d0)
+
+
+def test_recovered_service_reports_uninterrupted_aggregates(tmp_path):
+    plan = _small_plan()[:40]
+    dm = DynamicMatching(rank=2, seed=5)
+    with DurabilityManager.create(str(tmp_path), dm, checkpoint_every=16) as mgr:
+        for kind, items in plan:
+            mgr.log_batch(
+                UpdateBatch.insert(items) if kind == "insert" else UpdateBatch.delete(items)
+            )
+            apply(dm, (kind, items))
+            mgr.note_applied(dm)
+    res = recover(str(tmp_path))
+    assert res.checkpoint_applied == 32
+    got, want = res.dm.tracker, dm.tracker
+    assert got.counts() == want.counts()
+    for kind in (None, "natural", "stolen", "bloated", "induced"):
+        assert got.total_sample(kind) == want.total_sample(kind)
+    assert got.total_added_sample() == want.total_added_sample()
+    assert want.counts()["natural"] > 0
+
+
+@pytest.mark.parametrize("batch", [16, 1024], ids=["scalar-route", "kernel-route"])
+def test_small_sets_allocate_no_dict(batch):
+    """A singleton S(m) is the 1-tuple (m,), an empty C(m) the shared ();
+    on churn-r2's density that leaves ~one small tuple per match (the
+    parent layout held two dicts, ~310 bytes, per match)."""
+    load, rest = churn_plan(2**12, 20, batch, seed=9)
+    dm = DynamicMatching(rank=2, seed=9)
+    for b in load + rest:
+        apply(dm, b)
+    s = dm.structure
+    slots = [s._slot[m] for m in s.matched]
+    samples = [s._samples[i] for i in slots]
+    cross = [s._cross[i] for i in slots]
+    assert all(type(x) is tuple for x in samples if len(x) <= 1)
+    assert all(not x for x in cross if type(x) is tuple)
+    assert sum(len(x) == 1 for x in samples) > 0.9 * len(slots)
+    dicts = sum(type(x) is dict for x in samples + cross)
+    assert dicts <= 0.25 * len(slots), dicts / len(slots)
+    held = sum(sys.getsizeof(x) for x in samples + cross if x != ())
+    assert held <= 120 * len(slots), held / len(slots)

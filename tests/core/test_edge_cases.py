@@ -205,3 +205,71 @@ class TestErrorRecovery:
             dm.insert_edges([Edge(0, (1, 2)), Edge(1, (3, 4, 5))])
         assert 0 not in dm
         dm.check_invariants()
+
+
+class TestWideVertexIds:
+    """Vertex ids outside int64 fit no raw-id frame column; the array
+    backend must still accept them exactly as the dict oracle does (same
+    matching, same ledger), with no partial mutation."""
+
+    BASE = 2**64
+
+    def _stream(self):
+        rng = np.random.default_rng(17)
+        wide = [self.BASE + 3 * i for i in range(120)] + [-(2**70) - i for i in range(30)]
+        plain = list(range(150))
+
+        def edges(lo, hi, pool):
+            return [
+                Edge(i, rng.choice(pool, size=2, replace=False).tolist())
+                for i in range(lo, hi)
+            ]
+
+        # A small (scalar-route) batch introduces wide vertices first, so
+        # later large batches and delete pools meet them already interned.
+        mixed = wide + plain
+        return [
+            ("insert", edges(0, 12, wide)),
+            ("insert", edges(12, 311, mixed)),
+            ("delete", list(range(0, 311, 2))),
+            ("insert", edges(311, 600, mixed)),
+            ("delete", list(range(1, 600, 3))),
+        ]
+
+    def _run(self, algo):
+        trail = []
+        live = set()
+        for kind, items in self._stream():
+            if kind == "insert":
+                algo.insert_edges(items)
+                live.update(e.eid for e in items)
+            else:
+                items = [eid for eid in items if eid in live]
+                algo.delete_edges(items)
+                live.difference_update(items)
+            algo.check_invariants()
+            led = algo.ledger
+            trail.append((sorted(algo.matched_ids()), led.work, led.depth, dict(led.by_tag)))
+        return trail
+
+    def test_array_matches_dict_oracle(self):
+        runs = [self._run(DynamicMatching(rank=2, seed=5, backend=b)) for b in ("array", "dict")]
+        assert runs[0] == runs[1]
+
+    def test_array_accepts_a_wide_batch_whole(self):
+        dm = DynamicMatching(rank=2, seed=5)
+        batch = [Edge(i, (self.BASE + 2 * i, self.BASE + 2 * i + 1)) for i in range(299)]
+        dm.insert_edges(batch)
+        dm.check_invariants()
+        assert len(dm.matched_ids()) == 299
+        assert dm.structure.interner.wide
+
+    def test_sharded_k2_inline_matches_dict_shards(self):
+        from repro.sharding import ShardedMatching
+
+        runs = []
+        for backend in ("array", "dict"):
+            with ShardedMatching(shards=2, rank=2, seed=5, backend=backend,
+                                 transport="inline") as r:
+                runs.append(self._run(r))
+        assert runs[0] == runs[1]

@@ -322,3 +322,26 @@ class TestV2Fixtures:
         assert dm.matched_ids() == matched
         assert (dm.ledger.work, dm.ledger.depth, dict(dm.ledger.by_tag)) == ledger
         assert _trajectory(dm, fx.fixture_stream()[fx.PREFIX_BATCHES :]) == want
+
+
+def _load_cost(state, backend):
+    led = load_state(state, backend=backend).ledger
+    return led.work, led.depth, dict(led.by_tag)
+
+
+class TestLoadCost:
+    """A bare ``load_state`` charges the same on both backends: the
+    array backend's P(v, l) rebuild is priced like the oracle's."""
+
+    def test_v2_fixture_pinned(self):
+        state = _v2_fixture()
+        want = (5380.0, 3184.0, {"register": 840.0, "dict_batch": 1708.0,
+                                 "dict_rehash": 2832.0})
+        assert _load_cost(state, "array") == want
+        assert _load_cost(state, "dict") == want
+
+    @pytest.mark.parametrize("backend", ["array", "dict"])
+    def test_v3_snapshot_same_on_both_backends(self, backend):
+        state = save_state(_churned(seed=4, backend=backend))
+        assert state["P"]["vertex"], "the snapshot should carry P buckets"
+        assert _load_cost(state, "array") == _load_cost(state, "dict")

@@ -16,6 +16,7 @@ sharded router (inline transport), and once over HTTP via QueryClient.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -106,6 +107,26 @@ def test_concurrent_readers_unsharded_no_torn_reads():
         run_stream(dm, stream, query=service, observer=False)
     assert pool.reads > 0
     assert service.epoch == len(stream)
+    certify_view(service.view(), oracle_view(stream, len(stream), seed=42))
+
+
+def test_readers_race_epoch_log_trimming():
+    """The writer trims the epoch log behind the index's cursor while
+    reader threads build epochs from it; every built epoch feeds the
+    next, so one misread window would show in the final certificate."""
+    stream = churn_stream(batches=150, batch_size=8, seed=21)
+    dm = DynamicMatching(rank=2, seed=42)
+    service = QueryService(dm)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ReaderPool(service) as pool:
+            run_stream(dm, stream, query=service, observer=False)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pool.threads)
+    assert pool.reads > 0
+    assert dm.tracker.log.b0 > 0, "the log was never trimmed"
     certify_view(service.view(), oracle_view(stream, len(stream), seed=42))
 
 

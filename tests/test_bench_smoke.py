@@ -1,8 +1,8 @@
 """Smoke-mode runs of the benchmark harnesses.
 
 ``REPRO_BENCH_SMOKE=1`` caps every sweep in ``benchmarks/bench_hotpath.py``,
-``benchmarks/bench_dynamic.py``, ``benchmarks/bench_queries.py`` and
-``benchmarks/bench_checkpoint.py`` to tiny sizes, so CI can exercise the full harnesses — workload generation, replay,
+``benchmarks/bench_dynamic.py``, ``benchmarks/bench_queries.py``,
+``benchmarks/bench_checkpoint.py`` and ``benchmarks/bench_state.py`` to tiny sizes, so CI can exercise the full harnesses — workload generation, replay,
 ledger capture, JSON output, and the identity/comparison/certification
 assertions — in seconds without timing anything meaningful.  Deselect with
 ``-m "not bench_smoke"`` if even that is too much.
@@ -23,6 +23,7 @@ BENCH = REPO / "benchmarks" / "bench_hotpath.py"
 BENCH_DYNAMIC = REPO / "benchmarks" / "bench_dynamic.py"
 BENCH_QUERIES = REPO / "benchmarks" / "bench_queries.py"
 BENCH_CHECKPOINT = REPO / "benchmarks" / "bench_checkpoint.py"
+BENCH_STATE = REPO / "benchmarks" / "bench_state.py"
 
 
 def _run(label: str, out: Path) -> subprocess.CompletedProcess:
@@ -182,3 +183,35 @@ def test_bench_checkpoint_smoke(tmp_path):
         assert r["bytes"] > 0
         # Flat columns: a few dozen containers, not one per edge.
         assert r["snapshot_containers"] < 100 < r["live_edges"]
+
+
+@pytest.mark.bench_smoke
+@pytest.mark.skipif(
+    os.environ.get("REPRO_BENCH_SMOKE") == "0",
+    reason="REPRO_BENCH_SMOKE=0 explicitly disables the bench smoke run",
+)
+def test_bench_state_smoke(tmp_path):
+    out = tmp_path / "bench_state.json"
+    env = dict(os.environ)
+    if not env.get("REPRO_BENCH_SMOKE"):
+        env["REPRO_BENCH_SMOKE"] = "1"
+    env["PYTHONPATH"] = str(REPO / "src")
+    proc = subprocess.run(
+        [sys.executable, str(BENCH_STATE), "--label", "smoke", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=str(REPO),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+    record = json.loads(out.read_text())["smoke"]
+    assert record["smoke"] is True and record["cpu_count"] >= 1
+    rows = record["rows"]
+    assert {(r["stream"], r["m"]) for r in rows} == {("churn", 2**11), ("window", 2**11)}
+    for r in rows:
+        assert r["certified"] is True
+        assert r["epoch_bound_asserted"] is True and r["epoch_bound_held"] is True
+        assert r["epochs_per_live_match"] <= 2.5
+        assert r["work_per_update"] > 0 and r["interned_per_live_vertex"] >= 1
