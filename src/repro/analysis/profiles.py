@@ -6,12 +6,12 @@ into the coarse phases of Fig. 2, giving the breakdown the §5 analysis
 reasons about (light vs heavy vs final work, data-structure overhead).
 
 The per-tag counters live in two equivalent places: the ledger's own
-``by_tag`` dict (ground truth) and — when the observability bridge is
-attached (:class:`repro.obs.LedgerBridge`) — the
-``repro_ledger_work_by_tag_total`` metric family, which mirrors every
-charge one-for-one.  :func:`work_profile` accepts either source, so a
-live service can compute the E13 phase attribution from a metrics scrape
-without touching the algorithm.
+``by_tag`` dict (ground truth) and the ``repro_ledger_work_by_tag_total``
+metric family, which :func:`repro.workloads.runner.run_stream` advances
+by each batch's ``by_tag`` delta when it observes a
+:class:`~repro.core.DynamicMatching`.  :func:`work_profile` accepts
+either source, so a live service can compute the E13 phase attribution
+from a metrics scrape without touching the algorithm.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Dict, List, Tuple
 
 from repro.parallel.ledger import Ledger
 
-#: Metric family the ledger bridge mirrors per-tag work into.
+#: Metric family the observer publishes per-batch per-tag work into.
 WORK_BY_TAG_METRIC = "repro_ledger_work_by_tag_total"
 
 # tag -> coarse phase
@@ -66,21 +66,16 @@ def tag_work(source) -> Dict[str, float]:
     """Per-tag work from either accounting source.
 
     ``source`` is a :class:`Ledger` (reads ``by_tag`` directly) or a
-    :class:`repro.obs.MetricsRegistry` (reads the mirrored
+    :class:`repro.obs.MetricsRegistry` (reads the published
     ``repro_ledger_work_by_tag_total`` family; empty dict when the
-    bridge never ran).  The bridge's ``"untagged"`` pseudo-tag is
-    excluded — it has no phase, matching ``by_tag`` semantics.
+    registry has none).
     """
     if isinstance(source, Ledger):
         return dict(source.by_tag)
     fam = source.get(WORK_BY_TAG_METRIC)
     if fam is None:
         return {}
-    return {
-        labels["tag"]: child.value
-        for labels, child in fam.samples()
-        if labels["tag"] != "untagged"
-    }
+    return {labels["tag"]: child.value for labels, child in fam.samples()}
 
 
 def work_profile(source) -> List[Tuple[str, float, float]]:

@@ -119,7 +119,7 @@ def _setup_observability(args: argparse.Namespace):
     ``run`` and ``serve`` commands share.  Returns (observer, teardown)."""
     from repro.obs import Observer, start_metrics_server
 
-    obs = Observer(bridge=True)
+    obs = Observer()
     detach_native = obs.attach_native_kernels()
     server = None
     if getattr(args, "metrics_port", None) is not None:
@@ -145,8 +145,7 @@ def _fastpath_summary(algo) -> None:
         return
     print(
         f"fast path: vector_batches={vs['vector_batches']}   "
-        f"object_batches={vs['object_batches']}   "
-        f"kernel_fallbacks={vs['kernel_fallbacks']}"
+        f"object_batches={vs['object_batches']}"
     )
     from repro import native
 
@@ -221,8 +220,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _fastpath_summary(algo)
     if args.check:
         print("maximality verified after every batch ✓")
-    # The profile reads the metrics registry (the ledger bridge mirrors
-    # every per-tag charge), exercising the same path a scraper sees.
+    # The profile reads the metrics registry (run_stream publishes each
+    # batch's per-tag ledger work), exercising the same path a scraper sees.
     rows = [
         [phase, round(work), f"{frac * 100:.1f}%"]
         for phase, work, frac in work_profile(obs.registry)

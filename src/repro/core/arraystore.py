@@ -29,7 +29,14 @@ bit-identical ledger totals on either backend (tier-1 locks this in via
 ``tests/core/test_determinism.py``).  Where the old backend charged one
 ledger call per element inside a uniform-depth parallel loop, this backend
 issues a single :meth:`~repro.parallel.ledger.Ledger.charge_parallel`
-per batch, which is equivalent by construction.
+per batch, which is equivalent by construction.  The structure edits go
+further: they accumulate their charges locally and apply them by direct
+field arithmetic on the ledger (``work``, the open frame's depth,
+``by_tag``): one charge route, whichever size route a call takes
+(docs/hotpath.md, "Route selection").  That is exact only for the
+base :class:`~repro.parallel.ledger.Ledger`, so the constructor rejects
+any other ledger type; the dict oracle keeps the ``charge()`` protocol
+for any ledger.
 
 Two deliberate representation choices follow from parity, not speed:
 
@@ -37,8 +44,9 @@ Two deliberate representation choices follow from parity, not speed:
   order feeds the greedy matcher's priority assignment, so ordering is
   part of observable determinism;
 * P(v, l) stays keyed per-vertex first (``{v: {level: bucket}}``): the
-  level-dict insertion order determines ``cross_edges_below`` output
-  order, which the old backend inherits from bucket creation history.
+  level-dict insertion order determines the adjust scan's output order
+  (the dict oracle's ``cross_edges_below``), which the oracle inherits
+  from bucket creation history.
 
 White-box compatibility: tests (and :mod:`repro.core.snapshot` /
 :mod:`repro.core.diagnostics`) poke ``structure.recs``, ``rec.type``,
@@ -352,16 +360,15 @@ class ArrayLeveledStructure:
     ) -> None:
         if rank < 1:
             raise ValueError("rank must be >= 1")
+        if type(ledger) is not Ledger:
+            # The edits apply their pre-accumulated charges by direct
+            # field arithmetic, which is exact only for the base class.
+            raise TypeError(
+                f"the array backend needs a plain Ledger, got "
+                f"{type(ledger).__name__}; the dict backend takes any Ledger"
+            )
         self.rank = rank
         self.ledger = ledger
-        # When the ledger is exactly the base class, the hot paths apply
-        # their (pre-accumulated) charges by direct field arithmetic —
-        # identical totals, no per-charge call overhead.  Subclasses
-        # (NullLedger, instrumented ledgers) keep the charge() protocol,
-        # and so does a base ledger while a charge observer is attached
-        # (checked per bulk operation): the observability bridge must see
-        # every charge, and both branches produce bit-identical totals.
-        self._fast = type(ledger) is Ledger
         self.alpha = alpha
         self.heavy_factor = heavy_factor
         # eid -> slot; dict insertion order == registration order, which the
@@ -514,6 +521,8 @@ class ArrayLeveledStructure:
             raise ValueError(
                 f"edge {eid} has cardinality {card} > rank bound {self.rank}"
             )
+        if not fits_int64((eid,)):
+            self.interner.wide = True
         if self._free:
             i = self._free.pop()
             self._edge[i] = edge
@@ -572,6 +581,11 @@ class ArrayLeveledStructure:
         ids = [e.eid for e in edges]
         verts = [e.vertices for e in edges]
         n = len(ids)
+        if n and not fits_int64(ids):
+            # No raw-id frame column can hold this edge id: flag it
+            # before anything registers, so every later call takes the
+            # per-edge route (DynamicMatching._columnar).
+            self.interner.wide = True
         if (
             len(set(ids)) != n
             or not slot.keys().isdisjoint(ids)
@@ -645,16 +659,6 @@ class ArrayLeveledStructure:
                 m0 += 1
         self.ledger.charge_parallel(n, work=sum(cards), depth=1, tag="register")
 
-    def unregister(self, eid: EdgeId) -> None:
-        i = self._slot.pop(eid)
-        card = self._card[i]
-        self._edge[i] = None
-        self._samples[i] = None
-        self._cross[i] = None
-        self._free.append(i)
-        self._vd_live -= card
-        self.ledger.charge(work=card, depth=1, tag="register")
-
     def unregister_batch(self, eids: Sequence[EdgeId]) -> None:
         if self.phase_hook is not None:
             self.phase_hook("structure.unregister_batch")
@@ -703,9 +707,6 @@ class ArrayLeveledStructure:
                 ua(eid)
         return matched, unmatched
 
-    def owner_of(self, eid: EdgeId) -> Optional[EdgeId]:
-        return self._owner[self._slot[eid]]
-
     def edge_of(self, eid: EdgeId) -> Edge:
         return self._edge[self._slot[eid]]
 
@@ -720,13 +721,9 @@ class ArrayLeveledStructure:
         owner = self._owner
         return ((eid, owner[i]) for eid, i in self._slot.items())
 
-    def is_free_edge(self, edge: Edge) -> bool:
-        self.ledger.charge(work=edge.cardinality, depth=1, tag="free_check")
-        p = self._p
-        return all(p.get(v) is None for v in edge.vertices)
-
     def free_flags(self, edges: Sequence[Edge], frame=None) -> List[bool]:
-        """Batched ``is_free_edge``: one parallel region, one charge.
+        """Per-edge "all vertices uncovered" flags: one parallel region,
+        one charge.
 
         With a :class:`~repro.parallel.frames.BatchFrame` over ``edges``,
         the per-edge vertex loops collapse to one covered-lookup sweep
@@ -777,17 +774,8 @@ class ArrayLeveledStructure:
     # ------------------------------------------------------------------ #
     # isHeavy (Fig. 2)
     # ------------------------------------------------------------------ #
-    def is_heavy(self, rec: _RecProxy) -> bool:
-        i = self._slot[rec.eid]
-        cd = self._cross[i]
-        if cd is None:
-            raise ValueError(f"edge {rec.eid} is not matched")
-        threshold = self.heavy_factor * (self.rank**2) * (self.alpha ** self._level[i])
-        self.ledger.charge(work=1, depth=1, tag="is_heavy")
-        return len(cd) >= threshold
-
     def heavy_flags(self, mids: Sequence[EdgeId]) -> List[bool]:
-        """Batched ``is_heavy``: one parallel region, one charge."""
+        """isHeavy per match: one parallel region, one charge."""
         base = self.heavy_factor * (self.rank**2)
         alpha = self.alpha
         slot = self._slot
@@ -851,74 +839,9 @@ class ArrayLeveledStructure:
                 led.charge(work=cap * _GROW_AT, depth=log2ceil(max(n, 2)), tag="dict_rehash")
             b[1] = cap
 
-    def _P_discard(self, v: Vertex, level: int, eid: EdgeId) -> None:
-        Pv = self._P.get(v)
-        if Pv is None:
-            return
-        b = Pv.get(level)
-        if b is None:
-            return
-        led = self.ledger
-        d = b[0]
-        led.charge(work=1, depth=log2ceil(len(d) + 1) if d else 1, tag="dict_batch")
-        d.pop(eid, None)
-        n = len(d)
-        cap = b[1]
-        if cap > _MIN_CAP and n < cap * _SHRINK_AT:
-            while cap > _MIN_CAP and n < cap * _SHRINK_AT:
-                cap //= 2
-                led.charge(work=max(n, 1), depth=log2ceil(max(n, 2)), tag="dict_rehash")
-            b[1] = cap
-        if not d:
-            del Pv[level]
-
     # ------------------------------------------------------------------ #
     # The four structure edits (Fig. 2, left column)
     # ------------------------------------------------------------------ #
-    def add_match(self, edge: Edge, samples: Sequence[Edge]) -> _RecProxy:
-        self.install_match(edge, samples)
-        return _RecProxy(self, self._slot[edge.eid])
-
-    def install_match(self, edge: Edge, samples: Sequence[Edge]) -> int:
-        """addMatch(m, S_e); returns the new match's level."""
-        eid = edge.eid
-        i = self._slot[eid]
-        if eid in self.matched:
-            raise ValueError(f"edge {eid} is already matched")
-        if not any(s.eid == eid for s in samples):
-            raise ValueError("a match must belong to its own sample space")
-        self.matched.add(eid)
-        k = len(samples)
-        sd, self._scap[i] = self._new_set([s.eid for s in samples])
-        self._samples[i] = (eid,) if len(sd) == 1 else sd
-        self._cross[i] = ()
-        self._ccap[i] = _MIN_CAP
-        self._settle[i] = k
-        lvl = level_of(k, self.alpha)
-        self._level[i] = lvl
-        slot = self._slot
-        tarr = self._type
-        oarr = self._owner
-        oslc = self._ownslot
-        for s in samples:
-            j = slot[s.eid]
-            tarr[j] = _T_SAMPLED
-            oarr[j] = eid
-            oslc[j] = i
-        tarr[i] = _T_MATCHED
-        oarr[i] = eid
-        oslc[i] = i
-        p = self._p
-        pcol = self._pcol
-        vid = self.interner._index
-        for v in edge.vertices:
-            p[v] = eid
-            pcol[vid[v]] = i
-        self.ledger.charge(
-            work=k + edge.cardinality, depth=log2ceil(max(k, 2)), tag="add_match"
-        )
-        return lvl
-
     def add_level0_batch(self, edges: Sequence[Edge]) -> None:
         """Batched addMatch(e, {e}) for freshly matched level-0 edges.
 
@@ -1107,33 +1030,25 @@ class ArrayLeveledStructure:
         no = len(owned)
         d_total += (no - 1).bit_length() if no > 1 else 1
         led = self.ledger
-        if self._fast and led._observer is None:
-            led.work += w_elems + w_batch + w_rehash + w_rm
-            led._stack[-1].depth += d_total
-            bt = led.by_tag
-            if w_elems:
-                bt["dict_elements"] = bt.get("dict_elements", 0.0) + w_elems
-            if w_batch:
-                bt["dict_batch"] = bt.get("dict_batch", 0.0) + w_batch
-            if w_rehash:
-                bt["dict_rehash"] = bt.get("dict_rehash", 0.0) + w_rehash
-            bt["remove_match"] = bt.get("remove_match", 0.0) + w_rm
-        else:
-            if w_elems:
-                led.charge(work=w_elems, depth=0.0, tag="dict_elements")
-            if w_batch:
-                led.charge(work=w_batch, depth=0.0, tag="dict_batch")
-            if w_rehash:
-                led.charge(work=w_rehash, depth=0.0, tag="dict_rehash")
-            led.charge(work=w_rm, depth=d_total, tag="remove_match")
+        led.work += w_elems + w_batch + w_rehash + w_rm
+        led._stack[-1].depth += d_total
+        bt = led.by_tag
+        if w_elems:
+            bt["dict_elements"] = bt.get("dict_elements", 0.0) + w_elems
+        if w_batch:
+            bt["dict_batch"] = bt.get("dict_batch", 0.0) + w_batch
+        if w_rehash:
+            bt["dict_rehash"] = bt.get("dict_rehash", 0.0) + w_rehash
+        bt["remove_match"] = bt.get("remove_match", 0.0) + w_rm
         return out
 
     def add_cross_edge(self, edge: Edge) -> None:
         """addCrossEdge(e): attach e to the max-level incident match.
 
-        Charges are accumulated locally and applied once at the end; the
-        arithmetic is exact (all amounts are integer-valued), so the
-        totals match the per-operation charge sequence to the bit.
+        Charges are accumulated locally and applied once at the end by
+        direct field arithmetic; the arithmetic is exact (all amounts are
+        integer-valued), so the totals match the dict oracle's
+        per-operation charge sequence to the bit.
         """
         eid = edge.eid
         slot = self._slot
@@ -1199,104 +1114,13 @@ class ArrayLeveledStructure:
         card = self._card[i]
         d_total += 1
         led = self.ledger
-        if self._fast and led._observer is None:
-            led.work += w_batch + w_rehash + card
-            led._stack[-1].depth += d_total
-            bt = led.by_tag
-            bt["dict_batch"] = bt.get("dict_batch", 0.0) + w_batch
-            if w_rehash:
-                bt["dict_rehash"] = bt.get("dict_rehash", 0.0) + w_rehash
-            bt["add_cross_edge"] = bt.get("add_cross_edge", 0.0) + card
-        else:
-            led.charge(work=w_batch, depth=d_total, tag="dict_batch")
-            if w_rehash:
-                led.charge(work=w_rehash, depth=0.0, tag="dict_rehash")
-            led.charge(work=card, depth=0.0, tag="add_cross_edge")
-
-    def remove_cross_edge(self, edge: Edge) -> None:
-        """removeCrossEdge(e): detach a cross edge from owner and indexes."""
-        eid = edge.eid
-        slot = self._slot
-        i = slot[eid]
-        if self._type[i] != _T_CROSS:
-            raise ValueError(f"edge {eid} is not a cross edge")
-        oi = slot[self._owner[i]]
-        lvl = self._level[oi]
-        cd = self._cross[oi]
-        n = len(cd)
-        w_batch = 1.0
-        w_rehash = 0.0
-        d_total = (n.bit_length() if n >= 2 else 1)
-        cd.pop(eid, None)
-        n = len(cd)
-        cap = self._ccap[oi]
-        if cap > _MIN_CAP and n < cap * _SHRINK_AT:
-            ws = max(n, 1)
-            ds = (n - 1).bit_length() if n > 1 else 1
-            while cap > _MIN_CAP and n < cap * _SHRINK_AT:
-                cap //= 2
-                w_rehash += ws
-                d_total += ds
-            self._ccap[oi] = cap
-        P = self._P
-        for v in edge.vertices:
-            Pv = P.get(v)
-            if Pv is None:
-                continue
-            b = Pv.get(lvl)
-            if b is None:
-                continue
-            d = b[0]
-            nd = len(d)
-            w_batch += 1.0
-            d_total += nd.bit_length() if nd >= 2 else 1
-            d.pop(eid, None)
-            nd = len(d)
-            cap = b[1]
-            if cap > _MIN_CAP and nd < cap * _SHRINK_AT:
-                ws = max(nd, 1)
-                ds = (nd - 1).bit_length() if nd > 1 else 1
-                while cap > _MIN_CAP and nd < cap * _SHRINK_AT:
-                    cap //= 2
-                    w_rehash += ws
-                    d_total += ds
-                b[1] = cap
-            if not d:
-                del Pv[lvl]
-        self._type[i] = _T_UNSETTLED
-        self._owner[i] = None
-        self._ownslot[i] = -1
-        card = self._card[i]
-        d_total += 1
-        led = self.ledger
-        if self._fast and led._observer is None:
-            led.work += w_batch + w_rehash + card
-            led._stack[-1].depth += d_total
-            bt = led.by_tag
-            bt["dict_batch"] = bt.get("dict_batch", 0.0) + w_batch
-            if w_rehash:
-                bt["dict_rehash"] = bt.get("dict_rehash", 0.0) + w_rehash
-            bt["remove_cross_edge"] = bt.get("remove_cross_edge", 0.0) + card
-        else:
-            led.charge(work=w_batch, depth=d_total, tag="dict_batch")
-            if w_rehash:
-                led.charge(work=w_rehash, depth=0.0, tag="dict_rehash")
-            led.charge(work=card, depth=0.0, tag="remove_cross_edge")
-
-    def detach_unmatched(self, eid: EdgeId) -> None:
-        """Detach an unmatched deleted edge (cross or sampled)."""
-        i = self._slot[eid]
-        t = self._type[i]
-        if t == _T_CROSS:
-            self.remove_cross_edge(self._edge[i])
-        elif t == _T_SAMPLED:
-            # Lazy: leave the owner's level alone, just shrink S.
-            self.sample_discard(self._owner[i], eid)
-            self._type[i] = _T_UNSETTLED
-            self._owner[i] = None
-            self._ownslot[i] = -1
-        else:  # pragma: no cover — structure guarantees settled types
-            raise AssertionError(f"unsettled edge {eid} in structure")
+        led.work += w_batch + w_rehash + card
+        led._stack[-1].depth += d_total
+        bt = led.by_tag
+        bt["dict_batch"] = bt.get("dict_batch", 0.0) + w_batch
+        if w_rehash:
+            bt["dict_rehash"] = bt.get("dict_rehash", 0.0) + w_rehash
+        bt["add_cross_edge"] = bt.get("add_cross_edge", 0.0) + card
 
     # ------------------------------------------------------------------ #
     # Sample-set helpers
@@ -1310,84 +1134,27 @@ class ArrayLeveledStructure:
         edge = self._edge
         return [edge[slot[sid]] for sid in sd]
 
-    def sample_discard(self, mid: EdgeId, eid: EdgeId) -> None:
-        """Delete ``eid`` from S(mid) — BatchSet.delete_one charges."""
-        i = self._slot[mid]
-        sd = self._samples[i]
-        n = len(sd)
-        d_total = n.bit_length() if n >= 2 else 1
-        w_rehash = 0.0
-        if sd.__class__ is tuple:
-            sd = self._samples[i] = _small_discard(sd, eid)
-        else:
-            sd.pop(eid, None)
-        n = len(sd)
-        cap = self._scap[i]
-        if cap > _MIN_CAP and n < cap * _SHRINK_AT:
-            ws = max(n, 1)
-            ds = (n - 1).bit_length() if n > 1 else 1
-            while cap > _MIN_CAP and n < cap * _SHRINK_AT:
-                cap //= 2
-                w_rehash += ws
-                d_total += ds
-            self._scap[i] = cap
-        led = self.ledger
-        if self._fast and led._observer is None:
-            led.work += 1.0 + w_rehash
-            led._stack[-1].depth += d_total
-            bt = led.by_tag
-            bt["dict_batch"] = bt.get("dict_batch", 0.0) + 1.0
-            if w_rehash:
-                bt["dict_rehash"] = bt.get("dict_rehash", 0.0) + w_rehash
-        else:
-            led.charge(work=1, depth=d_total, tag="dict_batch")
-            if w_rehash:
-                led.charge(work=w_rehash, depth=0.0, tag="dict_rehash")
-
-    # ------------------------------------------------------------------ #
-    # P(v, l) scan
-    # ------------------------------------------------------------------ #
-    def _level_index_add(self, v: Vertex, level: int, eid: EdgeId) -> None:
-        self._P_add(v, level, eid)
-
-    def _level_index_discard(self, v: Vertex, level: int, eid: EdgeId) -> None:
-        self._P_discard(v, level, eid)
-
-    def cross_edges_below(self, v: Vertex, level: int) -> List[EdgeId]:
-        led = self.ledger
-        out: List[EdgeId] = []
-        Pv = self._P.get(v)
-        if Pv:
-            for lvl, b in Pv.items():
-                if lvl < level:
-                    d = b[0]
-                    n = len(d)
-                    led.charge(work=max(n, 1), depth=log2ceil(max(n, 2)), tag="dict_elements")
-                    out.extend(d)
-        led.charge(work=max(len(out), 1), depth=log2ceil(max(len(out), 2)), tag="level_scan")
-        return out
-
     # ------------------------------------------------------------------ #
     # Batched structure edits (vectorized dynamic pipeline)
     # ------------------------------------------------------------------ #
     #
-    # Each ``*_batch`` method replays the exact mutations of its scalar
-    # counterpart over a whole batch, but prices the batch the way
-    # ``parallel_for(ledger, items, scalar_op)`` does: per-tag work summed
+    # Each ``*_batch`` method replays the exact mutations of the dict
+    # oracle's per-edge op over a whole batch, but prices the batch the
+    # way ``parallel_for(ledger, items, op)`` does: per-tag work summed
     # across branches, region depth = MAX branch depth.  A plain Ledger
     # only keeps order-insensitive totals, so the single aggregated
-    # emission is bit-identical to running the scalar region.  With an
-    # observer attached (or a subclassed ledger) the methods literally
-    # run that parallel_for — the *per-edge route* — so the observer sees
-    # every individual charge.  ``add_cross_edge_batch`` and
-    # ``remove_match_batch`` also take the per-edge route for calls below
-    # ``native.VEC_MIN`` items and when their edit kernel bails out.
+    # emission is bit-identical to running the per-edge region.
+    # ``add_cross_edge_batch`` and ``remove_match_batch`` take the
+    # per-edge route (``parallel_for`` over ``add_cross_edge`` /
+    # ``remove_match``) for calls below ``native.VEC_MIN`` items and
+    # when their edit kernel bails out.
 
     def _rce_acc(self, edge: Edge) -> Tuple[float, float, int, int]:
-        """``remove_cross_edge`` mutations without charge emission.
+        """removeCrossEdge(e): detach a cross edge from its owner and the
+        P index, without charge emission.
 
         Returns ``(w_batch, w_rehash, card, branch_depth)`` — exactly the
-        amounts the scalar op would charge — for the batch callers to
+        amounts the per-edge op would charge — for the batch callers to
         accumulate (sum the work, max the depth).
         """
         eid = edge.eid
@@ -1444,7 +1211,8 @@ class ArrayLeveledStructure:
         return w_batch, w_rehash, self._card[i], bd + 1
 
     def _sdisc_acc(self, mid: EdgeId, eid: EdgeId) -> Tuple[float, int]:
-        """``sample_discard`` mutations without charge emission.
+        """Delete ``eid`` from S(mid) (``BatchSet.delete_one``), without
+        charge emission.
 
         Returns ``(w_rehash, branch_depth)``; the op's dict_batch work is
         always exactly 1.
@@ -1592,28 +1360,19 @@ class ArrayLeveledStructure:
 
     def add_cross_edge_batch(self, edges: Sequence[Edge]) -> None:
         """Batched ``add_cross_edge`` over one parallel region: the edit
-        kernels for large calls on an unobserved plain ledger, else
-        (or when the kernel bails out) the per-edge route."""
+        kernels for large calls, else (or when the kernel bails out) the
+        per-edge route."""
         if not edges:
             return
-        led = self.ledger
-        if (
-            self._fast
-            and led._observer is None
-            and self._kernels_on(len(edges))
-            and self._kernel_add_cross(edges)
-        ):
+        if self._kernels_on(len(edges)) and self._kernel_add_cross(edges):
             return
-        parallel_for(led, edges, self.add_cross_edge)
+        parallel_for(self.ledger, edges, self.add_cross_edge)
 
     def remove_cross_edge_batch(self, edges: Sequence[Edge]) -> None:
-        """Batched ``remove_cross_edge`` over one parallel region."""
+        """Batched removeCrossEdge over one parallel region."""
         if not edges:
             return
         led = self.ledger
-        if not (self._fast and led._observer is None):
-            parallel_for(led, edges, self.remove_cross_edge)
-            return
         w_batch = 0.0
         w_rehash = 0.0
         w_card = 0.0
@@ -1634,13 +1393,12 @@ class ArrayLeveledStructure:
         bt["remove_cross_edge"] = bt.get("remove_cross_edge", 0.0) + w_card
 
     def detach_unmatched_batch(self, eids: Sequence[EdgeId]) -> None:
-        """Batched ``detach_unmatched`` over one parallel region."""
+        """Detach unmatched deleted edges over one parallel region: a
+        cross edge leaves its owner and the P index; a sampled edge
+        leaves its owner's S (lazy: the owner's level does not move)."""
         if not eids:
             return
         led = self.ledger
-        if not (self._fast and led._observer is None):
-            parallel_for(led, eids, self.detach_unmatched)
-            return
         slot = self._slot
         tarr = self._type
         oarr = self._owner
@@ -1679,13 +1437,10 @@ class ArrayLeveledStructure:
             bt["remove_cross_edge"] = bt.get("remove_cross_edge", 0.0) + w_cross
 
     def sample_discard_self_batch(self, mids: Sequence[EdgeId]) -> None:
-        """Batched ``sample_discard(mid, mid)`` over one parallel region."""
+        """Discard each match from its own S(m) over one parallel region."""
         if not mids:
             return
         led = self.ledger
-        if not (self._fast and led._observer is None):
-            parallel_for(led, mids, lambda mid: self.sample_discard(mid, mid))
-            return
         # _sdisc_acc inlined: this runs once per matched deletion, and the
         # call overhead is measurable at delete-heavy batch sizes.
         slot = self._slot
@@ -1727,9 +1482,6 @@ class ArrayLeveledStructure:
         if not mids:
             return []
         led = self.ledger
-        if not (self._fast and led._observer is None):
-            subs = parallel_for(led, mids, self.samples_of)
-            return [e for sub in subs for e in sub]
         slot = self._slot
         edge = self._edge
         samples = self._samples
@@ -1908,25 +1660,20 @@ class ArrayLeveledStructure:
         Same route rule as :meth:`add_cross_edge_batch`."""
         if not eids:
             return []
-        led = self.ledger
-        if self._fast and led._observer is None and self._kernels_on(len(eids)):
+        if self._kernels_on(len(eids)):
             out = self._kernel_remove_match(eids)
             if out is not None:
                 return out
-        subs = parallel_for(led, eids, self.remove_match)
+        subs = parallel_for(self.ledger, eids, self.remove_match)
         return [e for sub in subs for e in sub]
 
     def install_match_batch(self, matches: Sequence) -> List[int]:
-        """Batched ``install_match`` over ``Matched(edge, samples)`` records;
-        returns the new level per match (epoch births stay with the caller,
-        which charges nothing for them)."""
+        """addMatch(m, S_m) over ``Matched(edge, samples)`` records, as one
+        parallel region; returns the new level per match (epoch births
+        stay with the caller, which charges nothing for them)."""
         if not matches:
             return []
         led = self.ledger
-        if not (self._fast and led._observer is None):
-            return parallel_for(
-                led, matches, lambda mt: self.install_match(mt.edge, mt.samples)
-            )
         slot = self._slot
         tarr = self._type
         oarr = self._owner
@@ -1998,19 +1745,11 @@ class ArrayLeveledStructure:
     def adjust_scan_batch(self, new_matches: Sequence[Edge]) -> List[EdgeId]:
         """Batched adjustCrossEdges scan: for each new match, the cross
         edges sitting below its level around its vertices
-        (``cross_edges_below`` per vertex), concatenated in scan order."""
+        (the dict oracle's ``cross_edges_below`` per vertex),
+        concatenated in scan order."""
         if not new_matches:
             return []
         led = self.ledger
-        if not (self._fast and led._observer is None):
-            def _scan(m_edge: Edge) -> List[EdgeId]:
-                lvl = self._level[self._slot[m_edge.eid]]
-                sub: List[EdgeId] = []
-                for v in m_edge.vertices:
-                    sub.extend(self.cross_edges_below(v, lvl))
-                return sub
-            subs = parallel_for(led, new_matches, _scan)
-            return [x for sub in subs for x in sub]
         slot = self._slot
         level = self._level
         P = self._P

@@ -50,7 +50,6 @@ from repro.core.level_structure import EdgeType, LeveledStructure
 from repro.native import ColumnArena
 from repro.parallel.frames import BatchFrame
 from repro.static_matching.parallel_greedy import (
-    _ledger_compatible,
     parallel_greedy_match,
     should_vectorize,
 )
@@ -89,11 +88,11 @@ class DynamicMatching:
         of at least :data:`repro.native.VEC_MIN` items take the columnar
         route (:class:`~repro.parallel.frames.BatchFrame`, the vector
         matcher, the edit kernels), smaller calls the scalar matcher and
-        the per-edge edits.  A charge observer forces the scalar route
-        wherever the columnar one would aggregate charges, so the
-        observer sees the unchanged charge stream (counted in
-        ``vec_stats["kernel_fallbacks"]``).
-        The dict backend keeps the per-edge pipeline throughout.
+        the per-edge edits.  On both routes the structure edits apply
+        their charges by direct field arithmetic, so the array backend
+        takes only a plain :class:`Ledger` (``TypeError`` otherwise).
+        The dict backend keeps the per-edge pipeline and the
+        ``charge()`` protocol throughout, for any ledger.
 
     Notes
     -----
@@ -122,14 +121,13 @@ class DynamicMatching:
         self.backend = backend
         self._vec = backend == "array"
         #: Fast-path accounting, surfaced through observability
-        #: (repro_dynamic_batch_* metrics): BatchFrames built, batches that
-        #: took the vector vs the object path, and batches that *wanted*
-        #: the vector path but fell back (charge observer attached).
+        #: (repro_dynamic_batch_* metrics): BatchFrames built, and batches
+        #: applied by the array backend vs the dict oracle's per-edge
+        #: pipeline.
         self.vec_stats: Dict[str, int] = {
             "frames": 0,
             "vector_batches": 0,
             "object_batches": 0,
-            "kernel_fallbacks": 0,
         }
         #: Per-instance scratch arena backing the fast path's transient
         #: columns (frames, matcher ev/done/CSR offsets) — reused across
@@ -224,14 +222,8 @@ class DynamicMatching:
     # ------------------------------------------------------------------ #
     def _count_batch(self) -> None:
         """Per-batch vec_stats accounting (no ledger charges)."""
-        if self._vec:
-            if _ledger_compatible(self.ledger):
-                self.vec_stats["vector_batches"] += 1
-            else:
-                self.vec_stats["object_batches"] += 1
-                self.vec_stats["kernel_fallbacks"] += 1
-        else:
-            self.vec_stats["object_batches"] += 1
+        key = "vector_batches" if self._vec else "object_batches"
+        self.vec_stats[key] += 1
 
     def _attach_dense(self, frame: BatchFrame) -> None:
         """Attach the structure's interned dense-id column to ``frame``.
@@ -249,10 +241,11 @@ class DynamicMatching:
     def _columnar(self, n: int) -> bool:
         """Whether a call of ``n`` edges takes the columnar route: the
         array backend at :func:`should_vectorize` sizes, unless a vertex
-        id outside int64 (which no raw-id frame column can hold) has
-        been seen — then every call takes the charge-identical per-edge
-        route.  The interner flags such a vertex when it first registers,
-        before any frame could be built over it."""
+        or edge id outside int64 (which no raw-id frame column can hold)
+        has been seen — then every call takes the charge-identical
+        per-edge route.  The structure flags such an id on its interner
+        when it first registers, before any frame could be built over
+        it."""
         return (
             self._vec
             and should_vectorize(self.ledger, n)

@@ -3,19 +3,21 @@
 Dependency-free live telemetry for the serving system (see
 docs/observability.md).  The subsystem observes — it never feeds back:
 cost-ledger totals, matchings, and recovery certificates are bit-identical
-with observability on or off, a contract pinned by ``tests/obs/``.
+with observability on or off, a contract pinned by ``tests/obs/``.  It
+reads the ledger once per batch, never per charge, so an observed run
+takes the same code route as an unobserved one.
 
 Quick start::
 
     from repro.obs import Observer, start_metrics_server
 
-    obs = Observer(bridge=True)           # bridge mirrors per-tag ledger charges
-    detach = obs.attach_matching(dm)      # phase events + ledger bridge
+    obs = Observer()
     server = start_metrics_server(obs.registry, port=9100)
-    run_stream(dm, stream, observer=obs)  # batch spans + per-batch metrics
+    run_stream(dm, stream, observer=obs)  # batch spans + per-batch metrics,
+                                          # per-tag work from each batch's
+                                          # ledger.by_tag delta
 """
 
-from repro.obs.bridge import LedgerBridge
 from repro.obs.exporters import (
     CONTENT_TYPE,
     JsonlEventLog,
@@ -47,7 +49,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JsonlEventLog",
-    "LedgerBridge",
     "MetricError",
     "MetricFamily",
     "MetricsRegistry",

@@ -1,16 +1,15 @@
-"""The Observer: one handle wiring registry + tracer + bridge + sinks.
+"""The Observer: one handle wiring registry + tracer + sinks.
 
 An :class:`Observer` owns a :class:`MetricsRegistry` and a
 :class:`Tracer`, declares the standard metric catalog
-(docs/observability.md), and knows how to attach itself to the two
-instrumentation surfaces the core exposes:
-
-* the **phase hooks** of :class:`~repro.core.DynamicMatching` and
-  :class:`~repro.durability.DurabilityManager` (chained, so a previously
-  installed hook — e.g. a fault injector — keeps firing), and
-* the **ledger observer** of :class:`~repro.parallel.ledger.Ledger`
-  via :class:`~repro.obs.bridge.LedgerBridge` (opt-in: per-charge
-  mirroring costs more than per-batch sampling).
+(docs/observability.md), and chains onto the **phase hooks** of
+:class:`~repro.core.DynamicMatching` and
+:class:`~repro.durability.DurabilityManager` (so a previously installed
+hook — e.g. a fault injector — keeps firing).  It never touches a
+ledger: per-batch figures arrive through :meth:`Observer.finish_batch`,
+the per-tag work series as the ``by_tag`` delta the caller measured
+around the batch, so observation does no work per charge and changes
+no route.
 
 ``default_observer()`` returns the process-wide observer the workload
 runner emits batch spans into when the caller does not supply one —
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.obs.bridge import LedgerBridge
 from repro.obs.exporters import JsonlEventLog
 from repro.obs.registry import (
     DEFAULT_SECONDS_BUCKETS,
@@ -48,7 +46,6 @@ class Observer:
         self,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        bridge: bool = False,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
@@ -88,6 +85,11 @@ class Observer:
         self.ledger_depth = reg.gauge(
             "repro_ledger_depth_total", "Cumulative composed ledger depth"
         )
+        self.work_by_tag = reg.counter(
+            "repro_ledger_work_by_tag_total",
+            "Ledger work charged, by accounting tag",
+            ("tag",),
+        )
         self.phase_events = reg.counter(
             "repro_phase_events_total", "Algorithm phase-hook events", ("phase",)
         )
@@ -97,9 +99,9 @@ class Observer:
         self.checkpoints = reg.counter(
             "repro_checkpoints_total", "Checkpoints written"
         )
-        # Vectorized dynamic fast path (docs/hotpath.md): how often the
-        # struct-of-arrays pipeline engaged vs fell back to the object
-        # (per-edge) pipeline, and the running vectorized fraction.
+        # Dynamic fast path (docs/hotpath.md): BatchFrames built, batches
+        # applied by the array backend vs the dict oracle's per-edge
+        # pipeline, and the running array-backend fraction.
         self.dynamic_frames = reg.counter(
             "repro_dynamic_batch_frames_total",
             "BatchFrames built by the vectorized dynamic pipeline",
@@ -111,11 +113,6 @@ class Observer:
         self.dynamic_object_batches = reg.counter(
             "repro_dynamic_batch_object_total",
             "Update batches that ran the object (per-edge) pipeline",
-        )
-        self.dynamic_kernel_fallbacks = reg.counter(
-            "repro_dynamic_batch_kernel_fallbacks_total",
-            "Vectorized-instance batches routed to the object pipeline "
-            "(ledger observed/incompatible)",
         )
         self.dynamic_vectorized_fraction = reg.gauge(
             "repro_dynamic_batch_vectorized_fraction",
@@ -135,11 +132,11 @@ class Observer:
             ("kernel",),
             buckets=KERNEL_SECONDS_BUCKETS,
         )
-        self.bridge: Optional[LedgerBridge] = (
-            LedgerBridge(self.registry) if bridge else None
-        )
         #: last-seen cumulative vec_stats (per-process; see observe_vec_stats)
         self._vec_last: dict = {}
+        #: tag -> its repro_ledger_work_by_tag_total child (one lookup per
+        #: published tag instead of a label-set validation)
+        self._tag_work: dict = {}
         # Batch wall-clock lands in the histogram when the span closes
         # (its duration is only known then).
         self.tracer.add_finish_sink(self._on_span_finish)
@@ -171,9 +168,8 @@ class Observer:
         self.tracer.event(name)
 
     def attach_matching(self, dm) -> Callable[[], None]:
-        """Chain onto ``dm``'s phase hook (and its ledger, if this
-        observer has a bridge).  Returns a zero-arg detach that restores
-        exactly what was installed before."""
+        """Chain onto ``dm``'s phase hook.  Returns a zero-arg detach
+        that restores exactly what was installed before."""
         prev = dm.phase_hook
         on_phase = self._on_phase
 
@@ -186,14 +182,8 @@ class Observer:
 
             dm.set_phase_hook(chained)
 
-        detach_bridge = (
-            self.bridge.attach(dm.ledger) if self.bridge is not None else None
-        )
-
         def detach() -> None:
             dm.set_phase_hook(prev)
-            if detach_bridge is not None:
-                detach_bridge()
 
         return detach
 
@@ -261,6 +251,7 @@ class Observer:
         ledger_work: Optional[float] = None,
         ledger_depth: Optional[float] = None,
         vec_stats: Optional[dict] = None,
+        tag_work: Optional[dict] = None,
     ) -> None:
         """Publish one batch's measurements: span attrs + metrics.
 
@@ -269,7 +260,13 @@ class Observer:
 
         ``vec_stats`` is a :class:`~repro.core.DynamicMatching`
         ``vec_stats`` snapshot (cumulative); the counters advance by the
-        delta since the last call so repeated publishing stays exact."""
+        delta since the last call so repeated publishing stays exact.
+
+        ``tag_work`` is this batch's per-tag ledger work (the change in
+        ``ledger.by_tag`` across the batch, measured by the caller); it
+        advances ``repro_ledger_work_by_tag_total``.  Being a per-batch
+        delta, it stays exact when several instances publish into one
+        observer."""
         span.set(
             work=work,
             depth=depth,
@@ -291,6 +288,13 @@ class Observer:
             self.ledger_depth.set(ledger_depth)
         if vec_stats is not None:
             self.observe_vec_stats(vec_stats)
+        if tag_work:
+            children = self._tag_work
+            for tag, w in tag_work.items():
+                child = children.get(tag)
+                if child is None:
+                    child = children[tag] = self.work_by_tag.labels(tag=tag)
+                child.inc(w)
 
     def observe_vec_stats(self, vec_stats: dict) -> None:
         """Advance the dynamic fast-path counters to a cumulative
@@ -300,7 +304,6 @@ class Observer:
             ("frames", self.dynamic_frames),
             ("vector_batches", self.dynamic_vector_batches),
             ("object_batches", self.dynamic_object_batches),
-            ("kernel_fallbacks", self.dynamic_kernel_fallbacks),
         ):
             cur = int(vec_stats.get(key, 0))
             delta = cur - last.get(key, 0)

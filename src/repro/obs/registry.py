@@ -181,12 +181,15 @@ class MetricFamily:
         """The child for one concrete label-value assignment (created on
         first use).  Label sets are isolated: distinct values never share
         state."""
-        if set(labelvalues) != set(self.labelnames):
+        try:
+            key = tuple([str(labelvalues[ln]) for ln in self.labelnames])
+        except KeyError:
+            key = None
+        if key is None or len(labelvalues) != len(self.labelnames):
             raise MetricError(
                 f"{self.name}: expected labels {self.labelnames}, "
                 f"got {tuple(sorted(labelvalues))}"
             )
-        key = tuple(str(labelvalues[ln]) for ln in self.labelnames)
         child = self._children.get(key)
         if child is None:
             child = (

@@ -6,7 +6,7 @@ events of :class:`~repro.core.DynamicMatching`) attach to whichever span
 is currently open.  Finished spans are kept in a bounded in-memory ring
 (the single source of truth :class:`repro.analysis.trace.RunTrace` reads
 from) and fanned out to sinks — the JSONL event log and the metrics
-registry bridge in :mod:`repro.obs.observer`.
+registry (the batch-seconds histogram) in :mod:`repro.obs.observer`.
 
 Span taxonomy (docs/observability.md):
 

@@ -29,8 +29,6 @@ dictionary
     Batch-parallel hash dictionary/set with doubling-halving amortization.
 findnext
     findNext via doubling then binary search (O(d) work, O(log d) depth).
-pool_exec
-    Optional real process-pool executor for round-synchronous loops.
 """
 
 from repro.parallel.ledger import Cost, Ledger, parallel_for

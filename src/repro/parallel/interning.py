@@ -15,13 +15,15 @@ from registered edges):
   O(n + |table|) with no sort, using a stamped scratch pair — the
   replacement for ``np.unique(..., return_inverse=True)``.
 
-The table also records whether any interned vertex lies outside the
-int64 range (``wide``).  Such a vertex cannot enter a raw-id ``int64``
-column, so a structure whose table is wide keeps its batches off the
-columnar route (:class:`~repro.parallel.frames.BatchFrame`, the vector
-matcher) — the per-edge route is charge-identical.  ``add_ids`` (the
-batch path) checks each fresh vertex once, at first sight; a structure
-that interns a vertex any other way checks it itself.
+The table also records whether any id its structure has seen lies
+outside the int64 range (``wide``): an interned vertex, or an edge id
+the structure registers beside it.  Such an id cannot enter a raw-id
+``int64`` column, so a structure whose table is wide keeps its batches
+off the columnar route (:class:`~repro.parallel.frames.BatchFrame`, the
+vector matcher) — the per-edge route is charge-identical.  ``add_ids``
+(the batch path) checks each fresh vertex once, at first sight; a
+structure checks the vertices it interns any other way, and its edge
+ids, itself.
 
 Local ids from ``localize`` number the batch's distinct vertices in
 ascending *dense-id* order, whereas ``np.unique`` numbers them in
@@ -34,8 +36,8 @@ either way — the array-vs-dict differential enforces exactly that.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-from typing import Dict, Hashable, Iterable, List, Tuple
+from itertools import repeat
+from typing import Dict, Hashable, List, Tuple
 
 import numpy as np
 
@@ -47,10 +49,10 @@ _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
 
-def fits_int64(vertices) -> bool:
-    """Whether every vertex of the non-empty collection fits in int64
-    (one C-level ``min``/``max`` pass)."""
-    return _I64_MIN <= min(vertices) and max(vertices) <= _I64_MAX
+def fits_int64(ids) -> bool:
+    """Whether every id (vertex or edge) of the non-empty collection fits
+    in int64 (one C-level ``min``/``max`` pass)."""
+    return _I64_MIN <= min(ids) and max(ids) <= _I64_MAX
 
 
 class VertexInterner:
@@ -60,7 +62,8 @@ class VertexInterner:
 
     def __init__(self) -> None:
         self._index: Dict[Hashable, int] = {}
-        #: Some interned vertex lies outside the int64 range.
+        #: Some interned vertex, or an edge id the owning structure
+        #: registered, lies outside the int64 range.
         self.wide = False
         self._stamp: np.ndarray = np.zeros(0, dtype=np.int64)
         self._label: np.ndarray = np.zeros(0, dtype=np.int32)
@@ -74,40 +77,13 @@ class VertexInterner:
         """Number of distinct vertices ever interned."""
         return len(self._index)
 
-    def add(self, vertex: Hashable) -> int:
-        """Intern one vertex, returning its dense id."""
-        idx = self._index
-        d = idx.get(vertex)
-        if d is None:
-            d = len(idx)
-            idx[vertex] = d
-        return d
-
-    def add_seq(self, vertices: Iterable[Hashable]) -> int:
-        """Intern every vertex in ``vertices``; returns new table size.
-
-        Only previously-unseen vertices cost dict inserts; the common
-        steady-state case (all vertices already interned) is a single
-        C-level membership sweep.
-        """
-        idx = self._index
-        missing = [v for v in vertices if v not in idx]
-        if missing:
-            n = len(idx)
-            # dedupe in first-occurrence order, then bulk-assign ids
-            fresh = dict.fromkeys(missing)
-            idx.update(zip(fresh, range(n, n + len(fresh))))
-        return len(idx)
-
     def add_ids(self, vertices: List[Hashable]) -> np.ndarray:
         """Intern-and-lookup in one pass: dense int32 ids for a list,
-        assigning fresh ids (first-occurrence order, same as
-        :meth:`add_seq`) to unseen vertices.
+        assigning fresh ids to unseen vertices in first-occurrence order.
 
         Steady state (every vertex known) costs a single C-level
-        ``dict.get`` sweep — half the dict traffic of ``add_seq`` +
-        ``ids_of``.  Dense ids are never −1, so −1 is a safe miss
-        sentinel.
+        ``dict.get`` sweep.  Dense ids are never −1, so −1 is a safe
+        miss sentinel.
         """
         idx = self._index
         dense = np.fromiter(
@@ -130,24 +106,9 @@ class VertexInterner:
             )
         return dense
 
-    def id_of(self, vertex: Hashable) -> int:
-        """Dense id of an interned vertex (KeyError when unknown)."""
-        return self._index[vertex]
-
     def get(self, vertex: Hashable):
         """Dense id of ``vertex`` or ``None`` when not interned."""
         return self._index.get(vertex)
-
-    def ids_of(self, vertices: List[Hashable]) -> np.ndarray:
-        """Vectorized lookup: dense int32 ids for a list of vertices.
-
-        All vertices must already be interned (KeyError otherwise).
-        """
-        return np.fromiter(
-            map(self._index.__getitem__, vertices),
-            dtype=np.int32,
-            count=len(vertices),
-        )
 
     # ------------------------------------------------------------- #
     # Batch-local relabeling
@@ -184,16 +145,3 @@ class VertexInterner:
             self._epoch,
         )
         return vinv, int(uniq.size)
-
-    # ------------------------------------------------------------- #
-    # Helpers for callers that mirror dict state per vertex
-    # ------------------------------------------------------------- #
-    @staticmethod
-    def flatten(edges) -> List[Hashable]:
-        """Flat vertex list over an edge sequence (C-level chain)."""
-        return list(chain.from_iterable(e.vertices for e in edges))
-
-    @staticmethod
-    def repeat_ids(ids, counts) -> Iterable:
-        """``ids[k]`` repeated ``counts[k]`` times, lazily."""
-        return chain.from_iterable(map(repeat, ids, counts))

@@ -197,7 +197,6 @@ class Ledger:
         self.work: float = 0.0
         self.by_tag: Dict[str, float] = {}
         self._stack: List[_Frame] = [_Frame()]
-        self._observer: Optional[object] = None
 
     # ------------------------------------------------------------------ #
     # Charging
@@ -212,9 +211,6 @@ class Ledger:
         if tag is not None:
             by_tag = self.by_tag
             by_tag[tag] = by_tag.get(tag, 0.0) + work
-        obs = self._observer
-        if obs is not None:
-            obs(work, depth, tag)
 
     def charge_cost(self, cost: Cost, tag: Optional[str] = None) -> None:
         """Charge a pre-composed :class:`Cost`."""
@@ -241,18 +237,6 @@ class Ledger:
         if count <= 0:
             return
         self.charge(work=work, depth=depth, tag=tag)
-
-    def set_observer(self, observer) -> None:
-        """Install (or clear, with None) a charge observer.
-
-        The observer is called as ``observer(work, depth, tag)`` *after*
-        every :meth:`charge` has updated the ledger's own totals, so it
-        can mirror charges elsewhere (the metrics bridge in
-        :mod:`repro.obs.bridge`) but cannot perturb the accounting.  It
-        must not call back into the ledger.  :class:`NullLedger` never
-        invokes it (discarded charges are not observable events).
-        """
-        self._observer = observer
 
     # ------------------------------------------------------------------ #
     # Composition

@@ -56,14 +56,11 @@ def _ledger_compatible(ledger: Ledger) -> bool:
 
     A plain :class:`Ledger` only keeps order-insensitive totals (global
     work, per-tag work, max-branch depth), so collapsing a parallel
-    region into aggregate charges is exact.  An attached observer (the
-    obs LedgerBridge) sees *individual* charge calls, and subclasses may
-    override ``charge`` arbitrarily — both must take the scalar path.
-    :class:`NullLedger` discards everything and never observes.
+    region into aggregate charges is exact.  Subclasses may override
+    ``charge`` arbitrarily and must take the scalar path;
+    :class:`NullLedger` discards everything.
     """
-    if isinstance(ledger, NullLedger):
-        return True
-    return type(ledger) is Ledger and ledger._observer is None
+    return type(ledger) is Ledger or isinstance(ledger, NullLedger)
 
 
 def should_vectorize(

@@ -29,9 +29,9 @@ Ledger parity for the ``updateTop`` region uses the closed form of the
 because every charge in the scalar region is a nonnegative number added
 to order-insensitive counters (global work, per-tag work, max branch
 depth), the region can be settled with two aggregate charges.  The region
-emission is only valid when nothing observes individual charge calls —
-the dispatcher in ``parallel_greedy`` therefore routes ledgers with an
-attached observer (the obs bridge) to the scalar path.
+emission is only valid on a ledger whose ``charge`` keeps nothing but
+those totals — the dispatcher in ``parallel_greedy`` therefore routes
+ledger subclasses to the scalar path.
 """
 
 from __future__ import annotations

@@ -25,6 +25,10 @@ to an :class:`repro.obs.Observer` — by default the process-wide one
 Pass ``observer=False`` to disable observation entirely, or a specific
 observer to publish into its registry/tracer.  Observation never touches
 the ledger: records, matchings, and totals are identical either way.
+For a :class:`~repro.core.DynamicMatching` (the matchings the observer
+attaches to), the runner also diffs ``ledger.by_tag`` around each batch
+and publishes that per-tag delta; a sharded router's merged ``by_tag``
+costs a round trip per shard, so sharded runs publish no per-tag series.
 """
 
 from __future__ import annotations
@@ -100,9 +104,11 @@ def run_stream(
         obs = observer
 
     detachers = []
+    tag_deltas = False
     if obs is not None:
         if hasattr(algo, "set_phase_hook"):
             detachers.append(obs.attach_matching(algo))
+            tag_deltas = True
         if durability is not None and hasattr(durability, "phase_hook"):
             detachers.append(obs.attach_durability(durability))
     tracer = obs.tracer if obs is not None else None
@@ -120,6 +126,7 @@ def run_stream(
                     with tracer.span("journal.append") if tracer else nullcontext():
                         durability.log_batch(batch)
                 w0, d0 = algo.ledger.work, algo.ledger.depth
+                tags0 = dict(algo.ledger.by_tag) if tag_deltas else None
                 with tracer.span("apply") if tracer else nullcontext():
                     if batch.kind == "insert":
                         stats = algo.insert_edges(list(batch.edges))
@@ -152,6 +159,13 @@ def run_stream(
                     with tracer.span("query.publish") if tracer else nullcontext():
                         query.publish()
                 if obs is not None:
+                    tag_work = None
+                    if tags0 is not None:
+                        tag_work = {
+                            tag: w - tags0.get(tag, 0.0)
+                            for tag, w in algo.ledger.by_tag.items()
+                            if w > tags0.get(tag, 0.0)
+                        }
                     obs.finish_batch(
                         span,
                         kind=record.kind,
@@ -164,6 +178,7 @@ def run_stream(
                         ledger_work=algo.ledger.work,
                         ledger_depth=algo.ledger.depth,
                         vec_stats=getattr(algo, "vec_stats", None),
+                        tag_work=tag_work,
                     )
     finally:
         for detach in detachers:

@@ -12,6 +12,7 @@ import pytest
 from repro.core.dynamic_matching import DynamicMatching
 from repro.core.level_structure import EdgeType
 from repro.hypergraph.edge import Edge
+from repro.parallel.ledger import Ledger, NullLedger
 from repro.workloads.generators import complete_graph_edges, erdos_renyi_edges
 
 
@@ -273,3 +274,114 @@ class TestWideVertexIds:
                                  transport="inline") as r:
                 runs.append(self._run(r))
         assert runs[0] == runs[1]
+
+
+class TestWideEdgeIds:
+    """Edge ids outside int64 fit no raw-id frame column either: the
+    array backend flags them when the batch registers, before any
+    mutation, and then matches the dict oracle (same matching, same
+    ledger) on the per-edge route."""
+
+    BASES = (2**64, -(2**63) - 1 - 10_000)
+
+    def _stream(self, base):
+        rng = np.random.default_rng(23)
+
+        def edges(lo, hi):
+            return [
+                Edge(base + i, rng.choice(200, size=2, replace=False).tolist())
+                for i in range(lo, hi)
+            ]
+
+        return [
+            ("insert", edges(0, 299)),
+            ("delete", [base + i for i in range(0, 299, 2)]),
+            ("insert", edges(299, 600)),
+            ("delete", [base + i for i in range(1, 600, 3)]),
+        ]
+
+    def _run(self, algo, base):
+        trail = []
+        live = set()
+        for kind, items in self._stream(base):
+            if kind == "insert":
+                algo.insert_edges(items)
+                live.update(e.eid for e in items)
+            else:
+                items = [eid for eid in items if eid in live]
+                algo.delete_edges(items)
+                live.difference_update(items)
+            algo.check_invariants()
+            led = algo.ledger
+            trail.append((sorted(algo.matched_ids()), led.work, led.depth, dict(led.by_tag)))
+        return trail
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_array_matches_dict_oracle(self, base):
+        runs = [
+            self._run(DynamicMatching(rank=2, seed=5, backend=b), base)
+            for b in ("array", "dict")
+        ]
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_array_accepts_a_wide_batch_whole(self, base):
+        dm = DynamicMatching(rank=2, seed=5)
+        dm.insert_edges([Edge(base + i, (2 * i, 2 * i + 1)) for i in range(299)])
+        dm.check_invariants()
+        assert len(dm.matched_ids()) == 299
+        assert dm.structure.interner.wide
+
+    def test_restored_copy_keeps_the_per_edge_route(self):
+        from repro.core.snapshot import load_state, save_state
+
+        base = self.BASES[0]
+        dm = DynamicMatching(rank=2, seed=5)
+        dm.insert_edges([Edge(base + i, (2 * i, 2 * i + 1)) for i in range(10)])
+        copy = load_state(save_state(dm), backend="array")
+        assert copy.structure.interner.wide
+        copy.insert_edges([Edge(base + i, (2 * i, 2 * i + 1)) for i in range(10, 200)])
+        copy.check_invariants()
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_sharded_k2_inline_matches_dict_shards(self, base):
+        from repro.sharding import ShardedMatching
+
+        runs = []
+        for backend in ("array", "dict"):
+            with ShardedMatching(shards=2, rank=2, seed=5, backend=backend,
+                                 transport="inline") as r:
+                runs.append(self._run(r, base))
+        assert runs[0] == runs[1]
+
+
+class TestLedgerTypes:
+    """The array backend applies its charges by direct field arithmetic,
+    exact only for the base Ledger; the dict oracle keeps the charge()
+    protocol for any ledger."""
+
+    class _Counting(Ledger):
+        def __init__(self):
+            super().__init__()
+            self.calls = 0
+
+        def charge(self, work=0.0, depth=0.0, tag=None):
+            self.calls += 1
+            super().charge(work, depth, tag)
+
+    @pytest.mark.parametrize("ledger_cls", [NullLedger, _Counting])
+    def test_array_backend_rejects_other_ledgers(self, ledger_cls):
+        with pytest.raises(TypeError, match="plain Ledger"):
+            DynamicMatching(rank=2, seed=0, ledger=ledger_cls())
+
+    @pytest.mark.parametrize("ledger_cls", [NullLedger, _Counting])
+    def test_dict_backend_accepts_them(self, ledger_cls):
+        ledger = ledger_cls()
+        dm = DynamicMatching(rank=2, seed=0, ledger=ledger, backend="dict")
+        dm.insert_edges(erdos_renyi_edges(30, 80, np.random.default_rng(1)))
+        dm.delete_edges(list(range(0, 80, 3)))
+        dm.check_invariants()
+        if ledger_cls is NullLedger:
+            assert ledger.work == 0
+        else:
+            assert ledger.calls > 0 and ledger.work > 0

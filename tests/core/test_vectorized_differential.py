@@ -151,7 +151,7 @@ class TestFiveWayDifferential:
                         f"!= dict oracle"
                     )
                 assert dm_arr.vec_stats["vector_batches"] == len(script)
-                assert dm_arr.vec_stats["kernel_fallbacks"] == 0
+                assert dm_arr.vec_stats["object_batches"] == 0
                 assert dm_dict.vec_stats["object_batches"] == len(script)
                 cert_a, cert_d = certify(dm_arr), certify(dm_dict)
                 assert cert_a.matched == cert_d.matched
@@ -166,38 +166,14 @@ class TestFiveWayDifferential:
 
 
 class TestObserverFallback:
-    def test_bridge_falls_back_bit_identically(self):
-        """A charge observer (Observer(bridge=True)) must route every
-        call to the scalar matcher and the per-edge edits with zero
-        behavioral difference from an unobserved all-columnar run."""
-        from repro.obs.observer import Observer
-
-        for seed in (3, 11, 27):
-            rank, script = _script(seed)
-            dm_plain = DynamicMatching(rank=rank, seed=seed + 1)
-            dm_obs = DynamicMatching(rank=rank, seed=seed + 1)
-            obs = Observer(bridge=True)
-            detach = obs.attach_matching(dm_obs)
-            try:
-                for op in script:
-                    _apply(dm_plain, op)
-                    _apply(dm_obs, op)
-                    assert _fingerprint(dm_plain) == _fingerprint(dm_obs)
-            finally:
-                detach()
-            stats = dm_obs.vec_stats
-            assert stats["vector_batches"] == 0
-            assert stats["object_batches"] == len(script)
-            assert stats["kernel_fallbacks"] == len(script)
-
     def test_default_observer_keeps_vector_path(self):
-        """Without the opt-in bridge, observation is per-batch sampling
-        and the vector path stays engaged."""
+        """Observation is per-batch sampling: an attached observer
+        leaves every batch on the array backend's one charge route."""
         from repro.obs.observer import Observer
 
         rank, script = _script(7)
         dm = DynamicMatching(rank=rank, seed=8)
-        obs = Observer()  # bridge=False: no ledger observer installed
+        obs = Observer()
         detach = obs.attach_matching(dm)
         try:
             for op in script:
@@ -205,7 +181,7 @@ class TestObserverFallback:
         finally:
             detach()
         assert dm.vec_stats["vector_batches"] == len(script)
-        assert dm.vec_stats["kernel_fallbacks"] == 0
+        assert dm.vec_stats["object_batches"] == 0
 
 
 class TestMetricsExport:
@@ -229,7 +205,6 @@ class TestMetricsExport:
         assert obs.dynamic_vector_batches.value() == stats["vector_batches"]
         assert obs.dynamic_object_batches.value() == stats["object_batches"]
         assert obs.dynamic_frames.value() == stats["frames"]
-        assert obs.dynamic_kernel_fallbacks.value() == stats["kernel_fallbacks"]
         total = stats["vector_batches"] + stats["object_batches"]
         assert total == len(stream)
         assert obs.dynamic_vectorized_fraction.value() == (

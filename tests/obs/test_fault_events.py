@@ -36,7 +36,7 @@ def _crash_run(tmp_path, crash_at=30, seed=31):
     dm = DynamicMatching(rank=3, seed=seed, backend="array")
     injector = CrashInjector(at=crash_at)
     dm.set_phase_hook(injector)
-    obs = Observer(bridge=True)
+    obs = Observer()
     obs.open_event_log(events_path)
     mgr = DurabilityManager.create(str(dur_dir), dm, checkpoint_every=4)
     try:

@@ -5,6 +5,10 @@ Timing assertions are inherently noisy, so this is gated behind
 The measurement interleaves observed and unobserved repeats and compares
 min-of-N, the standard noise-robust statistic for "how fast can this
 go" — a regression that pushes the *minimum* over budget is real.
+
+Two streams: 50-edge batches (every call below ``repro.native.VEC_MIN``,
+the per-edge route) and 128-edge batches (the columnar route that
+``python -m repro run`` ships on large batches).
 """
 
 from __future__ import annotations
@@ -37,26 +41,31 @@ EPSILON_S = 2e-3
 REPEATS = 7
 
 
-def _stream():
-    edges = erdos_renyi_edges(200, 600, rng=np.random.default_rng(42))
-    return insert_then_delete_stream(edges, 50, adversary=FifoAdversary())
+STREAMS = {50: (200, 600), 128: (600, 1536)}  # batch -> (vertices, edges)
 
 
-def _one_run(observed: bool) -> float:
+def _stream(batch: int):
+    n, m = STREAMS[batch]
+    edges = erdos_renyi_edges(n, m, rng=np.random.default_rng(42))
+    return insert_then_delete_stream(edges, batch, adversary=FifoAdversary())
+
+
+def _one_run(observed: bool, batch: int) -> float:
     dm = DynamicMatching(rank=2, seed=42, backend="array")
-    stream = _stream()
+    stream = _stream(batch)
     observer = Observer() if observed else False
     t0 = time.perf_counter()
     run_stream(dm, stream, observer=observer)
     return time.perf_counter() - t0
 
 
-def test_observation_overhead_within_budget():
+@pytest.mark.parametrize("batch", sorted(STREAMS))
+def test_observation_overhead_within_budget(batch):
     on, off = [], []
-    _one_run(True), _one_run(False)  # warm caches outside the measurement
+    _one_run(True, batch), _one_run(False, batch)  # warm caches outside the measurement
     for _ in range(REPEATS):  # interleave so drift hits both arms equally
-        on.append(_one_run(True))
-        off.append(_one_run(False))
+        on.append(_one_run(True, batch))
+        off.append(_one_run(False, batch))
     best_on, best_off = min(on), min(off)
     assert best_on <= best_off * BUDGET_RATIO + EPSILON_S, (
         f"observation overhead over budget: observed {best_on:.4f}s vs "

@@ -117,12 +117,6 @@ class TestShouldVectorize:
         assert should_vectorize(Ledger(), 1, vectorize=True)
         assert should_vectorize(NullLedger(), 1, vectorize=True)
 
-    def test_observer_forces_scalar(self):
-        led = Ledger()
-        led._observer = lambda *a, **kw: None
-        assert not should_vectorize(led, 10**6, vectorize=True)
-        assert not should_vectorize(led, 10**6)
-
     def test_auto_threshold(self):
         assert native.VEC_MIN == 64
         assert not should_vectorize(Ledger(), 63)

@@ -100,9 +100,9 @@ def _native_totals(out):
 
 
 class TestNoVectorized:
-    """The array backend has no opt-out: every ``paper`` run attempts the
-    columnar pipeline, and the summary reports kernel call totals (one
-    numpy backend, so no backend name)."""
+    """The array backend has no opt-out and one charge route: every
+    ``paper`` batch runs it, observed or not, and the summary reports
+    kernel call totals (one numpy backend, so no backend name)."""
 
     @pytest.fixture
     def stream_file(self, tmp_path):
@@ -115,9 +115,8 @@ class TestNoVectorized:
         assert main(["run", "--stream", stream_file, "--algo", "paper"]) == 0
         out = capsys.readouterr().out
         vs = _fastpath_counts(out)
-        # The columnar pipeline engages (or consciously falls back per
-        # batch); it is never silently absent.
-        assert vs["vector_batches"] + vs["kernel_fallbacks"] > 0
+        assert vs["vector_batches"] > 0
+        assert vs["object_batches"] == 0
         _native_totals(out)
 
     def test_serve_default_attempts_vector_pipeline(self, stream_file,
@@ -126,8 +125,27 @@ class TestNoVectorized:
                      stream_file, "--no-fsync"]) == 0
         out = capsys.readouterr().out
         vs = _fastpath_counts(out)
-        assert vs["vector_batches"] + vs["kernel_fallbacks"] > 0
+        assert vs["vector_batches"] > 0
+        assert vs["object_batches"] == 0
         _native_totals(out)
+
+    def test_run_large_batches_take_the_columnar_route(self, tmp_path, capsys):
+        """The CLI's observer leaves 128-edge batches on the columnar
+        route: no batch leaves the array backend, and the interned
+        matcher relabel (``intern_localize``) runs."""
+        from repro import native
+
+        stream = str(tmp_path / "big.txt")
+        main(["gen", "--kind", "er", "--n", "400", "--m", "1000", "--batch", "128",
+              "--seed", "3", "--out", stream])
+        native.reset_stats()
+        assert main(["run", "--stream", stream]) == 0
+        out = capsys.readouterr().out
+        assert "object_batches=0" in out
+        vs = _fastpath_counts(out)
+        assert vs["vector_batches"] == 16
+        (kernels,) = [l for l in out.splitlines() if l.startswith("native kernels:")]
+        assert "intern_localize=" in kernels
 
 
 class TestServeSharded:
