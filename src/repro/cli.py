@@ -55,6 +55,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro import native
 from repro.analysis.profiles import work_profile
 from repro.analysis.reporting import format_table
 from repro.baselines import BGSStyle, GTStyle, NaiveDynamic, SolomonStyle, StaticRecompute
@@ -137,9 +138,11 @@ def _setup_observability(args: argparse.Namespace):
     return obs, teardown
 
 
-def _fastpath_summary(algo) -> None:
+def _fastpath_summary(algo, kernels0: dict) -> None:
     """One line saying how many batches ran the columnar fast path vs
-    the object pipeline, plus the numpy kernel call totals."""
+    the object pipeline, plus the numpy kernel call totals since
+    ``kernels0`` (a :func:`repro.native.stats` snapshot taken when the
+    command started)."""
     vs = getattr(algo, "vec_stats", None)
     if vs is None:
         return
@@ -147,9 +150,11 @@ def _fastpath_summary(algo) -> None:
         f"fast path: vector_batches={vs['vector_batches']}   "
         f"object_batches={vs['object_batches']}"
     )
-    from repro import native
-
-    st = native.stats()
+    zero = {"calls": 0, "seconds": 0.0}
+    st = {
+        name: {k: cell[k] - kernels0.get(name, zero)[k] for k in zero}
+        for name, cell in native.stats().items()
+    }
     calls = sum(int(c["calls"]) for c in st.values())
     secs = sum(c["seconds"] for c in st.values())
     print(f"native: kernel calls={calls}   kernel seconds={secs:.3f}")
@@ -207,6 +212,7 @@ def _query_summary(service, server) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    kernels0 = native.stats()
     stream = read_stream(args.stream)
     algo = ALGOS[args.algo](args.rank, args.seed)
     obs, teardown = _setup_observability(args)
@@ -217,7 +223,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     s = summarize(records)
     print(f"algorithm: {args.algo}   batches: {s['batches']}   updates: {s['updates']}")
     print(f"work/update: {s['work_per_update']:.2f}   max batch depth: {s['max_depth']:.1f}")
-    _fastpath_summary(algo)
+    _fastpath_summary(algo, kernels0)
     if args.check:
         print("maximality verified after every batch ✓")
     # The profile reads the metrics registry (run_stream publishes each
@@ -245,6 +251,7 @@ def _cmd_static(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    kernels0 = native.stats()
     if args.journal and args.recover:
         print("serve: pass either --journal (fresh run) or --recover, not both")
         return 2
@@ -267,7 +274,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         finally:
             teardown()
     try:
-        return _cmd_serve_observed(args, obs)
+        return _cmd_serve_observed(args, obs, kernels0)
     finally:
         teardown()
 
@@ -363,7 +370,7 @@ def _cmd_serve_sharded(args: argparse.Namespace, obs) -> int:
     return 0
 
 
-def _cmd_serve_observed(args: argparse.Namespace, obs) -> int:
+def _cmd_serve_observed(args: argparse.Namespace, obs, kernels0: dict) -> int:
     from repro.durability import DurabilityManager, recover
     from repro.durability.journal import JournalError
     from repro.durability.recovery import RecoveryError
@@ -389,7 +396,7 @@ def _cmd_serve_observed(args: argparse.Namespace, obs) -> int:
         s = summarize(records)
         print(f"served {s['batches']} batches ({s['updates']} updates) durably into {args.journal}")
         print(f"matching size: {len(dm.matched_ids())}   work/update: {s['work_per_update']:.2f}")
-        _fastpath_summary(dm)
+        _fastpath_summary(dm, kernels0)
         _query_summary(query, qserver)
         return 0
 

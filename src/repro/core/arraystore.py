@@ -57,7 +57,8 @@ surface on top of the arrays.
 from __future__ import annotations
 
 from array import array
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import eq, not_
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -692,10 +693,18 @@ class ArrayLeveledStructure:
         """Partition ids into (matched, unmatched), preserving order.
 
         Raises ``KeyError`` on any absent id before returning; charges
-        nothing, like :meth:`type_of`.
+        nothing, like :meth:`type_of`.  Calls of at least
+        :data:`repro.native.VEC_MIN` ids take one slot gather and a type
+        mask.
         """
         slot = self._slot
         tarr = self._type
+        if len(eids) >= native.VEC_MIN:
+            slots = np.fromiter(
+                map(slot.__getitem__, eids), dtype=np.int64, count=len(eids)
+            )
+            is_m = (np.frombuffer(tarr, dtype=np.int32)[slots] == _T_MATCHED).tolist()
+            return list(compress(eids, is_m)), list(compress(eids, map(not_, is_m)))
         matched: List[EdgeId] = []
         unmatched: List[EdgeId] = []
         ma = matched.append
@@ -1437,7 +1446,12 @@ class ArrayLeveledStructure:
             bt["remove_cross_edge"] = bt.get("remove_cross_edge", 0.0) + w_cross
 
     def sample_discard_self_batch(self, mids: Sequence[EdgeId]) -> None:
-        """Discard each match from its own S(m) over one parallel region."""
+        """Discard each match from its own S(m) over one parallel region.
+
+        On the columnar route a singleton ``(m,)`` at the minimum
+        capacity (every level-0 match) becomes ``()`` in bulk, at branch
+        depth 1 and no rehash; the loop keeps every other form.
+        """
         if not mids:
             return
         led = self.ledger
@@ -1448,7 +1462,26 @@ class ArrayLeveledStructure:
         scaps = self._scap
         w_rehash = 0.0
         max_bd = 0
-        for mid in mids:
+        loop = mids
+        sds = None
+        if self._kernels_on(len(mids)):
+            try:
+                slots_l = list(map(slot.__getitem__, mids))
+            except KeyError:
+                pass  # the loop below raises at the same id
+            else:
+                sds = list(map(samples.__getitem__, slots_l))
+        if sds is not None and None not in sds:
+            # zip(mids) yields the 1-tuples (m,).
+            single = np.fromiter(map(eq, sds, zip(mids)), dtype=np.bool_, count=len(sds))
+            single &= np.frombuffer(scaps, dtype=np.int64)[slots_l] == _MIN_CAP
+            if single.any():
+                single_l = single.tolist()
+                for i in compress(slots_l, single_l):
+                    samples[i] = ()
+                max_bd = 1
+                loop = list(compress(mids, map(not_, single_l)))
+        for mid in loop:
             i = slot[mid]
             sd = samples[i]
             n = len(sd)
@@ -1508,9 +1541,12 @@ class ArrayLeveledStructure:
         validation fails — the prelude is pure, so the caller can run the
         per-edge route for exact error and partial-state semantics.
         The int32/pcol column resets and the owned-card work total move
-        into the edit kernel; the P-bucket unlink loop (whose charges
-        depend on evolving dict sizes) stays in Python in the exact
-        per-edge order.
+        into the edit kernel, and the object columns (``_p``, S(m),
+        C(m), ``_owner``) are reset in bulk.  Only the matches that own
+        cross edges run the P-bucket unlink loop (whose charges depend on
+        evolving dict sizes), in the exact per-edge order; a match with
+        an empty C(m) — most level-0 matches — charges ``dict_elements``
+        work 1 and branch depth 2, with no per-match Python.
         """
         n = len(eids)
         ids = list(eids)
@@ -1526,16 +1562,11 @@ class ArrayLeveledStructure:
             return None
         slots_l = mslots.tolist()
         crs = self._cross
-        owned_lists: List[list] = []
-        had_cd: List[bool] = []
-        for i in slots_l:
-            cd = crs[i]
-            if cd is None:
-                owned_lists.append([])
-                had_cd.append(False)
-            else:
-                owned_lists.append(list(cd))
-                had_cd.append(True)
+        cds = list(map(crs.__getitem__, slots_l))
+        # The matches that need the per-item loop: those owning cross
+        # edges, and (in hand-built states only) those with no C(m).
+        busy = [k for k, cd in enumerate(cds) if cd or cd is None]
+        owned_lists = [list(cds[k] or ()) for k in busy]
         n_own = sum(map(len, owned_lists))
         try:
             own_slots = np.fromiter(
@@ -1553,13 +1584,21 @@ class ArrayLeveledStructure:
         idx = native.seg_gather_index(vd_off[mslots], mcards, total_c)
         mdflat = np.frombuffer(self._vd_flat, dtype=np.int32)[idx]
         tarr_np = np.frombuffer(self._type, dtype=np.int32)
+        pcol_np = np.frombuffer(self._pcol, dtype=np.int32)
         # Cross-dict members are always CROSS-typed, so a match that is
         # MATCHED at batch start cannot be reset by an earlier
         # iteration's owned sweep — the start-state mask equals the
         # per-edge at-turn check.
         premask = tarr_np[mslots] == _T_MATCHED
+        # The kernel clears a cover only where the vertex is still
+        # covered by its dying match (``pcol == slot``, the mirror of
+        # ``p.get(v) == eid``); read that guard before the kernel clears
+        # the mirror, to clear the same covers in ``_p``.
+        uncover = (pcol_np[mdflat] == np.repeat(mslots, mcards)).tolist()
+        # The unlink loop needs its owners' levels, which the kernel
+        # resets.
         larr = self._level
-        lvls = [larr[i] for i in slots_l]
+        lvls = [larr[slots_l[k]] for k in busy]
         w_rm = native.edit_remove_match(
             mslots,
             mcards,
@@ -1571,33 +1610,40 @@ class ArrayLeveledStructure:
             np.frombuffer(larr, dtype=np.int32),
             np.frombuffer(self._settle, dtype=np.int32),
             carr_np,
-            np.frombuffer(self._pcol, dtype=np.int32),
+            pcol_np,
         )
         matched.difference_update(ids)
-        premask_l = premask.tolist()
         verts = self._verts
         oarr = self._owner
-        edges_arr = self._edge
-        smp = self._samples
-        P = self._P
         p = self._p
+        p.update(
+            zip(
+                compress(chain.from_iterable(map(verts.__getitem__, slots_l)), uncover),
+                repeat(None),
+            )
+        )
+        # Plain loops: CPython stores into a list faster this way than
+        # through a C-level map over ``list.__setitem__``.
+        smp = self._samples
+        for i in slots_l:
+            smp[i] = None
+            crs[i] = None
+        for i in compress(slots_l, premask.tolist()):
+            oarr[i] = None
+        n_empty = n - len(busy)
+        P = self._P
         Pget = P.get
-        pget = p.get
-        w_elems = 0.0
+        w_elems = float(n_empty)
         w_batch = 0.0
         w_rehash = 0.0
-        max_d = 0
-        for k in range(n):
-            eid = ids[k]
-            i = slots_l[k]
-            owned = owned_lists[k]
-            if had_cd[k]:
-                no = len(owned)
+        max_d = 2 if n_empty else 0
+        for k, owned, lvl in zip(busy, owned_lists, lvls):
+            no = len(owned)
+            if cds[k] is not None:
                 w_elems += float(max(no, 1))
                 d_total = (no - 1).bit_length() if no > 1 else 1
             else:
                 d_total = 0
-            lvl = lvls[k]
             max_bd = 0
             for ceid in owned:
                 j = slot[ceid]
@@ -1630,18 +1676,10 @@ class ArrayLeveledStructure:
                 if bd > max_bd:
                     max_bd = bd
             d_total += max_bd
-            for v in verts[i]:
-                if pget(v) == eid:
-                    p[v] = None
-            smp[i] = None
-            crs[i] = None
-            if premask_l[k]:
-                oarr[i] = None
-            no = len(owned)
             d_total += (no - 1).bit_length() if no > 1 else 1
             if d_total > max_d:
                 max_d = d_total
-        out = [edges_arr[j] for j in own_flat_l]
+        out = list(map(self._edge.__getitem__, own_flat_l))
         led = self.ledger
         led.work += w_elems + w_batch + w_rehash + w_rm
         led._stack[-1].depth += max_d

@@ -30,6 +30,7 @@ work/depth per batch straight off the structure.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
@@ -231,8 +232,8 @@ class DynamicMatching:
         Array backend only (and only while the columnar mirrors are
         clean): the frame then carries stable dense vertex ids, so
         ``free_flags`` gathers coverage from the cover column and the
-        matcher relabels via the interner's stamp scratch instead of a
-        per-batch ``np.unique``.
+        matcher labels the batch's vertices by their narrow dense ids
+        instead of the raw vertex column.
         """
         structure = self.structure
         if not structure._pcol_dirty:
@@ -267,8 +268,8 @@ class DynamicMatching:
         pass it in); the dict oracle pins the scalar matcher.
         ``collect_samples=False`` is passed by the level-0 settle, which
         resets every new match's sample space to the singleton and never
-        reads the matcher's (the vector path then skips materializing
-        them — same matching, same order, same charges).
+        reads the matcher's (the vector path then returns its matches by
+        position — same matching, same order, same charges).
         """
         columnar = self._columnar(len(edges))
         if frame is None and columnar:
@@ -424,23 +425,34 @@ class DynamicMatching:
             if frame is not None
             else self.structure.free_flags(edges)
         )
-        free = [e for e, f in zip(edges, free_flags) if f]
+        free = list(compress(edges, free_flags))
         self.ledger.charge(
             work=len(edges), depth=log2ceil(max(len(edges), 2)), tag="insert_filter"
         )
 
-        sub = None
+        sub = fmask = None
         if frame is not None and self._columnar(len(free)):
-            sub = frame.select(np.fromiter(free_flags, dtype=np.bool_, count=len(edges)))
+            fmask = np.fromiter(free_flags, dtype=np.bool_, count=len(edges))
+            sub = frame.select(fmask)
         result = self._greedy(free, collect_samples=False, frame=sub)
-        matched_ids: Set[EdgeId] = set(result.matched_ids)
+        if result.positions is not None:
+            # Level-0 matches by position (docs/hotpath.md): the vector
+            # matcher's positions index ``free``; the free mask maps them
+            # back to ``edges``, and the rest keeps input order.
+            mpos = np.flatnonzero(fmask)[result.positions]
+            rest_mask = np.ones(len(edges), dtype=np.bool_)
+            rest_mask[mpos] = False
+            new_matches = list(map(edges.__getitem__, mpos.tolist()))
+            rest = list(compress(edges, rest_mask.tolist()))
+        else:
+            matched_ids: Set[EdgeId] = set(result.matched_ids)
+            new_matches = result.matched_edges
+            rest = [e for e in edges if e.eid not in matched_ids]
 
-        new_matches = result.matched_edges
         self.structure.add_level0_batch(new_matches)
         self.tracker.birth_level0_batch(new_matches)
-        stats.new_epochs += len(matched_ids)
+        stats.new_epochs += len(new_matches)
 
-        rest = [e for e in edges if e.eid not in matched_ids]
         if self._vec:
             self.structure.add_cross_edge_batch(rest)
         else:

@@ -36,10 +36,11 @@ import weakref
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import native
 from repro.hypergraph.edge import EdgeId
 
 NATURAL = "natural"
@@ -435,14 +436,27 @@ class EpochTracker:
         self.death_batch((eid,), kind)
         return Epoch(self, self._log.dbseq[-1])
 
-    def death_batch(self, eids: Iterable[EdgeId], kind: str) -> None:
+    def death_batch(self, eids: Sequence[EdgeId], kind: str) -> None:
         """Record many deaths of one kind — same semantics as per-item
-        :meth:`death` calls, without building views."""
+        :meth:`death` calls, without building views.
+
+        A batch of at least :data:`repro.native.VEC_MIN` distinct live
+        ids is applied in bulk: one pop pass, column scatters of the
+        kind and death batch, one gather-sum of the sample sizes and
+        bulk appends to the death columns, in batch order.  Any other
+        batch takes the per-item loop, which applies the deaths before
+        an unknown (or repeated) id and then raises.
+        """
         code = _KIND_CODE.get(kind)
         if code is None:
             raise ValueError(f"unknown death kind {kind!r}")
         if not eids:
             return
+        if len(eids) >= native.VEC_MIN:
+            ids = set(eids)
+            if len(ids) == len(eids) and ids <= self._live.keys():
+                self._death_bulk(eids, code, kind)
+                return
         pop = self._live.pop
         log = self._log
         b0, shift, pos = log.b0, log.shift, log.pos
@@ -467,6 +481,27 @@ class EpochTracker:
             self._count[kind] += n
             self._sample[kind] += s
             self._dead += n
+
+    def _death_bulk(self, eids: Sequence[EdgeId], code: int, kind: str) -> None:
+        """:meth:`death_batch` over distinct live ids, column-wise."""
+        log = self._log
+        sq = np.fromiter(map(self._live.pop, eids), dtype=np.int64, count=len(eids))
+        pos = sq + log.shift
+        low = sq < log.b0
+        if low.any():
+            # Live births kept from below the last compaction's
+            # watermark sit in the sparse prefix, found by bisection.
+            pos[low] = np.searchsorted(
+                np.frombuffer(log.pseq, dtype=np.int64), sq[low]
+            )
+        np.frombuffer(log.kind, dtype=np.int8)[pos] = code
+        np.frombuffer(log.dbatch, dtype=np.int64)[pos] = self.batch_index
+        log.dbseq.frombytes(sq.tobytes())
+        log.deid.extend(eids)
+        log.dverts.extend(map(log.verts.__getitem__, pos.tolist()))
+        self._count[kind] += len(eids)
+        self._sample[kind] += int(np.frombuffer(log.size, dtype=np.int64)[pos].sum())
+        self._dead += len(eids)
 
     def next_batch(self) -> None:
         self.batch_index += 1

@@ -297,19 +297,13 @@ def edit_remove_match(
     return w_rm
 
 
-def intern_localize(
-    dense: np.ndarray, stamp: np.ndarray, label: np.ndarray, epoch: int
-) -> Tuple[np.ndarray, np.ndarray]:
+def intern_localize(dense: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Batch-local relabeling of a dense vertex-id column.
 
-    ``stamp``/``label`` are the interner's persistent scratch (sized to
-    the table); ``epoch`` is a fresh stamp value.  Returns ``(vinv,
-    uniq)``: local ids in ascending dense-id order and the sorted dense
-    ids present.  Replaces ``np.unique(..., return_inverse=True)``
-    without sorting the full column.
+    Returns ``(vinv, uniq)``: local ids in ascending dense-id order and
+    the sorted dense ids present.  One sort of the column, so the cost
+    is O(n log n) in the batch and independent of how many vertices
+    the interner has ever seen.
     """
-    stamp[dense] = epoch
-    uniq = np.flatnonzero(stamp == epoch)
-    label[uniq] = np.arange(uniq.size, dtype=np.int32)
-    vinv = label[dense]
+    uniq, vinv = np.unique(dense, return_inverse=True)
     return vinv, uniq

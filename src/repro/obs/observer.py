@@ -116,7 +116,7 @@ class Observer:
         )
         self.dynamic_vectorized_fraction = reg.gauge(
             "repro_dynamic_batch_vectorized_fraction",
-            "Fraction of this instance's batches that ran vectorized",
+            "Fraction of the observed batches that ran vectorized",
         )
         # Numpy hot kernels (docs/hotpath.md): per-kernel call counts
         # and per-call wall-clock timing, fed by repro.native's timing
@@ -132,8 +132,6 @@ class Observer:
             ("kernel",),
             buckets=KERNEL_SECONDS_BUCKETS,
         )
-        #: last-seen cumulative vec_stats (per-process; see observe_vec_stats)
-        self._vec_last: dict = {}
         #: tag -> its repro_ledger_work_by_tag_total child (one lookup per
         #: published tag instead of a label-set validation)
         self._tag_work: dict = {}
@@ -250,7 +248,7 @@ class Observer:
         settle_rounds: int = 0,
         ledger_work: Optional[float] = None,
         ledger_depth: Optional[float] = None,
-        vec_stats: Optional[dict] = None,
+        vec_delta: Optional[dict] = None,
         tag_work: Optional[dict] = None,
     ) -> None:
         """Publish one batch's measurements: span attrs + metrics.
@@ -258,14 +256,15 @@ class Observer:
         Called while the batch span is still open (its duration is
         recorded by the tracer when the ``with`` block exits).
 
-        ``vec_stats`` is a :class:`~repro.core.DynamicMatching`
-        ``vec_stats`` snapshot (cumulative); the counters advance by the
-        delta since the last call so repeated publishing stays exact.
+        ``vec_delta`` is this batch's change in a
+        :class:`~repro.core.DynamicMatching`'s ``vec_stats`` (measured by
+        the caller); it advances the ``repro_dynamic_batch_*`` counters,
+        and the fraction gauge reads those counters' totals.
 
         ``tag_work`` is this batch's per-tag ledger work (the change in
         ``ledger.by_tag`` across the batch, measured by the caller); it
-        advances ``repro_ledger_work_by_tag_total``.  Being a per-batch
-        delta, it stays exact when several instances publish into one
+        advances ``repro_ledger_work_by_tag_total``.  Being per-batch
+        deltas, both stay exact when several instances publish into one
         observer."""
         span.set(
             work=work,
@@ -286,8 +285,8 @@ class Observer:
             self.ledger_work.set(ledger_work)
         if ledger_depth is not None:
             self.ledger_depth.set(ledger_depth)
-        if vec_stats is not None:
-            self.observe_vec_stats(vec_stats)
+        if vec_delta is not None:
+            self._observe_vec_delta(vec_delta)
         if tag_work:
             children = self._tag_work
             for tag, w in tag_work.items():
@@ -296,25 +295,22 @@ class Observer:
                     child = children[tag] = self.work_by_tag.labels(tag=tag)
                 child.inc(w)
 
-    def observe_vec_stats(self, vec_stats: dict) -> None:
-        """Advance the dynamic fast-path counters to a cumulative
-        ``vec_stats`` snapshot (delta-increments, idempotent per value)."""
-        last = self._vec_last
+    def _observe_vec_delta(self, vec_delta: dict) -> None:
+        """Advance the dynamic fast-path counters by one batch's
+        ``vec_stats`` delta, and set the fraction gauge from the
+        counters' totals."""
         for key, counter in (
             ("frames", self.dynamic_frames),
             ("vector_batches", self.dynamic_vector_batches),
             ("object_batches", self.dynamic_object_batches),
         ):
-            cur = int(vec_stats.get(key, 0))
-            delta = cur - last.get(key, 0)
+            delta = vec_delta.get(key, 0)
             if delta > 0:
                 counter.inc(delta)
-            last[key] = cur
-        total = last.get("vector_batches", 0) + last.get("object_batches", 0)
+        vector = self.dynamic_vector_batches.value()
+        total = vector + self.dynamic_object_batches.value()
         if total:
-            self.dynamic_vectorized_fraction.set(
-                last.get("vector_batches", 0) / total
-            )
+            self.dynamic_vectorized_fraction.set(vector / total)
 
 _default: Optional[Observer] = None
 

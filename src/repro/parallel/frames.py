@@ -176,9 +176,9 @@ class BatchFrame:
     def intern_local(self) -> Tuple[np.ndarray, int]:
         """Batch-local vertex labels: ``(vinv, nv)``.
 
-        With an attached dense column this is the interner's stamped
-        O(total) relabel (labels in ascending dense-id order); otherwise
-        it falls back to :meth:`intern` (labels in ascending raw-vertex
+        With an attached dense column this is the interner's relabel of
+        the dense ids (labels in ascending dense-id order); otherwise it
+        falls back to :meth:`intern` (labels in ascending raw-vertex
         order).  The two labelings differ only by a permutation of the
         local ids, which every consumer is insensitive to — see
         repro/parallel/interning.py.

@@ -11,9 +11,9 @@ from registered edges):
   ids straddling int32) live only as dict keys, so the int32 columnar
   plane downstream only ever sees dense ids bounded by the number of
   distinct vertices;
-* ``localize`` converts a dense-id column into *batch-local* ids in
-  O(n + |table|) with no sort, using a stamped scratch pair — the
-  replacement for ``np.unique(..., return_inverse=True)``.
+* ``localize`` converts a dense-id column into *batch-local* ids with
+  one ``np.unique`` over the batch's dense ids: O(n log n) in the batch,
+  whatever the size of the table.
 
 The table also records whether any id its structure has seen lies
 outside the int64 range (``wide``): an interned vertex, or an edge id
@@ -56,18 +56,15 @@ def fits_int64(ids) -> bool:
 
 
 class VertexInterner:
-    """Stable vertex -> dense int32 id table with a localize scratch."""
+    """Stable vertex -> dense int32 id table."""
 
-    __slots__ = ("_index", "_stamp", "_label", "_epoch", "wide")
+    __slots__ = ("_index", "wide")
 
     def __init__(self) -> None:
         self._index: Dict[Hashable, int] = {}
         #: Some interned vertex, or an edge id the owning structure
         #: registered, lies outside the int64 range.
         self.wide = False
-        self._stamp: np.ndarray = np.zeros(0, dtype=np.int64)
-        self._label: np.ndarray = np.zeros(0, dtype=np.int32)
-        self._epoch: int = 0
 
     # ------------------------------------------------------------- #
     # Table maintenance
@@ -113,18 +110,6 @@ class VertexInterner:
     # ------------------------------------------------------------- #
     # Batch-local relabeling
     # ------------------------------------------------------------- #
-    def _scratch(self) -> Tuple[np.ndarray, np.ndarray]:
-        need = len(self._index)
-        if self._stamp.size < need:
-            cap = max(1024, self._stamp.size)
-            while cap < need:
-                cap *= 2
-            stamp = np.zeros(cap, dtype=np.int64)
-            stamp[: self._stamp.size] = self._stamp
-            self._stamp = stamp
-            self._label = np.zeros(cap, dtype=np.int32)
-        return self._stamp, self._label
-
     def localize(self, dense: np.ndarray) -> Tuple[np.ndarray, int]:
         """Batch-local ids for a dense-id column.
 
@@ -136,12 +121,5 @@ class VertexInterner:
         """
         if dense.size == 0:
             return np.empty(0, dtype=np.int32), 0
-        stamp, label = self._scratch()
-        self._epoch += 1
-        vinv, uniq = native.intern_localize(
-            np.ascontiguousarray(dense, dtype=np.int32),
-            stamp,
-            label,
-            self._epoch,
-        )
+        vinv, uniq = native.intern_localize(dense)
         return vinv, int(uniq.size)

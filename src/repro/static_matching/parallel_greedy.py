@@ -107,12 +107,15 @@ def parallel_greedy_match(
     dynamic pipeline's columns are reused instead of re-extracted.
 
     ``collect_samples=False`` lets the vector path skip *materializing*
-    sample spaces (each ``Matched.samples`` degenerates to the matched
-    edge alone) for callers that discard them — the dynamic level-0
+    sample spaces for callers that discard them — the dynamic level-0
     settle, which by the paper's rule resets every new match's sample to
-    the singleton.  The matching, the match order and every ledger charge
-    (including the group-by that the model still prices) are unchanged;
-    the scalar path ignores the flag and always materializes.
+    the singleton.  It then returns a
+    :class:`~repro.static_matching.result.PositionalMatchResult`: the
+    matched input positions as one column, with each match, read, the
+    matched edge alone in its samples.  The matching, the match order
+    and every ledger charge (including the group-by that the model still
+    prices) are unchanged; the scalar path ignores the flag and always
+    materializes.
     """
     if ledger is None:
         ledger = NullLedger()

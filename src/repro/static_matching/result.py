@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.hypergraph.edge import Edge, EdgeId
 
@@ -44,6 +47,11 @@ class MatchResult:
     rounds: int = 0
     priorities: Dict[EdgeId, int] = field(default_factory=dict)
 
+    #: The matched input positions in match order, when the matcher
+    #: returned its matches by position (:class:`PositionalMatchResult`);
+    #: None otherwise.  Not a dataclass field.
+    positions = None
+
     @property
     def matched_edges(self) -> List[Edge]:
         return [m.edge for m in self.matches]
@@ -79,6 +87,80 @@ class MatchResult:
         return sorted(
             (m.edge.eid, tuple(sorted(e.eid for e in m.samples))) for m in self.matches
         )
+
+
+class MatchedView(_SequenceABC):
+    """Read-only sized view of the singleton-sample matches on
+    ``edges[p]`` for each ``p`` in ``positions``, in that order.
+
+    ``len`` is O(1); a ``Matched(edge, [edge])`` is built only when an
+    item is read.  Compares equal to a list of the same matches.
+    """
+
+    __slots__ = ("_edges", "_positions")
+
+    def __init__(self, edges: Sequence[Edge], positions: np.ndarray) -> None:
+        self._edges = edges
+        self._positions = positions
+
+    def __len__(self) -> int:
+        return int(self._positions.shape[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        e = self._edges[int(self._positions[i])]
+        return Matched(edge=e, samples=[e])
+
+    def __iter__(self):
+        for e in map(self._edges.__getitem__, self._positions.tolist()):
+            yield Matched(edge=e, samples=[e])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, MatchedView)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"MatchedView({list(self)!r})"
+
+
+class PositionalMatchResult(MatchResult):
+    """A :class:`MatchResult` given by position: the vector matcher's
+    output when it does not collect sample spaces (the dynamic level-0
+    settle, docs/hotpath.md).
+
+    ``positions`` holds the matched input positions in match order, and
+    ``matches`` is a :class:`MatchedView` over them.  ``priorities`` is
+    built from the priority column ``pri`` on first read, unless the
+    caller already holds the map.  Everything a reader sees equals the
+    list-backed result the matcher would otherwise return.
+    """
+
+    def __init__(
+        self,
+        edges: Sequence[Edge],
+        positions: np.ndarray,
+        rounds: int,
+        pri: np.ndarray,
+        priorities: Optional[Dict[EdgeId, int]] = None,
+    ) -> None:
+        self.matches = MatchedView(edges, positions)
+        self.rounds = rounds
+        self.positions = positions
+        self._edges = edges
+        self._pri = pri
+        self._priorities = priorities
+
+    @property
+    def priorities(self) -> Dict[EdgeId, int]:
+        if self._priorities is None:
+            self._priorities = dict(
+                zip((e.eid for e in self._edges), self._pri.tolist())
+            )
+        return self._priorities
 
 
 def check_lemma_3_1(edges: Sequence[Edge], result: MatchResult) -> None:

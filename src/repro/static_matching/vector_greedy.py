@@ -45,7 +45,7 @@ from repro.hypergraph.edge import Edge, EdgeId
 from repro.parallel.frames import BatchFrame
 from repro.parallel.ledger import Ledger, NullLedger, log2ceil
 from repro.parallel.random_perm import random_priorities
-from repro.static_matching.result import Matched, MatchResult
+from repro.static_matching.result import Matched, MatchResult, PositionalMatchResult
 from repro.static_matching.sequential_greedy import _assign_priorities
 
 #: Powers of two for vectorized bit_length: searchsorted(_POW2, x, 'right')
@@ -79,14 +79,20 @@ def vector_greedy_match(
     buffers under ``vg.*`` names — callers that thread a frame built
     from the same arena must use a different tag (the dynamic pipeline
     uses ``frame``/``greedy``).
+
+    With ``collect_samples=False`` the result is a
+    :class:`~repro.static_matching.result.PositionalMatchResult`: each
+    round's priority-sorted roots, concatenated, are its ``positions``
+    column, and no ``Matched`` record is built unless a caller reads
+    ``matches``.
     """
     m = len(edges)
+    pri_map: Optional[Dict[EdgeId, int]] = None
     if priorities is None:
         # Same charges and same values as _assign_priorities' random
         # path, minus the per-edge dict round-trip: random_priorities
         # already hands back the int64 permutation column.
         pri = random_priorities(ledger, m, rng)
-        pri_map = dict(zip((e.eid for e in edges), pri.tolist()))
     else:
         pri_map = _assign_priorities(edges, ledger, rng, priorities)
         pri = np.fromiter(
@@ -111,9 +117,9 @@ def vector_greedy_match(
     # appending to per-vertex lists while scanning edges in sorted order.
     # Compact columns: row/edge indices fit int32 whenever m does (the
     # sort key itself stays int64 — vinv * m + pri can exceed 2^31).
-    # intern_local: the structure-attached interner relabels via a
-    # stamped scratch (no sort, no hashing); the labeling differs from
-    # np.unique only by a permutation of local ids, which everything
+    # intern_local: the structure-attached interner labels by dense id
+    # rather than raw vertex id; the labeling differs from np.unique over
+    # the raw ids only by a permutation of local ids, which everything
     # below is insensitive to (per-vertex CSR segments are re-sorted by
     # priority, and all outputs are edge-indexed).
     vinv, nv = frame.intern_local()
@@ -154,6 +160,7 @@ def vector_greedy_match(
         done = np.zeros(m, dtype=np.uint8)
 
     matches: List[Matched] = []
+    chunks: List[np.ndarray] = []
     rounds = 0
     # Mark-scratch uniques: cleared back to False after each use, so the
     # per-round cost is O(|set|) after the one-time allocation — replaces
@@ -212,11 +219,9 @@ def vector_greedy_match(
         else:
             # Roots are already in priority order — identical match
             # order without grouping the members.  Samples degenerate
-            # to the matched edge (the caller resets them anyway).
-            append = matches.append
-            for ri in roots.tolist():
-                e = edges[ri]
-                append(Matched(edge=e, samples=[e]))
+            # to the matched edge (the caller resets them anyway), so
+            # the round's roots are its matches, by position.
+            chunks.append(roots)
 
         # finished = W ∪ N(W); roots never appear in neighbor lists
         # (pairwise non-adjacent), so the union is a disjoint concat.
@@ -243,6 +248,13 @@ def vector_greedy_match(
             ledger, touched, csr_off, csr_edge, done, top, counter, cards
         )
 
+    if not collect_samples:
+        positions = (
+            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        )
+        return PositionalMatchResult(edges, positions, rounds, pri, pri_map)
+    if pri_map is None:
+        pri_map = dict(zip((e.eid for e in edges), pri.tolist()))
     return MatchResult(matches=matches, rounds=rounds, priorities=pri_map)
 
 

@@ -112,6 +112,7 @@ def run_stream(
         if durability is not None and hasattr(durability, "phase_hook"):
             detachers.append(obs.attach_durability(durability))
     tracer = obs.tracer if obs is not None else None
+    vec_stats = getattr(algo, "vec_stats", None) if obs is not None else None
 
     mirror = Hypergraph() if check else None
     records: List[RunRecord] = []
@@ -127,6 +128,7 @@ def run_stream(
                         durability.log_batch(batch)
                 w0, d0 = algo.ledger.work, algo.ledger.depth
                 tags0 = dict(algo.ledger.by_tag) if tag_deltas else None
+                vec0 = dict(vec_stats) if vec_stats is not None else None
                 with tracer.span("apply") if tracer else nullcontext():
                     if batch.kind == "insert":
                         stats = algo.insert_edges(list(batch.edges))
@@ -159,13 +161,15 @@ def run_stream(
                     with tracer.span("query.publish") if tracer else nullcontext():
                         query.publish()
                 if obs is not None:
-                    tag_work = None
+                    tag_work = vec_delta = None
                     if tags0 is not None:
                         tag_work = {
                             tag: w - tags0.get(tag, 0.0)
                             for tag, w in algo.ledger.by_tag.items()
                             if w > tags0.get(tag, 0.0)
                         }
+                    if vec0 is not None:
+                        vec_delta = {k: v - vec0[k] for k, v in vec_stats.items()}
                     obs.finish_batch(
                         span,
                         kind=record.kind,
@@ -177,7 +181,7 @@ def run_stream(
                         settle_rounds=getattr(stats, "num_rounds", 0) or 0,
                         ledger_work=algo.ledger.work,
                         ledger_depth=algo.ledger.depth,
-                        vec_stats=getattr(algo, "vec_stats", None),
+                        vec_delta=vec_delta,
                         tag_work=tag_work,
                     )
     finally:

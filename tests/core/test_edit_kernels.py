@@ -249,16 +249,10 @@ class TestCrossSimParity:
 
 class TestInternLocalize:
     @settings(max_examples=80, deadline=None)
-    @given(
-        dense=st.lists(st.integers(0, 30), min_size=1, max_size=60),
-        epoch=st.integers(1, 5),
-    )
-    def test_matches_np_unique(self, dense, epoch):
+    @given(dense=st.lists(st.integers(0, 30), min_size=1, max_size=60))
+    def test_matches_np_unique(self, dense):
         dense = np.array(dense, dtype=np.int32)
-        table = int(dense.max()) + 1
-        stamp = np.zeros(table, dtype=np.int64)
-        label = np.zeros(table, dtype=np.int32)
-        vinv, uniq = npk.intern_localize(dense, stamp, label, epoch)
+        vinv, uniq = npk.intern_localize(dense)
         exp_uniq, exp_inv = np.unique(dense, return_inverse=True)
         assert np.array_equal(uniq, exp_uniq)
         assert np.array_equal(vinv.astype(np.int64), exp_inv.astype(np.int64))

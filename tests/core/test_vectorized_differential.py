@@ -212,6 +212,31 @@ class TestMetricsExport:
         )
 
 
+    def test_shared_observer_counts_each_batch_once(self):
+        """Two instances publishing into one observer: the counters
+        advance by each batch's own delta, and the fraction gauge reads
+        the observer's totals."""
+        from repro.obs.observer import Observer
+        from repro.workloads.runner import run_stream
+        from repro.workloads.streams import UpdateBatch
+
+        dms = [
+            DynamicMatching(rank=2, seed=5),
+            DynamicMatching(rank=2, seed=5, backend="dict"),
+        ]
+        obs = Observer()
+        for i in range(20):
+            batch = UpdateBatch.insert([Edge(i, (2 * i, 2 * i + 1))])
+            for dm in dms:
+                run_stream(dm, [batch], observer=obs)
+        assert obs.dynamic_vector_batches.value() == 20
+        assert obs.dynamic_object_batches.value() == 20
+        assert obs.dynamic_frames.value() == (
+            dms[0].vec_stats["frames"] + dms[1].vec_stats["frames"]
+        )
+        assert obs.dynamic_vectorized_fraction.value() == 0.5
+
+
 class TestCrashRecoveryReplay:
     def test_certified_recovery_of_vectorized_run(self, tmp_path):
         """A journal written by an all-columnar array instance recovers

@@ -147,6 +147,21 @@ class TestNoVectorized:
         (kernels,) = [l for l in out.splitlines() if l.startswith("native kernels:")]
         assert "intern_localize=" in kernels
 
+    def test_kernel_calls_count_this_command_only(self, tmp_path, capsys):
+        """Each ``run`` reports the kernel calls it made, not the
+        process's running total: two runs of one stream print the same
+        count."""
+        stream = str(tmp_path / "big.txt")
+        main(["gen", "--kind", "er", "--n", "400", "--m", "1000", "--batch", "128",
+              "--seed", "3", "--out", stream])
+        capsys.readouterr()
+        counts = []
+        for _ in range(2):
+            assert main(["run", "--stream", stream]) == 0
+            counts.append(_native_totals(capsys.readouterr().out)[0])
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
+
 
 class TestServeSharded:
     @pytest.fixture
