@@ -4,7 +4,8 @@ Each row runs one stream in a fresh child process (so its RSS readings
 are its own) and records what the library keeps as the run goes on:
 
 * ``rss_load_mb`` / ``rss_churn_mb`` — resident-set growth over the bulk
-  load and over the churn that follows (``/proc/self/statm``);
+  load and over the churn that follows (``/proc/self/statm``), and
+  ``bytes_per_live_edge`` — the load's growth per live edge;
 * ``gc_per_live_edge`` — GC-tracked objects the library added during the
   load, per live edge (every Edge is built before the count starts);
 * ``gc_slope_per_batch`` — least-squares slope of the GC-tracked object
@@ -218,6 +219,7 @@ def run_row(stream: str, m: int, batches: int, batch: int) -> dict:
         "matched": matched,
         "rss_load_mb": round((rss1 - rss0) / 1024, 2),
         "rss_churn_mb": round((rss2 - rss1) / 1024, 2),
+        "bytes_per_live_edge": round((rss1 - rss0) * 1024 / live_edges, 1),
         "gc_per_live_edge": round((g1 - g0) / live_edges, 4),
         "gc_slope_per_batch": round(_slope(xs, ys), 3),
         "epochs_per_live_match": round(len(tracker.epochs) / max(matched, 1), 3),
@@ -258,7 +260,8 @@ def main() -> int:
         results.append(row)
         print(
             f"{row['stream']} m=2^{row['m'].bit_length() - 1} x{row['churn_batches']}: "
-            f"rss load {row['rss_load_mb']} MB churn {row['rss_churn_mb']} MB, "
+            f"rss load {row['rss_load_mb']} MB ({row['bytes_per_live_edge']} B/edge) "
+            f"churn {row['rss_churn_mb']} MB, "
             f"gc/edge {row['gc_per_live_edge']} slope {row['gc_slope_per_batch']}/batch, "
             f"epochs/match {row['epochs_per_live_match']}, "
             f"interned/vertex {row['interned_per_live_vertex']}, "
@@ -271,7 +274,8 @@ def main() -> int:
         "seed": SEED,
         "note": (
             "each row runs in its own child process; rss_*_mb are RSS growth "
-            "over the load and over the churn; gc_per_live_edge counts GC-tracked "
+            "over the load and over the churn, bytes_per_live_edge the load's per "
+            "live edge; gc_per_live_edge counts GC-tracked "
             "objects the load added (its Edges are built before the count); "
             "gc_slope_per_batch is the least-squares "
             "slope over the churn, sampled every "

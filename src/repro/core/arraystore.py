@@ -8,8 +8,13 @@ per-edge state in flat, slot-indexed parallel arrays instead of one
 * ``_slot`` maps edge id -> dense slot index (insertion-ordered, so edge
   enumeration order is identical to the record-dict backend);
 * slots hold ``(edge, vertices, cardinality, type-code, owner, level,
-  settle_size, samples, cross)`` in parallel Python lists, recycled
-  through a free-list on unregister;
+  settle_size, samples, cross)`` in parallel columns, recycled through a
+  free-list on unregister; the owner is held once, as the owning
+  match's slot in the int32 column ``_ownslot`` (-1 = none), and edge
+  ids are read back as ``_edge[slot].eid``;
+* the cover map p(v) is held once, as the int32 column ``_pcol`` over
+  the interner's dense vertex ids: ``_pcol[dense(v)]`` is the slot of
+  the match covering v (-1 = uncovered);
 * sample sets S(m) and cross sets C(m) are plain insertion-ordered dicts
   plus an explicit simulated capacity (the grow/shrink accounting of
   :class:`~repro.parallel.dictionary.BatchSet`, inlined).  The common
@@ -20,7 +25,7 @@ per-edge state in flat, slot-indexed parallel arrays instead of one
   through ``len``/``iter``/``in`` either way; ``None`` still means "not
   a match", and the capacity columns are independent of the form;
 * the per-vertex per-level index P(v, l) keeps buckets as ``[dict, cap]``
-  pairs.
+  pairs, and drops P(v) when its last bucket goes.
 
 **Cost parity is a hard requirement**: every operation charges the shared
 ledger *exactly* what the record-dict backend charges — same work, same
@@ -51,13 +56,16 @@ Two deliberate representation choices follow from parity, not speed:
 White-box compatibility: tests (and :mod:`repro.core.snapshot` /
 :mod:`repro.core.diagnostics`) poke ``structure.recs``, ``rec.type``,
 ``verts[v].p`` etc.; lightweight mutable proxy views recreate that
-surface on top of the arrays.
+surface on top of the arrays.  The ``rec.owner`` and ``verts[v].p``
+setters write the slot columns directly, so a poke the columns cannot
+hold — a vertex the structure never interned, an owner or cover id that
+is not registered — raises ``KeyError`` before any write.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import eq, not_
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -199,23 +207,12 @@ class _RecProxy:
 
     @property
     def owner(self) -> Optional[EdgeId]:
-        return self._s._owner[self._i]
+        return self._s._owner_of(self._i)
 
     @owner.setter
     def owner(self, value: Optional[EdgeId]) -> None:
         s = self._s
-        s._owner[self._i] = value
-        if value is None:
-            s._ownslot[self._i] = -1
-        else:
-            j = s._slot.get(value)
-            if j is None:
-                # White-box poke naming an unregistered owner: the dict
-                # view stays authoritative, the columnar mirror is out of
-                # sync — disable the edit kernels for this structure.
-                s._pcol_dirty = True
-            else:
-                s._ownslot[self._i] = j
+        s._ownslot[self._i] = -1 if value is None else s._slot[value]
 
     @property
     def level(self) -> int:
@@ -298,27 +295,13 @@ class _VertProxy:
 
     @property
     def p(self) -> Optional[EdgeId]:
-        return self._s._p.get(self._v)
+        return self._s.cover_of(self._v)
 
     @p.setter
     def p(self, value: Optional[EdgeId]) -> None:
         s = self._s
-        s._p[self._v] = value
-        d = s.interner.get(self._v)
-        if d is None:
-            # A vertex no registered edge touches can never be read
-            # through the columnar plane unless covered — only a
-            # non-None cover desynchronizes it.
-            if value is not None:
-                s._pcol_dirty = True
-        elif value is None:
-            s._pcol[d] = -1
-        else:
-            j = s._slot.get(value)
-            if j is None:
-                s._pcol_dirty = True
-            else:
-                s._pcol[d] = j
+        d = s.interner._index[self._v]
+        s._pcol[d] = -1 if value is None else s._slot[value]
 
     @property
     def P(self) -> Dict[int, dict]:
@@ -377,46 +360,41 @@ class ArrayLeveledStructure:
         self._slot: Dict[EdgeId, int] = {}
         self._free: List[int] = []
         # Slot-parallel arrays.  Object state (edges, vertex tuples,
-        # owner eids, sample/cross dicts) stays in Python lists; the
-        # scalar state forms the *columnar edit plane*: ``array.array``
-        # typecode 'i' (int32) / 'q' (int64) columns whose scalar reads
-        # and writes behave exactly like lists, but which expose
-        # zero-copy writable numpy views (``np.frombuffer``) to the
-        # batched edit kernels.  Views are always taken per-operation
-        # and never cached — ``array.extend`` is a realloc and raises
-        # ``BufferError`` while a view is exporting the buffer.
+        # sample/cross dicts) stays in Python lists; the scalar state
+        # forms the *columnar edit plane*: ``array.array`` typecode 'i'
+        # (int32) / 'q' (int64) columns whose scalar reads and writes
+        # behave exactly like lists, but which expose zero-copy writable
+        # numpy views (``np.frombuffer``) to the batched edit kernels.
+        # Views are always taken per-operation and never cached —
+        # ``array.extend`` is a realloc and raises ``BufferError`` while
+        # a view is exporting the buffer.
         self._edge: List[Optional[Edge]] = []
         self._verts: List[Tuple[Vertex, ...]] = []
         self._card = array("i")
         self._type = array("i")
-        self._owner: List[Optional[EdgeId]] = []
         self._level = array("i")
         self._settle = array("i")
         self._samples: List[Optional[Dict[EdgeId, None]]] = []
         self._scap = array("q")
         self._cross: List[Optional[Dict[EdgeId, None]]] = []
         self._ccap = array("q")
-        # Owner *slot* mirror of ``_owner`` (-1 = None).  Slots are
-        # int32-safe by construction (bounded by the slot count), while
-        # edge ids may straddle int32 — hence the twin representation.
+        # The owner of each slot, as the owning match's slot (-1 =
+        # none): slots are int32-safe by construction (bounded by the
+        # slot count), while edge ids may straddle int32.
         self._ownslot = array("i")
         # Interned vertex table + columnar vertex state.  Raw vertex
         # ids of any type/magnitude live only as dict keys; the int32
         # plane sees dense ids.  ``_pcol[d]`` is the covering match
-        # slot of dense vertex ``d`` (-1 = uncovered), mirroring
-        # ``_p``; ``_vd_flat``/``_vd_off`` is a CSR pool of each
-        # slot's dense vertex ids (segment length = ``_card``).
+        # slot of dense vertex ``d`` (-1 = uncovered) — the cover map
+        # p(v); ``_vd_flat``/``_vd_off`` is a CSR pool of each slot's
+        # dense vertex ids (segment length = ``_card``).
         self.interner = VertexInterner()
         self._pcol = array("i")
         self._vd_off = array("q")
         self._vd_flat = array("i")
         self._vd_live = 0
-        # Set when a white-box poke writes state the columnar mirrors
-        # cannot represent; the edit kernels then stand down for good.
-        self._pcol_dirty = False
         # Vertex state.
         self.matched: Set[EdgeId] = set()
-        self._p: Dict[Vertex, Optional[EdgeId]] = {}
         self._P: Dict[Vertex, Dict[int, list]] = {}
         # Fault-injection hook: when set, called with a phase name at the
         # batch-granularity entry points (never charged to the ledger).
@@ -445,14 +423,6 @@ class ArrayLeveledStructure:
     # ------------------------------------------------------------------ #
     # Columnar edit plane
     # ------------------------------------------------------------------ #
-    def _kernels_on(self, n: int) -> bool:
-        """The route rule for a batched edit of ``n`` items: calls of at
-        least :data:`repro.native.VEC_MIN` items on clean columnar
-        mirrors take the edit kernels; smaller calls (and structures
-        whose mirrors a white-box poke dirtied) take the scalar route.
-        """
-        return n >= native.VEC_MIN and not self._pcol_dirty
-
     def _vd_store(self, i: int, vertices: Tuple[Vertex, ...]) -> None:
         """Intern ``vertices`` and append their dense ids to the pool."""
         idx = self.interner._index
@@ -530,7 +500,6 @@ class ArrayLeveledStructure:
             self._verts[i] = edge.vertices
             self._card[i] = card
             self._type[i] = _T_UNSETTLED
-            self._owner[i] = None
             self._ownslot[i] = -1
             self._level[i] = -1
             self._settle[i] = 0
@@ -542,7 +511,6 @@ class ArrayLeveledStructure:
             self._verts.append(edge.vertices)
             self._card.append(card)
             self._type.append(_T_UNSETTLED)
-            self._owner.append(None)
             self._ownslot.append(-1)
             self._level.append(-1)
             self._settle.append(0)
@@ -570,7 +538,6 @@ class ArrayLeveledStructure:
         varr = self._verts
         carr = self._card
         tarr = self._type
-        oarr = self._owner
         larr = self._level
         sarr = self._settle
         smp = self._samples
@@ -628,7 +595,6 @@ class ArrayLeveledStructure:
             varr[i] = verts[j]
             carr[i] = cards[j]
             tarr[i] = _T_UNSETTLED
-            oarr[i] = None
             oslc[i] = -1
             larr[i] = -1
             sarr[i] = 0
@@ -644,7 +610,6 @@ class ArrayLeveledStructure:
             varr.extend(verts[k:])
             carr.extend(cards[k:])
             tarr.extend([_T_UNSETTLED] * r)
-            oarr.extend([None] * r)
             oslc.extend([-1] * r)
             larr.extend([-1] * r)
             sarr.extend([0] * r)
@@ -684,7 +649,16 @@ class ArrayLeveledStructure:
     # Point queries
     # ------------------------------------------------------------------ #
     def cover_of(self, v: Vertex) -> Optional[EdgeId]:
-        return self._p.get(v)
+        d = self.interner._index.get(v)
+        if d is None:
+            return None
+        i = self._pcol[d]
+        return None if i < 0 else self._edge[i].eid
+
+    def _owner_of(self, i: int) -> Optional[EdgeId]:
+        """The edge id of slot ``i``'s owner (None when it has none)."""
+        o = self._ownslot[i]
+        return None if o < 0 else self._edge[o].eid
 
     def type_of(self, eid: EdgeId) -> EdgeType:
         return _TYPE_OBJS[self._type[self._slot[eid]]]
@@ -727,8 +701,8 @@ class ArrayLeveledStructure:
 
     def owner_pairs(self) -> Iterator[Tuple[EdgeId, Optional[EdgeId]]]:
         """(edge id, owner id) for every registered edge — no proxies."""
-        owner = self._owner
-        return ((eid, owner[i]) for eid, i in self._slot.items())
+        owner_of = self._owner_of
+        return ((eid, owner_of(i)) for eid, i in self._slot.items())
 
     def free_flags(self, edges: Sequence[Edge], frame=None) -> List[bool]:
         """Per-edge "all vertices uncovered" flags: one parallel region,
@@ -740,8 +714,8 @@ class ArrayLeveledStructure:
         way — the scalar loop's early break never reduces the charged
         work (the region prices every vertex visit of the batch).
         """
-        p = self._p
-        get = p.get
+        pcol = self._pcol
+        vid = self.interner._index.get
         n = len(edges)
         if (
             frame is not None
@@ -751,15 +725,14 @@ class ArrayLeveledStructure:
         ):
             total = frame.total_cardinality
             dense = getattr(frame, "dense", None)
-            if dense is not None and not self._pcol_dirty and len(self._pcol):
+            if dense is not None:
                 # Columnar path: the frame carries interned dense ids,
                 # so coverage is a single int32 gather — no per-vertex
                 # dict traffic at all.
-                pcol = np.frombuffer(self._pcol, dtype=np.int32)
-                covered = pcol[dense] >= 0
+                covered = np.frombuffer(pcol, dtype=np.int32)[dense] >= 0
             else:
                 covered = np.fromiter(
-                    (o is not None for o in map(get, frame.vflat.tolist())),
+                    (d is not None and pcol[d] >= 0 for d in map(vid, frame.vflat.tolist())),
                     dtype=np.bool_, count=total,
                 )
             free = ~np.logical_or.reduceat(covered, frame.voff[:-1])
@@ -773,7 +746,8 @@ class ArrayLeveledStructure:
             total += len(vs)
             free = True
             for v in vs:
-                if get(v) is not None:
+                d = vid(v)
+                if d is not None and pcol[d] >= 0:
                     free = False
                     break
             append(free)
@@ -856,9 +830,10 @@ class ArrayLeveledStructure:
 
         Every branch of the old per-edge loop charged depth 1 for the
         singleton sample-set build plus depth 1 for the match install, so
-        the whole region prices as two uniform batched charges.  Large
-        calls (:meth:`_kernels_on`) run the ``edit_add_level0`` kernel,
-        smaller ones the scalar loop below; the charges are identical.
+        the whole region prices as two uniform batched charges.  Calls of
+        at least :data:`repro.native.VEC_MIN` edges run the
+        ``edit_add_level0`` kernel, smaller ones the scalar loop below;
+        the charges are identical.
         """
         n = len(edges)
         if n == 0:
@@ -872,12 +847,10 @@ class ArrayLeveledStructure:
         sarr = self._settle
         larr = self._level
         tarr = self._type
-        oarr = self._owner
         oslc = self._ownslot
         card = self._card
-        p = self._p
         pcol = self._pcol
-        if self._kernels_on(n):
+        if n >= native.VEC_MIN:
             ids = [e.eid for e in edges]
             ok = len(set(ids)) == n and matched.isdisjoint(ids)
             slots = None
@@ -909,19 +882,11 @@ class ArrayLeveledStructure:
                     np.frombuffer(pcol, dtype=np.int32),
                 )
                 # Object-side residue the kernel cannot touch: the
-                # sample/cross dicts, the owner-eid column, the matched
-                # set and the authoritative cover dict (bulk-updated at
-                # C level; matches are vertex-disjoint, so write order
-                # is immaterial).
+                # sample/cross sets and the matched set.
                 for i, eid in zip(slots_l, ids):
                     smp[i] = (eid,)
                     crs[i] = ()
-                    oarr[i] = eid
                 matched.update(ids)
-                vchain = list(chain.from_iterable(e.vertices for e in edges))
-                p.update(
-                    zip(vchain, chain.from_iterable(map(repeat, ids, cards.tolist())))
-                )
                 self.ledger.charge_parallel(n, work=n, depth=1, tag="dict_batch")
                 self.ledger.charge_parallel(n, work=total, depth=1, tag="add_match")
                 return
@@ -943,10 +908,8 @@ class ArrayLeveledStructure:
             sarr[i] = 1
             larr[i] = 0
             tarr[i] = _T_MATCHED
-            oarr[i] = eid
             oslc[i] = i
             for v in e.vertices:
-                p[v] = eid
                 pcol[vid[v]] = i
             total += 1 + card[i]
         self.ledger.charge_parallel(n, work=n, depth=1, tag="dict_batch")
@@ -973,7 +936,6 @@ class ArrayLeveledStructure:
         slot = self._slot
         verts = self._verts
         tarr = self._type
-        oarr = self._owner
         oslc = self._ownslot
         edges = self._edge
         cards = self._card
@@ -1012,28 +974,27 @@ class ArrayLeveledStructure:
                     b[1] = cap
                 if not d:
                     del Pv[lvl]
+                    if not Pv:
+                        del P[v]
             tarr[j] = _T_UNSETTLED
-            oarr[j] = None
             oslc[j] = -1
             out.append(edges[j])
             w_rm += cards[j]
             if bd > max_bd:
                 max_bd = bd
         d_total += max_bd
-        p = self._p
         pcol = self._pcol
         vid = self.interner._index
         for v in verts[i]:
-            if p.get(v) == eid:
-                p[v] = None
-                pcol[vid[v]] = -1
+            d = vid[v]
+            if pcol[d] == i:
+                pcol[d] = -1
         self._samples[i] = None
         self._cross[i] = None
         self._level[i] = -1
         self._settle[i] = 0
         if tarr[i] == _T_MATCHED:
             tarr[i] = _T_UNSETTLED
-            oarr[i] = None
             oslc[i] = -1
         w_rm += cards[i]
         no = len(owned)
@@ -1060,24 +1021,22 @@ class ArrayLeveledStructure:
         per-operation charge sequence to the bit.
         """
         eid = edge.eid
-        slot = self._slot
-        i = slot[eid]
-        p = self._p
+        i = self._slot[eid]
+        pcol = self._pcol
+        vid = self.interner._index
         level = self._level
-        best: Optional[EdgeId] = None
+        bi = -1
         best_lvl = -1
         for v in edge.vertices:
-            pm = p.get(v)
-            if pm is not None:
-                l = level[slot[pm]]
-                if best is None or l > best_lvl:
-                    best = pm
+            j = pcol[vid[v]]
+            if j >= 0:
+                l = level[j]
+                if bi < 0 or l > best_lvl:
+                    bi = j
                     best_lvl = l
-        if best is None:
+        if bi < 0:
             raise ValueError(f"cross edge {eid} has no incident match")
         self._type[i] = _T_CROSS
-        self._owner[i] = best
-        bi = slot[best]
         self._ownslot[i] = bi
         cd = self._cross[bi]
         if cd.__class__ is tuple:  # the empty small form
@@ -1167,11 +1126,10 @@ class ArrayLeveledStructure:
         accumulate (sum the work, max the depth).
         """
         eid = edge.eid
-        slot = self._slot
-        i = slot[eid]
+        i = self._slot[eid]
         if self._type[i] != _T_CROSS:
             raise ValueError(f"edge {eid} is not a cross edge")
-        oi = slot[self._owner[i]]
+        oi = self._ownslot[i]
         lvl = self._level[oi]
         cd = self._cross[oi]
         n = len(cd)
@@ -1214,19 +1172,19 @@ class ArrayLeveledStructure:
                 b[1] = cap
             if not d:
                 del Pv[lvl]
+                if not Pv:
+                    del P[v]
         self._type[i] = _T_UNSETTLED
-        self._owner[i] = None
         self._ownslot[i] = -1
         return w_batch, w_rehash, self._card[i], bd + 1
 
-    def _sdisc_acc(self, mid: EdgeId, eid: EdgeId) -> Tuple[float, int]:
-        """Delete ``eid`` from S(mid) (``BatchSet.delete_one``), without
-        charge emission.
+    def _sdisc_acc(self, i: int, eid: EdgeId) -> Tuple[float, int]:
+        """Delete ``eid`` from S(m) of the match in slot ``i``
+        (``BatchSet.delete_one``), without charge emission.
 
         Returns ``(w_rehash, branch_depth)``; the op's dict_batch work is
         always exactly 1.
         """
-        i = self._slot[mid]
         sd = self._samples[i]
         n = len(sd)
         bd = n.bit_length() if n >= 2 else 1
@@ -1315,8 +1273,6 @@ class ArrayLeveledStructure:
         bd0_l = bd0.tolist()
         for bs in ub_l:
             _as_dict(crs, bs)
-        oarr = self._owner
-        earr = self._edge
         larr = self._level
         P = self._P
         max_bd = 0
@@ -1324,7 +1280,6 @@ class ArrayLeveledStructure:
             edge = edges[k]
             eid = ids[k]
             bs = best_l[k]
-            oarr[slots_l[k]] = earr[bs].eid
             crs[bs][eid] = None
             best_lvl = larr[bs]
             bd = bd0_l[k]
@@ -1373,7 +1328,7 @@ class ArrayLeveledStructure:
         per-edge route."""
         if not edges:
             return
-        if self._kernels_on(len(edges)) and self._kernel_add_cross(edges):
+        if len(edges) >= native.VEC_MIN and self._kernel_add_cross(edges):
             return
         parallel_for(self.ledger, edges, self.add_cross_edge)
 
@@ -1410,7 +1365,6 @@ class ArrayLeveledStructure:
         led = self.ledger
         slot = self._slot
         tarr = self._type
-        oarr = self._owner
         oslc = self._ownslot
         edges = self._edge
         w_batch = 0.0
@@ -1426,11 +1380,10 @@ class ArrayLeveledStructure:
                 w_rehash += wr
                 w_cross += card
             elif t == _T_SAMPLED:
-                wr, bd = self._sdisc_acc(oarr[i], eid)
+                wr, bd = self._sdisc_acc(oslc[i], eid)
                 w_batch += 1.0
                 w_rehash += wr
                 tarr[i] = _T_UNSETTLED
-                oarr[i] = None
                 oslc[i] = -1
             else:  # pragma: no cover — structure guarantees settled types
                 raise AssertionError(f"unsettled edge {eid} in structure")
@@ -1464,7 +1417,7 @@ class ArrayLeveledStructure:
         max_bd = 0
         loop = mids
         sds = None
-        if self._kernels_on(len(mids)):
+        if len(mids) >= native.VEC_MIN:
             try:
                 slots_l = list(map(slot.__getitem__, mids))
             except KeyError:
@@ -1540,13 +1493,14 @@ class ArrayLeveledStructure:
         Returns the owned-edge list on success, or ``None`` when a
         validation fails — the prelude is pure, so the caller can run the
         per-edge route for exact error and partial-state semantics.
-        The int32/pcol column resets and the owned-card work total move
-        into the edit kernel, and the object columns (``_p``, S(m),
-        C(m), ``_owner``) are reset in bulk.  Only the matches that own
-        cross edges run the P-bucket unlink loop (whose charges depend on
-        evolving dict sizes), in the exact per-edge order; a match with
-        an empty C(m) — most level-0 matches — charges ``dict_elements``
-        work 1 and branch depth 2, with no per-match Python.
+        The column resets (types, owner slots, levels, settle sizes and
+        the covers in ``_pcol``) and the owned-card work total move into
+        the edit kernel, and S(m) and C(m) are reset in bulk.  Only the
+        matches that own cross edges run the P-bucket unlink loop (whose
+        charges depend on evolving dict sizes), in the exact per-edge
+        order; a match with an empty C(m) — most level-0 matches —
+        charges ``dict_elements`` work 1 and branch depth 2, with no
+        per-match Python.
         """
         n = len(eids)
         ids = list(eids)
@@ -1590,11 +1544,6 @@ class ArrayLeveledStructure:
         # iteration's owned sweep — the start-state mask equals the
         # per-edge at-turn check.
         premask = tarr_np[mslots] == _T_MATCHED
-        # The kernel clears a cover only where the vertex is still
-        # covered by its dying match (``pcol == slot``, the mirror of
-        # ``p.get(v) == eid``); read that guard before the kernel clears
-        # the mirror, to clear the same covers in ``_p``.
-        uncover = (pcol_np[mdflat] == np.repeat(mslots, mcards)).tolist()
         # The unlink loop needs its owners' levels, which the kernel
         # resets.
         larr = self._level
@@ -1613,23 +1562,14 @@ class ArrayLeveledStructure:
             pcol_np,
         )
         matched.difference_update(ids)
-        verts = self._verts
-        oarr = self._owner
-        p = self._p
-        p.update(
-            zip(
-                compress(chain.from_iterable(map(verts.__getitem__, slots_l)), uncover),
-                repeat(None),
-            )
-        )
-        # Plain loops: CPython stores into a list faster this way than
+        # A plain loop: CPython stores into a list faster this way than
         # through a C-level map over ``list.__setitem__``.
         smp = self._samples
         for i in slots_l:
             smp[i] = None
             crs[i] = None
-        for i in compress(slots_l, premask.tolist()):
-            oarr[i] = None
+        verts = self._verts
+        own_it = iter(own_flat_l)
         n_empty = n - len(busy)
         P = self._P
         Pget = P.get
@@ -1645,8 +1585,7 @@ class ArrayLeveledStructure:
             else:
                 d_total = 0
             max_bd = 0
-            for ceid in owned:
-                j = slot[ceid]
+            for ceid, j in zip(owned, own_it):
                 bd = 1
                 for v in verts[j]:
                     Pv = Pget(v)
@@ -1672,7 +1611,8 @@ class ArrayLeveledStructure:
                         b[1] = cap
                     if not d:
                         del Pv[lvl]
-                oarr[j] = None
+                        if not Pv:
+                            del P[v]
                 if bd > max_bd:
                     max_bd = bd
             d_total += max_bd
@@ -1698,7 +1638,7 @@ class ArrayLeveledStructure:
         Same route rule as :meth:`add_cross_edge_batch`."""
         if not eids:
             return []
-        if self._kernels_on(len(eids)):
+        if len(eids) >= native.VEC_MIN:
             out = self._kernel_remove_match(eids)
             if out is not None:
                 return out
@@ -1714,9 +1654,7 @@ class ArrayLeveledStructure:
         led = self.ledger
         slot = self._slot
         tarr = self._type
-        oarr = self._owner
         oslc = self._ownslot
-        p = self._p
         pcol = self._pcol
         vid = self.interner._index
         alpha = self.alpha
@@ -1757,13 +1695,10 @@ class ArrayLeveledStructure:
             for s in samples:
                 j = slot[s.eid]
                 tarr[j] = _T_SAMPLED
-                oarr[j] = eid
                 oslc[j] = i
             tarr[i] = _T_MATCHED
-            oarr[i] = eid
             oslc[i] = i
             for v in edge.vertices:
-                p[v] = eid
                 pcol[vid[v]] = i
             w_set += k
             w_add += k + edge.cardinality
@@ -1856,7 +1791,6 @@ class ArrayLeveledStructure:
         i = self._slot[eid]
         self.matched.add(eid)
         self._type[i] = _T_MATCHED
-        self._owner[i] = eid
         self._ownslot[i] = i
         sd, self._scap[i] = self._new_set(list(samples))
         cd, self._ccap[i] = self._new_set(list(cross))
@@ -1870,21 +1804,17 @@ class ArrayLeveledStructure:
             self._ccap[i] = int(ccap)
         self._level[i] = level
         self._settle[i] = settle_size
-        p = self._p
         pcol = self._pcol
         vid = self.interner._index
         for v in self._verts[i]:
-            p[v] = eid
             pcol[vid[v]] = i
 
     def restore_attached(self, eid: EdgeId, etype: EdgeType, owner: Optional[EdgeId]) -> None:
         i = self._slot[eid]
         if owner is None or owner not in self.matched:
             raise ValueError(f"edge {eid}: owner {owner!r} is not a match")
-        self._owner[i] = owner
-        self._ownslot[i] = self._slot[owner]
+        oi = self._ownslot[i] = self._slot[owner]
         self._type[i] = _TYPE_CODE[etype]
-        oi = self._slot[owner]
         if etype == EdgeType.CROSS:
             if eid not in self._cross[oi]:
                 raise ValueError(f"cross edge {eid} missing from C({owner})")
@@ -1902,10 +1832,10 @@ class ArrayLeveledStructure:
         snapshot (see :mod:`repro.core.snapshot`), gathered from the slot
         arrays.
 
-        Read-only and uncharged.  Reads only authoritative state — the
-        slot arrays, the S(m)/C(m) dicts and ``_P`` — never the
-        ``_pcol``/``_ownslot`` mirrors, so it is exact on a
-        ``_pcol_dirty`` structure too.  Allocates one list per column.
+        Read-only and uncharged.  The owner column holds edge ids, read
+        through the ``_ownslot`` column (covers are not stored: a
+        restore re-derives them from the matches).  Allocates one list
+        per column.
         """
         slot = self._slot
         slots = np.fromiter(slot.values(), dtype=np.int64, count=len(slot))
@@ -1930,7 +1860,7 @@ class ArrayLeveledStructure:
                 "eid": list(slot),
                 "card": np.frombuffer(self._card, dtype=np.int32)[slots].tolist(),
                 "type": types.tolist(),
-                "owner": list(map(self._owner.__getitem__, live)),
+                "owner": list(map(self._owner_of, live)),
                 "vertices": list(chain.from_iterable(map(self._verts.__getitem__, live))),
             },
             "matches": {
@@ -1971,26 +1901,50 @@ class ArrayLeveledStructure:
     def check_invariants(self) -> None:
         """Definition 4.1 plus structural consistency, over the arrays."""
         slot = self._slot
-        for v, pm in self._p.items():
-            if pm is not None:
-                assert pm in self.matched, f"p({v})={pm} is not matched"
-                assert v in self._verts[slot[pm]], f"p({v}) not incident on {v}"
+        edge = self._edge
+        verts = self._verts
+        tarr = self._type
+        level = self._level
+        ownslot = self._ownslot
+        owner_of = self._owner_of
+        matched = self.matched
+        pcol = self._pcol
+        vid = self.interner._index
+        live = set(slot.values())
+
+        # Covers: p(v) is a live match incident on v, and every match
+        # covers all its vertices.
+        assert len(pcol) == len(vid), (
+            f"pcol has {len(pcol)} entries for {len(vid)} interned vertices"
+        )
+        for v, d in vid.items():
+            pi = pcol[d]
+            if pi >= 0:
+                assert pi in live and edge[pi].eid in matched, (
+                    f"p({v!r}) is slot {pi}, not a live match"
+                )
+                assert v in verts[pi], f"p({v!r}) not incident on {v!r}"
         cover_count: Dict[Vertex, int] = {}
-        for mid in self.matched:
+        for mid in matched:
             i = slot[mid]
-            assert self._type[i] == _T_MATCHED, (
-                f"match {mid} has type {_TYPE_OBJS[self._type[i]]}"
+            assert tarr[i] == _T_MATCHED, (
+                f"match {mid} has type {_TYPE_OBJS[tarr[i]]}"
             )
-            for v in self._verts[i]:
+            for v in verts[i]:
                 cover_count[v] = cover_count.get(v, 0) + 1
                 assert cover_count[v] == 1, f"vertex {v} covered by two matches"
-                assert self._p.get(v) == mid, f"p({v}) != covering match {mid}"
+                assert pcol[vid[v]] == i, f"p({v}) != covering match {mid}"
+
+        # Owner slots name registered edges (read as ids from here on).
+        for eid, i in slot.items():
+            o = ownslot[i]
+            assert o == -1 or o in live, f"edge {eid}: owner slot {o} holds no edge"
 
         sample_owner: Dict[EdgeId, EdgeId] = {}
-        for mid in self.matched:
+        for mid in matched:
             i = slot[mid]
-            assert self._level[i] == level_of(self._settle[i], self.alpha), (
-                f"match {mid}: level {self._level[i]} != level_of({self._settle[i]})"
+            assert level[i] == level_of(self._settle[i], self.alpha), (
+                f"match {mid}: level {level[i]} != level_of({self._settle[i]})"
             )
             sd = self._samples[i]
             assert len(sd) <= self._settle[i], (
@@ -2001,108 +1955,75 @@ class ArrayLeveledStructure:
                 assert sid not in sample_owner, f"edge {sid} in two sample spaces"
                 sample_owner[sid] = mid
                 j = slot[sid]
-                assert self._owner[j] == mid, (
-                    f"sample {sid}: owner {self._owner[j]} != {mid}"
-                )
-                assert self._edge[j].intersects(self._edge[i]), (
-                    f"sample {sid} not incident on {mid}"
-                )
+                assert owner_of(j) == mid, f"sample {sid}: owner {owner_of(j)} != {mid}"
+                assert edge[j].intersects(edge[i]), f"sample {sid} not incident on {mid}"
                 if sid != mid:
-                    assert self._type[j] == _T_SAMPLED, (
-                        f"sample {sid} has type {_TYPE_OBJS[self._type[j]]}"
+                    assert tarr[j] == _T_SAMPLED, (
+                        f"sample {sid} has type {_TYPE_OBJS[tarr[j]]}"
                     )
 
         for eid, i in slot.items():
-            assert self._type[i] != _T_UNSETTLED, f"edge {eid} left unsettled"
-            if self._type[i] == _T_SAMPLED:
-                assert eid in sample_owner and sample_owner[eid] == self._owner[i], (
-                    f"sampled edge {eid} not in S({self._owner[i]})"
+            assert tarr[i] != _T_UNSETTLED, f"edge {eid} left unsettled"
+            owner = owner_of(i)
+            if tarr[i] == _T_SAMPLED:
+                assert eid in sample_owner and sample_owner[eid] == owner, (
+                    f"sampled edge {eid} not in S({owner})"
                 )
-            owner = self._owner[i]
             assert owner is not None, f"edge {eid} has no owner"
-            assert owner in self.matched, f"edge {eid} owner {owner} not matched"
-            assert self._edge[i].intersects(self._edge[slot[owner]]) or owner == eid, (
+            assert owner in matched, f"edge {eid} owner {owner} not matched"
+            oi = ownslot[i]
+            assert edge[i].intersects(edge[oi]) or owner == eid, (
                 f"edge {eid} not incident on its owner {owner}"
             )
-            if self._type[i] == _T_CROSS:
-                oi = slot[owner]
+            if tarr[i] == _T_CROSS:
                 assert eid in self._cross[oi], f"cross {eid} missing from C({owner})"
                 max_level = max(
-                    (
-                        self._level[slot[self._p[v]]]
-                        for v in self._verts[i]
-                        if self._p.get(v) is not None
-                    ),
+                    (level[pcol[vid[v]]] for v in verts[i] if pcol[vid[v]] >= 0),
                     default=-1,
                 )
                 assert max_level >= 0, f"cross edge {eid} incident on no match"
-                assert self._level[oi] == max_level, (
-                    f"cross {eid}: owner level {self._level[oi]} != max incident {max_level}"
+                assert level[oi] == max_level, (
+                    f"cross {eid}: owner level {level[oi]} != max incident {max_level}"
                 )
-                for v in self._verts[i]:
+                for v in verts[i]:
                     Pv = self._P.get(v)
-                    bucket = Pv.get(self._level[oi]) if Pv else None
+                    bucket = Pv.get(level[oi]) if Pv else None
                     assert bucket is not None and eid in bucket[0], (
-                        f"cross {eid} missing from P({v}, {self._level[oi]})"
+                        f"cross {eid} missing from P({v}, {level[oi]})"
                     )
 
-        # P(v, l) soundness: no stale entries.
+        # P(v, l) soundness: no stale entries, no empty P(v).
         for v, Pv in self._P.items():
+            assert Pv, f"P({v}) is empty"
             for lvl, b in Pv.items():
                 for eid in b[0]:
                     i = slot.get(eid)
                     assert i is not None, f"P({v},{lvl}) holds deleted edge {eid}"
-                    assert self._type[i] == _T_CROSS, (
-                        f"P({v},{lvl}) holds non-cross edge {eid}"
+                    assert tarr[i] == _T_CROSS, f"P({v},{lvl}) holds non-cross edge {eid}"
+                    oi = ownslot[i]
+                    assert level[oi] == lvl, (
+                        f"P({v},{lvl}) holds edge {eid} owned at level {level[oi]}"
                     )
-                    oi = slot[self._owner[i]]
-                    assert self._level[oi] == lvl, (
-                        f"P({v},{lvl}) holds edge {eid} owned at level {self._level[oi]}"
-                    )
-                    assert v in self._verts[i], f"P({v},{lvl}) holds non-incident {eid}"
+                    assert v in verts[i], f"P({v},{lvl}) holds non-incident {eid}"
 
         # C(m) soundness.
-        for mid in self.matched:
-            oi = slot[mid]
-            for ceid in self._cross[oi]:
+        for mid in matched:
+            for ceid in self._cross[slot[mid]]:
                 ci = slot.get(ceid)
                 assert ci is not None, f"C({mid}) holds deleted edge {ceid}"
-                assert self._type[ci] == _T_CROSS and self._owner[ci] == mid, (
+                assert tarr[ci] == _T_CROSS and owner_of(ci) == mid, (
                     f"C({mid}) holds edge {ceid} with type "
-                    f"{_TYPE_OBJS[self._type[ci]]}, owner {self._owner[ci]}"
+                    f"{_TYPE_OBJS[tarr[ci]]}, owner {owner_of(ci)}"
                 )
 
-        # Columnar edit-plane sync (skipped once a white-box poke has
-        # marked the mirrors stale).
-        if not self._pcol_dirty:
-            vid = self.interner._index
-            assert len(self._pcol) == len(vid), (
-                f"pcol has {len(self._pcol)} entries for {len(vid)} interned vertices"
+        # The dense-vertex pool holds each slot's interned vertices.
+        for eid, i in slot.items():
+            off = self._vd_off[i]
+            vs = verts[i]
+            pool = self._vd_flat[off : off + len(vs)]
+            assert list(pool) == [vid[v] for v in vs], (
+                f"edge {eid}: vd pool segment out of sync"
             )
-            for eid, i in slot.items():
-                owner = self._owner[i]
-                os_ = self._ownslot[i]
-                if owner is None:
-                    assert os_ == -1, f"edge {eid}: ownslot {os_} for owner None"
-                else:
-                    assert os_ == slot[owner], (
-                        f"edge {eid}: ownslot {os_} != slot({owner})={slot[owner]}"
-                    )
-                off = self._vd_off[i]
-                vs = self._verts[i]
-                pool = self._vd_flat[off : off + len(vs)]
-                assert list(pool) == [vid[v] for v in vs], (
-                    f"edge {eid}: vd pool segment out of sync"
-                )
-            for v, d in vid.items():
-                pm = self._p.get(v)
-                pc = self._pcol[d]
-                if pm is None:
-                    assert pc == -1, f"pcol[{v!r}]={pc} but p({v!r}) is None"
-                else:
-                    assert pc == slot[pm], (
-                        f"pcol[{v!r}]={pc} != slot(p({v!r}))={slot[pm]}"
-                    )
 
 
 class FlatAdjacency:

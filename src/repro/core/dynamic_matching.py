@@ -229,15 +229,13 @@ class DynamicMatching:
     def _attach_dense(self, frame: BatchFrame) -> None:
         """Attach the structure's interned dense-id column to ``frame``.
 
-        Array backend only (and only while the columnar mirrors are
-        clean): the frame then carries stable dense vertex ids, so
-        ``free_flags`` gathers coverage from the cover column and the
-        matcher labels the batch's vertices by their narrow dense ids
-        instead of the raw vertex column.
+        Array backend only: the frame then carries stable dense vertex
+        ids, so ``free_flags`` gathers coverage from the cover column
+        and the matcher labels the batch's vertices by their narrow
+        dense ids instead of the raw vertex column.
         """
         structure = self.structure
-        if not structure._pcol_dirty:
-            frame.attach_dense(structure.frame_dense(frame), structure.interner)
+        frame.attach_dense(structure.frame_dense(frame), structure.interner)
 
     def _columnar(self, n: int) -> bool:
         """Whether a call of ``n`` edges takes the columnar route: the

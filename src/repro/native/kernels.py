@@ -276,9 +276,9 @@ def edit_remove_match(
     """Columnar column-resets of ``remove_match_batch``.
 
     Detaches every owned cross edge (``own_slots``) and every dying
-    match (``mslots``), clearing covers in ``pcol`` only where the
-    vertex is still covered by its dying match (``pcol == slot``, the
-    columnar mirror of the scalar ``p.get(v) == eid`` guard).
+    match (``mslots``), clearing covers in the cover map ``pcol`` only
+    where the vertex is still covered by its dying match
+    (``pcol == slot``, the guard of the scalar ``remove_match``).
     ``premask`` flags matches still typed ``_T_MATCHED`` at batch start
     — the ones whose type/owner the scalar loop resets.  Returns the
     ``remove_match`` work term (sum of detached cardinalities).

@@ -61,7 +61,7 @@ class DeletionPriceProcess:
     """
 
     def __init__(self, result: MatchResult) -> None:
-        self._owner: Dict[EdgeId, EdgeId] = result.owner_map()
+        self._owner_map: Dict[EdgeId, EdgeId] = result.owner_map()
         self._price: Dict[EdgeId, float] = {
             m.edge.eid: float(len(m.samples)) for m in result.matches
         }
@@ -71,13 +71,13 @@ class DeletionPriceProcess:
 
     def delete(self, eid: EdgeId) -> DeleteRecord:
         """Process the user delete of edge ``eid`` and return its record."""
-        if eid not in self._owner:
+        if eid not in self._owner_map:
             raise KeyError(f"edge {eid} was not part of the matched instance")
         if eid in self._deleted:
             raise ValueError(f"edge {eid} deleted twice")
         self._deleted.add(eid)
 
-        owner = self._owner[eid]
+        owner = self._owner_map[eid]
         owner_alive = owner not in self._deleted or owner == eid
         early = owner_alive  # "p(d_t) not yet deleted (or d_t = p(d_t))"
 

@@ -3,7 +3,8 @@
 The epoch tracker keeps no object per epoch and trims its log below the
 oldest registered reader, so a long churn adds no garbage-collector-
 tracked objects per batch; the array backend stores the common small
-sample/cross sets without a dict.  The streams use churn-r2's density
+sample/cross sets without a dict, and drops a vertex's level index P(v)
+when its last bucket goes.  The streams use churn-r2's density
 (16 vertices per live edge).
 """
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.dynamic_matching import DynamicMatching
+from repro.core.level_structure import EdgeType
 from repro.durability import DurabilityManager, recover
 from repro.hypergraph.edge import Edge
 from repro.query import QueryService
@@ -197,3 +199,28 @@ def test_small_sets_allocate_no_dict(batch):
     assert dicts <= 0.25 * len(slots), dicts / len(slots)
     held = sum(sys.getsizeof(x) for x in samples + cross if x != ())
     assert held <= 120 * len(slots), held / len(slots)
+
+
+@pytest.mark.parametrize("batch", [16, 256], ids=["scalar-route", "kernel-route"])
+def test_level_index_holds_only_vertices_with_live_cross_edges(batch):
+    """P(v) goes with its last level bucket, so the level index holds
+    exactly the vertices of live cross edges, however many cross edges
+    have come and gone."""
+    load, rest = churn_plan(2**11, 40, batch, seed=11)
+    dm = DynamicMatching(rank=2, seed=11)
+    s = dm.structure
+    before: set = set()
+    dropped = 0
+    for b in load + rest:
+        apply(dm, b)
+        held = {
+            v
+            for eid in s.recs
+            if s.type_of(eid) == EdgeType.CROSS
+            for v in s.edge_of(eid).vertices
+        }
+        assert set(s._P) == held
+        dropped += len(before - held)
+        before = held
+    assert dropped > 0
+    dm.check_invariants()

@@ -104,19 +104,20 @@ class TestBoundaryInputs:
         assert len(dm) == 0
 
 
+def _built():
+    dm = DynamicMatching(seed=0)
+    dm.insert_edges(
+        [Edge(0, (1, 2)), Edge(1, (2, 3)), Edge(2, (3, 4)), Edge(3, (4, 5))]
+    )
+    dm.check_invariants()
+    return dm
+
+
 class TestFailureInjection:
     """Corrupt the structure in targeted ways; the checker must fire."""
 
-    def _built(self):
-        dm = DynamicMatching(seed=0)
-        dm.insert_edges(
-            [Edge(0, (1, 2)), Edge(1, (2, 3)), Edge(2, (3, 4)), Edge(3, (4, 5))]
-        )
-        dm.check_invariants()
-        return dm
-
     def test_detects_vertex_pointer_corruption(self):
-        dm = self._built()
+        dm = _built()
         mid = dm.matched_ids()[0]
         v = dm.structure.rec(mid).edge.vertices[0]
         dm.structure.verts[v].p = None
@@ -124,23 +125,26 @@ class TestFailureInjection:
             dm.check_invariants()
 
     def test_detects_type_corruption(self):
-        dm = self._built()
+        dm = _built()
         mid = dm.matched_ids()[0]
         dm.structure.rec(mid).type = EdgeType.CROSS
         with pytest.raises(AssertionError):
             dm.check_invariants()
 
     def test_detects_orphaned_owner(self):
-        dm = self._built()
-        for rec in dm.structure.recs.values():
+        """An owner that is registered but is not a match."""
+        dm = _built()
+        s = dm.structure
+        unmatched = [eid for eid in s.recs if not dm.is_matched(eid)]
+        for rec in s.recs.values():
             if rec.type == EdgeType.CROSS:
-                rec.owner = 424242
+                rec.owner = next(eid for eid in unmatched if eid != rec.eid)
                 break
-        with pytest.raises((AssertionError, KeyError)):
+        with pytest.raises(AssertionError):
             dm.check_invariants()
 
     def test_detects_cross_set_desync(self):
-        dm = self._built()
+        dm = _built()
         for rec in dm.structure.recs.values():
             if rec.type == EdgeType.CROSS:
                 dm.structure.rec(rec.owner).cross.delete_one(rec.eid)
@@ -149,28 +153,28 @@ class TestFailureInjection:
             dm.check_invariants()
 
     def test_detects_sample_set_desync(self):
-        dm = self._built()
+        dm = _built()
         mid = dm.matched_ids()[0]
         dm.structure.rec(mid).samples.delete_one(mid)  # match must own itself
         with pytest.raises(AssertionError):
             dm.check_invariants()
 
     def test_detects_level_drift(self):
-        dm = self._built()
+        dm = _built()
         mid = dm.matched_ids()[0]
         dm.structure.rec(mid).level += 1
         with pytest.raises(AssertionError):
             dm.check_invariants()
 
     def test_detects_tracker_desync(self):
-        dm = self._built()
+        dm = _built()
         mid = dm.matched_ids()[0]
         dm.tracker.death(mid, "natural")  # tracker thinks the epoch died
         with pytest.raises(AssertionError):
             dm.check_invariants()
 
     def test_detects_matching_conflict(self):
-        dm = self._built()
+        dm = _built()
         # force a second "match" adjacent to an existing one
         cross = next(
             r for r in dm.structure.recs.values() if r.type == EdgeType.CROSS
@@ -178,6 +182,32 @@ class TestFailureInjection:
         dm.structure.matched.add(cross.eid)
         with pytest.raises(AssertionError):
             dm.check_invariants()
+
+
+class TestColumnPokes:
+    """The array backend's ``verts[v].p`` and ``rec.owner`` setters write
+    its cover and owner columns; a poke those columns cannot hold raises
+    ``KeyError`` and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "poke", ["unregistered cover", "never-seen vertex", "unregistered owner"]
+    )
+    def test_unholdable_poke_raises_and_writes_nothing(self, poke):
+        dm = _built()
+        s = dm.structure
+        mid = dm.matched_ids()[0]
+        v = s.rec(mid).edge.vertices[0]
+        before = (s._pcol.tobytes(), s._ownslot.tobytes())
+        with pytest.raises(KeyError):
+            if poke == "unregistered cover":
+                s.verts[v].p = 424242
+            elif poke == "never-seen vertex":
+                s.verts[10**9].p = mid
+            else:
+                s.rec(mid).owner = 424242
+        assert (s._pcol.tobytes(), s._ownslot.tobytes()) == before
+        assert s.verts[v].p == mid and s.rec(mid).owner == mid
+        dm.check_invariants()
 
 
 class TestErrorRecovery:

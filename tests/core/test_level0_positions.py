@@ -9,7 +9,9 @@ the per-item loops.  Three checks:
 
 * the array backend against the dict oracle at batch sizes just below,
   at and above ``VEC_MIN``, on streams that delete matches with and
-  without owned cross edges and with singleton and larger S(m);
+  without owned cross edges and with singleton and larger S(m): the
+  matching, ledger, epochs, every seen vertex's cover and the owner
+  pairs after every batch;
 * the positional matcher result: no ``Matched`` built for the settle,
   an O(1) ``len``, and ``matches``/``priorities`` equal to the scalar
   path's when read;
@@ -64,13 +66,20 @@ def _delete_batch(dm: DynamicMatching, live: list, n: int, rng):
     return list(chosen)
 
 
-def _state(dm: DynamicMatching):
+def _seen(arr: DynamicMatching, ref: DynamicMatching) -> list:
+    """Every vertex either backend has seen."""
+    return sorted(set(arr.structure.interner._index) | set(ref.structure.verts))
+
+
+def _state(dm: DynamicMatching, vertices: list):
     led = dm.ledger
     return (
         dm.matched_ids(),
         (led.work, led.depth, dict(led.by_tag)),
         dm.tracker.counts(),
         dm.tracker.total_sample(),
+        [dm.match_of(v) for v in vertices],
+        sorted(dm.structure.owner_pairs()),
     )
 
 
@@ -107,7 +116,10 @@ class TestArrayVsDictAroundVecMin:
                 live = [eid for eid in live if eid not in gone]
                 arr.delete_edges(eids)
                 ref.delete_edges(eids)
-            assert _state(arr) == _state(ref), f"step {step} diverged at n={n}"
+            seen_v = _seen(arr, ref)
+            assert _state(arr, seen_v) == _state(ref, seen_v), (
+                f"step {step} diverged at n={n}"
+            )
             arr.check_invariants()
             ref.check_invariants()
         # The stream reaches every form the bulk paths split on.

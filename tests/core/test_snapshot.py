@@ -111,22 +111,6 @@ class TestReadOnly:
         dm.check_invariants()
         assert save_state(dm) == first
 
-    def test_dirty_mirrors_are_not_read(self):
-        dm = _churned(seed=6)
-        clean = save_state(dm)
-        s = dm.structure
-        # The mirrors a white-box poke can desynchronize; once
-        # ``_pcol_dirty`` is set nothing may read them.
-        s._pcol_dirty = True
-        for mirror in (s._pcol, s._ownslot):
-            for i in range(len(mirror)):
-                mirror[i] = -7
-        led = dm.ledger
-        before = (led.work, led.depth, dict(led.by_tag))
-        assert save_state(dm) == clean
-        assert (led.work, led.depth, dict(led.by_tag)) == before
-        dm.check_invariants()
-
 
 def _P_by_vertex(P):
     """P rows grouped per vertex (level order kept); vertex order dropped."""
