@@ -52,14 +52,6 @@ Two deliberate representation choices follow from parity, not speed:
   level-dict insertion order determines the adjust scan's output order
   (the dict oracle's ``cross_edges_below``), which the oracle inherits
   from bucket creation history.
-
-White-box compatibility: tests (and :mod:`repro.core.snapshot` /
-:mod:`repro.core.diagnostics`) poke ``structure.recs``, ``rec.type``,
-``verts[v].p`` etc.; lightweight mutable proxy views recreate that
-surface on top of the arrays.  The ``rec.owner`` and ``verts[v].p``
-setters write the slot columns directly, so a poke the columns cannot
-hold — a vertex the structure never interned, an owner or cover id that
-is not registered — raises ``KeyError`` before any write.
 """
 
 from __future__ import annotations
@@ -105,225 +97,6 @@ def _small_discard(sd: tuple, key: EdgeId) -> tuple:
     return tuple([x for x in sd if x != key]) if key in sd else sd
 
 
-class _SetProxy:
-    """BatchSet-compatible view over one slot's sample or cross dict.
-
-    Mutations charge the ledger exactly like ``BatchSet.insert_one`` /
-    ``delete_one`` / ``elements`` so white-box tests that poke
-    ``rec.samples`` / ``rec.cross`` see identical accounting; they turn
-    a small-set tuple into a dict first.
-    """
-
-    __slots__ = ("_dicts", "_caps", "_i", "_ledger")
-
-    def __init__(self, dicts: list, caps: list, i: int, ledger: Ledger) -> None:
-        self._dicts = dicts
-        self._caps = caps
-        self._i = i
-        self._ledger = ledger
-
-    def __contains__(self, key: EdgeId) -> bool:
-        return key in self._dicts[self._i]
-
-    def __len__(self) -> int:
-        return len(self._dicts[self._i])
-
-    def __iter__(self) -> Iterator[EdgeId]:
-        return iter(self._dicts[self._i])
-
-    def __bool__(self) -> bool:
-        return bool(self._dicts[self._i])
-
-    @property
-    def capacity(self) -> int:
-        return self._caps[self._i]
-
-    def elements(self) -> List[EdgeId]:
-        d = self._dicts[self._i]
-        n = len(d)
-        self._ledger.charge(work=max(n, 1), depth=log2ceil(max(n, 2)), tag="dict_elements")
-        return list(d)
-
-    def insert_one(self, key: EdgeId) -> None:
-        d = _as_dict(self._dicts, self._i)
-        self._ledger.charge(
-            work=1, depth=log2ceil(len(d) + 1) if d else 1, tag="dict_batch"
-        )
-        d[key] = None
-        n = len(d)
-        cap = self._caps[self._i]
-        if n > cap * _GROW_AT:
-            while n > cap * _GROW_AT:
-                cap *= 2
-                self._ledger.charge(
-                    work=cap * _GROW_AT, depth=log2ceil(max(n, 2)), tag="dict_rehash"
-                )
-            self._caps[self._i] = cap
-
-    def delete_one(self, key: EdgeId) -> None:
-        d = _as_dict(self._dicts, self._i)
-        self._ledger.charge(
-            work=1, depth=log2ceil(len(d) + 1) if d else 1, tag="dict_batch"
-        )
-        d.pop(key, None)
-        n = len(d)
-        cap = self._caps[self._i]
-        if cap > _MIN_CAP and n < cap * _SHRINK_AT:
-            while cap > _MIN_CAP and n < cap * _SHRINK_AT:
-                cap //= 2
-                self._ledger.charge(
-                    work=max(n, 1), depth=log2ceil(max(n, 2)), tag="dict_rehash"
-                )
-            self._caps[self._i] = cap
-
-    def discard(self, key: EdgeId) -> None:
-        self.delete_one(key)
-
-
-class _RecProxy:
-    """EdgeRecord-compatible view over one slot of the parallel arrays."""
-
-    __slots__ = ("_s", "_i")
-
-    def __init__(self, store: "ArrayLeveledStructure", i: int) -> None:
-        self._s = store
-        self._i = i
-
-    @property
-    def edge(self) -> Edge:
-        return self._s._edge[self._i]
-
-    @property
-    def eid(self) -> EdgeId:
-        return self._s._edge[self._i].eid
-
-    @property
-    def type(self) -> EdgeType:
-        return _TYPE_OBJS[self._s._type[self._i]]
-
-    @type.setter
-    def type(self, value: EdgeType) -> None:
-        self._s._type[self._i] = _TYPE_CODE[value]
-
-    @property
-    def owner(self) -> Optional[EdgeId]:
-        return self._s._owner_of(self._i)
-
-    @owner.setter
-    def owner(self, value: Optional[EdgeId]) -> None:
-        s = self._s
-        s._ownslot[self._i] = -1 if value is None else s._slot[value]
-
-    @property
-    def level(self) -> int:
-        return self._s._level[self._i]
-
-    @level.setter
-    def level(self, value: int) -> None:
-        self._s._level[self._i] = value
-
-    @property
-    def settle_size(self) -> int:
-        return self._s._settle[self._i]
-
-    @settle_size.setter
-    def settle_size(self, value: int) -> None:
-        self._s._settle[self._i] = value
-
-    @property
-    def samples(self) -> Optional[_SetProxy]:
-        s = self._s
-        if s._samples[self._i] is None:
-            return None
-        return _SetProxy(s._samples, s._scap, self._i, s.ledger)
-
-    @property
-    def cross(self) -> Optional[_SetProxy]:
-        s = self._s
-        if s._cross[self._i] is None:
-            return None
-        return _SetProxy(s._cross, s._ccap, self._i, s.ledger)
-
-    def __repr__(self) -> str:
-        return f"EdgeRecord({self.edge!r}, type={self.type.value}, owner={self.owner})"
-
-
-class _RecsView:
-    """Read-mostly mapping view: edge id -> record proxy, insertion order."""
-
-    __slots__ = ("_s",)
-
-    def __init__(self, store: "ArrayLeveledStructure") -> None:
-        self._s = store
-
-    def __contains__(self, eid: EdgeId) -> bool:
-        return eid in self._s._slot
-
-    def __len__(self) -> int:
-        return len(self._s._slot)
-
-    def __iter__(self) -> Iterator[EdgeId]:
-        return iter(self._s._slot)
-
-    def __getitem__(self, eid: EdgeId) -> _RecProxy:
-        return _RecProxy(self._s, self._s._slot[eid])
-
-    def get(self, eid: EdgeId) -> Optional[_RecProxy]:
-        i = self._s._slot.get(eid)
-        return None if i is None else _RecProxy(self._s, i)
-
-    def keys(self) -> Iterator[EdgeId]:
-        return iter(self._s._slot)
-
-    def values(self) -> Iterator[_RecProxy]:
-        s = self._s
-        return (_RecProxy(s, i) for i in s._slot.values())
-
-    def items(self) -> Iterator[Tuple[EdgeId, _RecProxy]]:
-        s = self._s
-        return ((eid, _RecProxy(s, i)) for eid, i in s._slot.items())
-
-
-class _VertProxy:
-    """VertexRecord-compatible view: mutable ``p``, read-only ``P``."""
-
-    __slots__ = ("_s", "_v")
-
-    def __init__(self, store: "ArrayLeveledStructure", v: Vertex) -> None:
-        self._s = store
-        self._v = v
-
-    @property
-    def p(self) -> Optional[EdgeId]:
-        return self._s.cover_of(self._v)
-
-    @p.setter
-    def p(self, value: Optional[EdgeId]) -> None:
-        s = self._s
-        d = s.interner._index[self._v]
-        s._pcol[d] = -1 if value is None else s._slot[value]
-
-    @property
-    def P(self) -> Dict[int, dict]:
-        buckets = self._s._P.get(self._v, {})
-        return {lvl: b[0] for lvl, b in buckets.items()}
-
-
-class _VertsView:
-    """Vertex -> vertex-record-proxy view."""
-
-    __slots__ = ("_s",)
-
-    def __init__(self, store: "ArrayLeveledStructure") -> None:
-        self._s = store
-
-    def __getitem__(self, v: Vertex) -> _VertProxy:
-        return _VertProxy(self._s, v)
-
-    def get(self, v: Vertex) -> _VertProxy:
-        return _VertProxy(self._s, v)
-
-
 class ArrayLeveledStructure:
     """Flat-array implementation of the leveled matching structure.
 
@@ -331,8 +104,9 @@ class ArrayLeveledStructure:
     :class:`~repro.core.level_structure.LeveledStructure`; see the module
     docstring for the representation.  The batch entry points
     (``register_batch``, ``free_flags``, ``heavy_flags``,
-    ``add_level0_batch``, ...) are the hot-path API consumed by
-    :class:`~repro.core.dynamic_matching.DynamicMatching`.
+    ``add_level0_batch``, ...) are the structure API that
+    :class:`~repro.core.dynamic_matching.DynamicMatching` calls on
+    either backend; here they are the hot path.
     """
 
     def __init__(
@@ -400,26 +174,9 @@ class ArrayLeveledStructure:
         # batch-granularity entry points (never charged to the ledger).
         self.phase_hook = None
 
-    # ------------------------------------------------------------------ #
-    # Compatibility views
-    # ------------------------------------------------------------------ #
-    @property
-    def recs(self) -> _RecsView:
-        return _RecsView(self)
-
-    @property
-    def verts(self) -> _VertsView:
-        return _VertsView(self)
-
-    def rec(self, eid: EdgeId) -> _RecProxy:
-        return _RecProxy(self, self._slot[eid])
-
     def __contains__(self, eid: EdgeId) -> bool:
         return eid in self._slot
 
-    # ------------------------------------------------------------------ #
-    # Registry
-    # ------------------------------------------------------------------ #
     # ------------------------------------------------------------------ #
     # Columnar edit plane
     # ------------------------------------------------------------------ #
@@ -483,6 +240,9 @@ class ArrayLeveledStructure:
         idx = native.seg_gather_index(starts, cards, total)
         return np.frombuffer(self._vd_flat, dtype=np.int32)[idx]
 
+    # ------------------------------------------------------------------ #
+    # Registry
+    # ------------------------------------------------------------------ #
     def _alloc(self, edge: Edge) -> int:
         eid = edge.eid
         if eid in self._slot:
@@ -522,10 +282,9 @@ class ArrayLeveledStructure:
         self._vd_store(i, edge.vertices)
         return i
 
-    def register(self, edge: Edge) -> _RecProxy:
-        i = self._alloc(edge)
+    def register(self, edge: Edge) -> None:
+        self._alloc(edge)
         self.ledger.charge(work=edge.cardinality, depth=1, tag="register")
-        return _RecProxy(self, i)
 
     def register_batch(self, edges: Sequence[Edge]) -> None:
         if self.phase_hook is not None:
@@ -660,6 +419,9 @@ class ArrayLeveledStructure:
         o = self._ownslot[i]
         return None if o < 0 else self._edge[o].eid
 
+    def owner_of(self, eid: EdgeId) -> Optional[EdgeId]:
+        return self._owner_of(self._slot[eid])
+
     def type_of(self, eid: EdgeId) -> EdgeType:
         return _TYPE_OBJS[self._type[self._slot[eid]]]
 
@@ -700,7 +462,7 @@ class ArrayLeveledStructure:
         return self._settle[self._slot[eid]]
 
     def owner_pairs(self) -> Iterator[Tuple[EdgeId, Optional[EdgeId]]]:
-        """(edge id, owner id) for every registered edge — no proxies."""
+        """(edge id, owner id) for every registered edge."""
         owner_of = self._owner_of
         return ((eid, owner_of(i)) for eid, i in self._slot.items())
 

@@ -9,11 +9,12 @@ relative to its heavy threshold.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.core.dynamic_matching import DynamicMatching
-from repro.core.level_structure import EdgeType
+from repro.core.level_structure import EDGE_TYPE_CODES, EdgeType
 
 
 @dataclass(frozen=True)
@@ -54,36 +55,38 @@ class StructureReport:
 
 
 def structure_report(dm: DynamicMatching) -> StructureReport:
-    """Build a :class:`StructureReport` in O(structure size)."""
+    """Build a :class:`StructureReport` in O(structure size) from the
+    structure's snapshot columns: one read-only, uncharged path for
+    either backend."""
     s = dm.structure
-    type_counts: Dict[str, int] = {}
-    for rec in s.recs.values():
-        type_counts[rec.type.value] = type_counts.get(rec.type.value, 0) + 1
+    cols = s.snapshot_columns()
+    type_counts = dict(Counter(EDGE_TYPE_CODES[c].value for c in cols["edges"]["type"]))
 
-    per_level: Dict[int, List] = {}
-    for mid in s.matched:
-        rec = s.rec(mid)
-        per_level.setdefault(rec.level, []).append(rec)
+    m = cols["matches"]
+    per_level: Dict[int, List[Tuple[int, int, int]]] = {}
+    for level, settle, slen, clen in zip(m["level"], m["settle"], m["slen"], m["clen"]):
+        per_level.setdefault(level, []).append((settle, slen, clen))
 
     levels: List[LevelStats] = []
     for level in sorted(per_level):
-        recs = per_level[level]
+        rows = per_level[level]
+        settle, slen, clen = zip(*rows)
         threshold = s.heavy_factor * (s.rank**2) * (s.alpha**level)
         max_fill = 0.0
         if threshold > 0:
-            max_fill = max(len(r.cross) / threshold for r in recs)
+            max_fill = max(clen) / threshold
         levels.append(
             LevelStats(
                 level=level,
-                matches=len(recs),
-                total_settle_size=sum(r.settle_size for r in recs),
-                total_live_samples=sum(len(r.samples) for r in recs),
-                total_cross=sum(len(r.cross) for r in recs),
+                matches=len(rows),
+                total_settle_size=sum(settle),
+                total_live_samples=sum(slen),
+                total_cross=sum(clen),
                 max_cross_fill=max_fill,
             )
         )
     return StructureReport(
-        num_edges=len(s.recs), type_counts=type_counts, levels=levels
+        num_edges=len(cols["edges"]["eid"]), type_counts=type_counts, levels=levels
     )
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.hypergraph.edge import Edge, EdgeId, Vertex
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.parallel.ledger import Ledger, log2ceil, parallel_for
+from repro.parallel.ledger import Ledger, log2ceil
 from repro.core.epochs import (
     BLOATED,
     NATURAL,
@@ -82,18 +82,18 @@ class DynamicMatching:
     backend:
         Structure backend: "array" (flat-array hot-path engine, default)
         or "dict" (the original record-dict oracle).  Identical behavior
-        and ledger totals; the array backend is simply faster.  The
-        array backend routes every batch phase through the ``*_batch``
-        methods of :class:`ArrayLeveledStructure`, and each call picks
-        its route by size (docs/hotpath.md, "Route selection"): calls
-        of at least :data:`repro.native.VEC_MIN` items take the columnar
-        route (:class:`~repro.parallel.frames.BatchFrame`, the vector
-        matcher, the edit kernels), smaller calls the scalar matcher and
-        the per-edge edits.  On both routes the structure edits apply
-        their charges by direct field arithmetic, so the array backend
-        takes only a plain :class:`Ledger` (``TypeError`` otherwise).
-        The dict backend keeps the per-edge pipeline and the
-        ``charge()`` protocol throughout, for any ledger.
+        and ledger totals; the array backend is simply faster.  Both
+        run one pipeline: every batch phase calls the structure's
+        ``*_batch`` methods.  The array backend's calls pick their route
+        by size (docs/hotpath.md, "Route selection"): calls of at least
+        :data:`repro.native.VEC_MIN` items take the columnar route
+        (:class:`~repro.parallel.frames.BatchFrame`, the vector matcher,
+        the edit kernels), smaller calls the scalar matcher and the
+        per-edge edits.  On both routes its edits apply their charges by
+        direct field arithmetic, so the array backend takes only a plain
+        :class:`Ledger` (``TypeError`` otherwise).  The dict backend's
+        ``*_batch`` methods are ``parallel_for`` over its per-edge ops,
+        which charge through the ``charge()`` protocol, for any ledger.
 
     Notes
     -----
@@ -123,8 +123,7 @@ class DynamicMatching:
         self._vec = backend == "array"
         #: Fast-path accounting, surfaced through observability
         #: (repro_dynamic_batch_* metrics): BatchFrames built, and batches
-        #: applied by the array backend vs the dict oracle's per-edge
-        #: pipeline.
+        #: applied by the array backend vs the dict oracle.
         self.vec_stats: Dict[str, int] = {
             "frames": 0,
             "vector_batches": 0,
@@ -183,7 +182,7 @@ class DynamicMatching:
         return self._updates_processed
 
     def edge_type(self, eid: EdgeId) -> EdgeType:
-        return self.structure.rec(eid).type
+        return self.structure.type_of(eid)
 
     def current_graph(self) -> Hypergraph:
         """A plain :class:`Hypergraph` mirror of the current edge set
@@ -337,38 +336,21 @@ class DynamicMatching:
         if len(set(eids)) != len(eids):
             raise ValueError("duplicate edge ids within the batch")
         # KeyError here (before any mutation) if an edge is absent
-        if self._vec:
-            pre_matched, pre_unmatched = self.structure.split_matched(eids)
-        else:
-            types = [self.structure.type_of(eid) for eid in eids]
-            pre_matched = [e for e, t in zip(eids, types) if t == EdgeType.MATCHED]
-            pre_unmatched = [e for e, t in zip(eids, types) if t != EdgeType.MATCHED]
+        matched, unmatched = self.structure.split_matched(eids)
 
         self._phase("delete.begin")
         self._count_batch()
         stats = BatchStats(kind="delete", batch_index=self.tracker.batch_index,
                            batch_size=len(eids))
         with self.ledger.measure() as span:
-            matched = pre_matched
-            unmatched = pre_unmatched
-
             # Unmatched deletions: cheap, fully detach and forget.
-            if self._vec:
-                self.structure.detach_unmatched_batch(unmatched)
-            else:
-                parallel_for(self.ledger, unmatched, self.structure.detach_unmatched)
+            self.structure.detach_unmatched_batch(unmatched)
             self.structure.unregister_batch(unmatched)
             self._phase("delete.detached")
 
             # Matched deletions: natural epoch deaths.  Remove each from its
             # own sample space so it is never reinserted.
-            if self._vec:
-                self.structure.sample_discard_self_batch(matched)
-            else:
-                parallel_for(
-                    self.ledger, matched,
-                    lambda mid: self.structure.sample_discard(mid, mid),
-                )
+            self.structure.sample_discard_self_batch(matched)
             self.tracker.death_batch(matched, NATURAL)
             stats.natural_deaths += len(matched)
 
@@ -418,11 +400,7 @@ class DynamicMatching:
             frame = BatchFrame.from_edges(edges, arena=self.arena, tag="frame")
             self.vec_stats["frames"] += 1
             self._attach_dense(frame)
-        free_flags = (
-            self.structure.free_flags(edges, frame)
-            if frame is not None
-            else self.structure.free_flags(edges)
-        )
+        free_flags = self.structure.free_flags(edges, frame)
         free = list(compress(edges, free_flags))
         self.ledger.charge(
             work=len(edges), depth=log2ceil(max(len(edges), 2)), tag="insert_filter"
@@ -451,10 +429,7 @@ class DynamicMatching:
         self.tracker.birth_level0_batch(new_matches)
         stats.new_epochs += len(new_matches)
 
-        if self._vec:
-            self.structure.add_cross_edge_batch(rest)
-        else:
-            parallel_for(self.ledger, rest, self.structure.add_cross_edge)
+        self.structure.add_cross_edge_batch(rest)
 
     # ------------------------------------------------------------------ #
     # deleteMatchedEdges (Fig. 2)
@@ -475,15 +450,8 @@ class DynamicMatching:
         # for induced deletions) into a cross edge.  The dying matches are
         # still present, so conversions may attach to them — those edges
         # are recovered below by remove_match.
-        if self._vec:
-            sample_edges = self.structure.samples_of_batch(match_ids)
-            self.structure.add_cross_edge_batch(sample_edges)
-        else:
-            sample_lists = parallel_for(
-                self.ledger, match_ids, self.structure.samples_of
-            )
-            sample_edges = [e for sub in sample_lists for e in sub]
-            parallel_for(self.ledger, sample_edges, self.structure.add_cross_edge)
+        sample_edges = self.structure.samples_of_batch(match_ids)
+        self.structure.add_cross_edge_batch(sample_edges)
 
         heavy_flags = self.structure.heavy_flags(match_ids)
         heavy = [mid for mid, f in zip(match_ids, heavy_flags) if f]
@@ -491,17 +459,10 @@ class DynamicMatching:
         stats.heavy_matches += len(heavy)
         stats.light_matches += len(light)
 
-        if self._vec:
-            light_edges = self.structure.remove_match_batch(light)
-        else:
-            light_lists = parallel_for(self.ledger, light, self.structure.remove_match)
-            light_edges = [e for sub in light_lists for e in sub]
+        light_edges = self.structure.remove_match_batch(light)
         self._insert_existing(light_edges, stats)
 
-        if self._vec:
-            return self.structure.remove_match_batch(heavy)
-        heavy_lists = parallel_for(self.ledger, heavy, self.structure.remove_match)
-        return [e for sub in heavy_lists for e in sub]
+        return self.structure.remove_match_batch(heavy)
 
     # ------------------------------------------------------------------ #
     # randomSettle (Fig. 2)
@@ -525,13 +486,7 @@ class DynamicMatching:
             tag="settle_stolen",
         )
 
-        if self._vec:
-            levels = self.structure.install_match_batch(result.matches)
-        else:
-            levels = parallel_for(
-                self.ledger, result.matches,
-                lambda m: self.structure.install_match(m.edge, m.samples),
-            )
+        levels = self.structure.install_match_batch(result.matches)
         self.tracker.birth_batch(
             (m.edge.eid, lvl, len(m.samples), m.edge.vertices)
             for m, lvl in zip(result.matches, levels)
@@ -565,40 +520,16 @@ class DynamicMatching:
     def _adjust_cross_edges(self, new_matches: Sequence[Edge]) -> None:
         """Re-own cross edges sitting below a new match's level
         (restores Invariant 4.1.4)."""
-        if self._vec:
-            flat = self.structure.adjust_scan_batch(new_matches)
-            collect: Dict[EdgeId, Edge] = {}
-            for ceid in flat:
-                if ceid not in collect:
-                    collect[ceid] = self.structure.edge_of(ceid)
-            self.ledger.charge(
-                work=len(flat),
-                depth=log2ceil(max(len(flat), 2)),
-                tag="adjust_dedupe",
-            )
-            edges = list(collect.values())
-            self.structure.remove_cross_edge_batch(edges)
-            self.structure.add_cross_edge_batch(edges)
-            return
-
-        def _scan(m_edge: Edge) -> List[EdgeId]:
-            level = self.structure.level_of_match(m_edge.eid)
-            out: List[EdgeId] = []
-            for v in m_edge.vertices:
-                out.extend(self.structure.cross_edges_below(v, level))
-            return out
-
-        scans = parallel_for(self.ledger, new_matches, _scan)
+        flat = self.structure.adjust_scan_batch(new_matches)
         collect: Dict[EdgeId, Edge] = {}
-        for sub in scans:
-            for ceid in sub:
-                if ceid not in collect:
-                    collect[ceid] = self.structure.edge_of(ceid)
+        for ceid in flat:
+            if ceid not in collect:
+                collect[ceid] = self.structure.edge_of(ceid)
         self.ledger.charge(
-            work=sum(len(s) for s in scans),
-            depth=log2ceil(max(sum(len(s) for s in scans), 2)),
+            work=len(flat),
+            depth=log2ceil(max(len(flat), 2)),
             tag="adjust_dedupe",
         )
         edges = list(collect.values())
-        parallel_for(self.ledger, edges, self.structure.remove_cross_edge)
-        parallel_for(self.ledger, edges, self.structure.add_cross_edge)
+        self.structure.remove_cross_edge_batch(edges)
+        self.structure.add_cross_edge_batch(edges)

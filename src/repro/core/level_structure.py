@@ -28,7 +28,7 @@ type while being resettled).
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.hypergraph.edge import Edge, EdgeId, Vertex
 from repro.parallel.dictionary import BatchSet
@@ -170,9 +170,6 @@ class LeveledStructure:
 
     def rec(self, eid: EdgeId) -> EdgeRecord:
         return self.recs[eid]
-
-    def vert(self, v: Vertex) -> VertexRecord:
-        return self.verts[v]
 
     def cover_of(self, v: Vertex) -> Optional[EdgeId]:
         """p(v): the matched edge covering v, or None."""
@@ -347,9 +344,9 @@ class LeveledStructure:
     # ------------------------------------------------------------------ #
     # Batch API (shared with ArrayLeveledStructure)
     # ------------------------------------------------------------------ #
-    # The algorithm layer talks to the structure through these entry
-    # points so either backend can serve it.  Here they are thin wrappers
-    # over the per-element operations — one ledger frame per branch, the
+    # The algorithm layer talks to either backend through these entry
+    # points only.  Here each ``*_batch`` method is ``parallel_for`` over
+    # the per-element operation — one ledger frame per branch, the
     # original charging — which makes this class the *oracle* the array
     # backend's batched charges are tested against.
     def __contains__(self, eid: EdgeId) -> bool:
@@ -365,7 +362,9 @@ class LeveledStructure:
             self.phase_hook("structure.unregister_batch")
         parallel_for(self.ledger, eids, self.unregister)
 
-    def free_flags(self, edges: Sequence[Edge]) -> List[bool]:
+    def free_flags(self, edges: Sequence[Edge], frame=None) -> List[bool]:
+        """Per-edge "all vertices uncovered" flags; ``frame`` (the array
+        backend's columnar input) is ignored."""
         return parallel_for(self.ledger, edges, self.is_free_edge)
 
     def heavy_flags(self, mids: Sequence[EdgeId]) -> List[bool]:
@@ -390,20 +389,37 @@ class LeveledStructure:
         """(edge id, owner id) for every registered edge."""
         return ((eid, rec.owner) for eid, rec in self.recs.items())
 
-    def install_match(self, edge: Edge, samples: Sequence[Edge]) -> int:
-        """addMatch returning the new match's level (shared interface)."""
-        return self.add_match(edge, samples).level
+    def split_matched(self, eids: Sequence[EdgeId]) -> Tuple[List[EdgeId], List[EdgeId]]:
+        """Partition ids into (matched, unmatched), preserving order.
+        Raises ``KeyError`` on any absent id before returning; uncharged."""
+        types = [self.recs[eid].type for eid in eids]
+        matched = [e for e, t in zip(eids, types) if t == EdgeType.MATCHED]
+        unmatched = [e for e, t in zip(eids, types) if t != EdgeType.MATCHED]
+        return matched, unmatched
 
     def add_level0_batch(self, edges: Sequence[Edge]) -> None:
         """addMatch(e, {e}) for every freshly matched level-0 edge."""
         parallel_for(self.ledger, edges, lambda e: self.add_match(e, [e]))
 
+    def install_match_batch(self, matches: Sequence) -> List[int]:
+        """addMatch(m, S_m) over ``Matched(edge, samples)`` records;
+        returns the new level per match."""
+        return parallel_for(
+            self.ledger, matches, lambda m: self.add_match(m.edge, m.samples).level
+        )
+
     def samples_of(self, mid: EdgeId) -> List[Edge]:
         """S(m) extracted as edges (elements() charge, lookups free)."""
         return [self.recs[sid].edge for sid in self.recs[mid].samples.elements()]
 
-    def sample_discard(self, mid: EdgeId, eid: EdgeId) -> None:
-        self.recs[mid].samples.delete_one(eid)
+    def samples_of_batch(self, mids: Sequence[EdgeId]) -> List[Edge]:
+        """``samples_of`` per match, concatenated."""
+        subs = parallel_for(self.ledger, mids, self.samples_of)
+        return [e for sub in subs for e in sub]
+
+    def sample_discard_self_batch(self, mids: Sequence[EdgeId]) -> None:
+        """Discard each match from its own S(m)."""
+        parallel_for(self.ledger, mids, lambda mid: self.recs[mid].samples.delete_one(mid))
 
     def detach_unmatched(self, eid: EdgeId) -> None:
         """Detach an unmatched deleted edge (cross or sampled)."""
@@ -417,6 +433,35 @@ class LeveledStructure:
             rec.owner = None
         else:  # pragma: no cover — structure guarantees settled types
             raise AssertionError(f"unsettled edge {eid} in structure")
+
+    def detach_unmatched_batch(self, eids: Sequence[EdgeId]) -> None:
+        parallel_for(self.ledger, eids, self.detach_unmatched)
+
+    def add_cross_edge_batch(self, edges: Sequence[Edge]) -> None:
+        parallel_for(self.ledger, edges, self.add_cross_edge)
+
+    def remove_cross_edge_batch(self, edges: Sequence[Edge]) -> None:
+        parallel_for(self.ledger, edges, self.remove_cross_edge)
+
+    def remove_match_batch(self, eids: Sequence[EdgeId]) -> List[Edge]:
+        """``remove_match`` per match; the owned edges, concatenated."""
+        subs = parallel_for(self.ledger, eids, self.remove_match)
+        return [e for sub in subs for e in sub]
+
+    def adjust_scan_batch(self, new_matches: Sequence[Edge]) -> List[EdgeId]:
+        """adjustCrossEdges' scan: for each new match, the cross edges
+        below its level at each of its vertices, concatenated in scan
+        order."""
+
+        def scan(m_edge: Edge) -> List[EdgeId]:
+            level = self.recs[m_edge.eid].level
+            out: List[EdgeId] = []
+            for v in m_edge.vertices:
+                out.extend(self.cross_edges_below(v, level))
+            return out
+
+        subs = parallel_for(self.ledger, new_matches, scan)
+        return [ceid for sub in subs for ceid in sub]
 
     # ------------------------------------------------------------------ #
     # Snapshot restore (shared with ArrayLeveledStructure)

@@ -10,6 +10,7 @@ when its last bucket goes.  The streams use churn-r2's density
 
 import gc
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -43,6 +44,31 @@ def churn_plan(m, batches, batch, seed=3):
             rest.append(("insert", edges[nxt : nxt + batch]))
             live.extend(range(nxt, nxt + batch))
             nxt += batch
+    return load, rest
+
+
+def window_plan(m, batches, batch, seed=3):
+    """Bulk load ``m`` rank-2 edges, then alternate deleting the oldest
+    live batch and inserting a fresh one.  Every batch lies on ``batch``
+    never-seen vertices, so the interner keeps every vertex ever seen."""
+    rng = np.random.default_rng(seed)
+    fresh = []
+    for b in range(m // batch + (batches + 1) // 2):
+        u = rng.integers(0, batch, size=batch)
+        v = (u + rng.integers(1, batch, size=batch)) % batch
+        lo = b * batch
+        fresh.append(
+            [Edge(lo + i, (lo + x, lo + y)) for i, (x, y) in enumerate(zip(u.tolist(), v.tolist()))]
+        )
+    load = [("insert", fresh[b]) for b in range(m // batch)]
+    rest, oldest, nxt = [], 0, m // batch
+    for k in range(batches):
+        if k % 2 == 0:
+            rest.append(("delete", [e.eid for e in fresh[oldest]]))
+            oldest += 1
+        else:
+            rest.append(("insert", fresh[nxt]))
+            nxt += 1
     return load, rest
 
 
@@ -84,6 +110,50 @@ def test_gc_objects_per_live_edge_and_per_update():
         updates += len(batch[1])
     gc.collect()
     assert (len(gc.get_objects()) - g1) / updates <= 0.01
+    dm.check_invariants()
+
+
+_NO_DESCENT = (
+    type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType, types.MethodType
+)
+
+
+def reachable_gc_objects(*roots) -> int:
+    """GC-tracked objects reachable from ``roots``, not descending into
+    types, modules or functions."""
+    seen = set()
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _NO_DESCENT) or not gc.is_tracked(obj):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return len(seen)
+
+
+def test_state_reachable_from_structure_and_tracker_tracks_the_live_graph():
+    """Over a window on fresh vertices, the objects the structure and the
+    tracker hold stay ~2.45 per live edge (interned vertex ids are dict
+    keys, not tracked objects).  What the process-wide count still gains
+    per batch is ``batch_stats``: one ``BatchStats``, its
+    ``settle_rounds`` list and one ``SettleRound`` per round."""
+    m, batch = 2**11, 128
+    load, rest = window_plan(m, 400, batch)
+    assert sum(len(items) for _, items in rest) >= 20 * m
+    dm = DynamicMatching(rank=2, seed=3)
+    for b in load:
+        apply(dm, b)
+    samples = []
+    for k, b in enumerate(rest, 1):
+        apply(dm, b)
+        if k % 50 == 0:
+            gc.collect()  # untracks the tuples that hold only atomic values
+            per_edge = reachable_gc_objects(dm.structure, dm.tracker) / len(dm)
+            assert per_edge <= 4, (k, per_edge)
+            samples.append(per_edge)
+    # The first sample comes after the window has turned over once.
+    assert all(abs(x - samples[0]) <= 0.1 * samples[0] for x in samples), samples
     dm.check_invariants()
 
 
@@ -215,9 +285,9 @@ def test_level_index_holds_only_vertices_with_live_cross_edges(batch):
         apply(dm, b)
         held = {
             v
-            for eid in s.recs
-            if s.type_of(eid) == EdgeType.CROSS
-            for v in s.edge_of(eid).vertices
+            for e in s.all_edges()
+            if s.type_of(e.eid) == EdgeType.CROSS
+            for v in e.vertices
         }
         assert set(s._P) == held
         dropped += len(before - held)

@@ -44,7 +44,7 @@ class TestStructureReport:
         from repro.core.level_structure import EdgeType
 
         sampled = [
-            r.eid for r in dm.structure.recs.values() if r.type == EdgeType.SAMPLED
+            e.eid for e in dm.structure.all_edges() if dm.edge_type(e.eid) == EdgeType.SAMPLED
         ]
         assert sampled
         dm.delete_edges(sampled[: max(1, len(sampled) // 2)])

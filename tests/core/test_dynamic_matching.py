@@ -45,7 +45,7 @@ class TestInsertion:
         dm = DynamicMatching(seed=0)
         dm.insert_edges([Edge(i, (2 * i, 2 * i + 1)) for i in range(5)])
         for eid in dm.matched_ids():
-            assert dm.structure.rec(eid).level == 0
+            assert dm.structure.level_of_match(eid) == 0
 
     def test_insert_into_covered_region_adds_cross(self):
         dm = DynamicMatching(seed=0)
@@ -145,26 +145,26 @@ class TestSampledEdgeDeletion:
         assert EdgeType.SAMPLED in types
         dm.check_invariants()
 
+    @staticmethod
+    def _sampled(dm):
+        return [
+            e.eid
+            for e in dm.structure.all_edges()
+            if dm.edge_type(e.eid) == EdgeType.SAMPLED
+        ]
+
     def test_delete_sampled_edge_is_lazy(self):
         dm = self._with_sampled()
-        sampled = [
-            rec.eid
-            for rec in dm.structure.recs.values()
-            if rec.type == EdgeType.SAMPLED
-        ]
-        owner = dm.structure.rec(sampled[0]).owner
-        level_before = dm.structure.rec(owner).level
+        sampled = self._sampled(dm)
+        owner = dm.structure.owner_of(sampled[0])
+        level_before = dm.structure.level_of_match(owner)
         dm.delete_edges([sampled[0]])
-        assert dm.structure.rec(owner).level == level_before  # level frozen
+        assert dm.structure.level_of_match(owner) == level_before  # level frozen
         dm.check_invariants()
 
     def test_delete_all_sampled_then_match(self):
         dm = self._with_sampled()
-        sampled = [
-            rec.eid
-            for rec in dm.structure.recs.values()
-            if rec.type == EdgeType.SAMPLED
-        ]
+        sampled = self._sampled(dm)
         dm.delete_edges(sampled)
         dm.check_invariants()
         # now delete the match itself
@@ -194,9 +194,10 @@ class TestHeavyPath:
         dm.insert_edges(star_edges(64))
         dm.delete_edges(dm.matched_ids())
         for eid in dm.matched_ids():
-            rec = dm.structure.rec(eid)
-            assert rec.settle_size >= 1
-            assert 2**rec.level <= rec.settle_size < 2 ** (rec.level + 1)
+            level = dm.structure.level_of_match(eid)
+            settle = dm.structure.settle_size_of(eid)
+            assert settle >= 1
+            assert 2**level <= settle < 2 ** (level + 1)
 
     def test_stolen_and_bloated_counted_as_induced(self):
         dm = DynamicMatching(seed=5, rank=2)

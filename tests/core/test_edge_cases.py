@@ -9,6 +9,7 @@ of corruption — a checker that never fires is worthless as evidence.
 import numpy as np
 import pytest
 
+from repro.core.arraystore import _T_CROSS
 from repro.core.dynamic_matching import DynamicMatching
 from repro.core.level_structure import EdgeType
 from repro.hypergraph.edge import Edge
@@ -114,20 +115,27 @@ def _built():
 
 
 class TestFailureInjection:
-    """Corrupt the structure in targeted ways; the checker must fire."""
+    """Corrupt the array backend's columns in targeted ways; the checker
+    must fire."""
+
+    @staticmethod
+    def _cross_eid(dm):
+        return next(
+            e.eid for e in dm.structure.all_edges() if dm.edge_type(e.eid) == EdgeType.CROSS
+        )
 
     def test_detects_vertex_pointer_corruption(self):
         dm = _built()
-        mid = dm.matched_ids()[0]
-        v = dm.structure.rec(mid).edge.vertices[0]
-        dm.structure.verts[v].p = None
+        s = dm.structure
+        v = s.edge_of(dm.matched_ids()[0]).vertices[0]
+        s._pcol[s.interner.get(v)] = -1
         with pytest.raises(AssertionError):
             dm.check_invariants()
 
     def test_detects_type_corruption(self):
         dm = _built()
-        mid = dm.matched_ids()[0]
-        dm.structure.rec(mid).type = EdgeType.CROSS
+        s = dm.structure
+        s._type[s._slot[dm.matched_ids()[0]]] = _T_CROSS
         with pytest.raises(AssertionError):
             dm.check_invariants()
 
@@ -135,34 +143,31 @@ class TestFailureInjection:
         """An owner that is registered but is not a match."""
         dm = _built()
         s = dm.structure
-        unmatched = [eid for eid in s.recs if not dm.is_matched(eid)]
-        for rec in s.recs.values():
-            if rec.type == EdgeType.CROSS:
-                rec.owner = next(eid for eid in unmatched if eid != rec.eid)
-                break
+        cross = self._cross_eid(dm)
+        other = next(eid for eid in s._slot if eid != cross and not dm.is_matched(eid))
+        s._ownslot[s._slot[cross]] = s._slot[other]
         with pytest.raises(AssertionError):
             dm.check_invariants()
 
     def test_detects_cross_set_desync(self):
         dm = _built()
-        for rec in dm.structure.recs.values():
-            if rec.type == EdgeType.CROSS:
-                dm.structure.rec(rec.owner).cross.delete_one(rec.eid)
-                break
+        s = dm.structure
+        cross = self._cross_eid(dm)
+        del s._cross[s._ownslot[s._slot[cross]]][cross]
         with pytest.raises(AssertionError):
             dm.check_invariants()
 
     def test_detects_sample_set_desync(self):
         dm = _built()
-        mid = dm.matched_ids()[0]
-        dm.structure.rec(mid).samples.delete_one(mid)  # match must own itself
+        s = dm.structure
+        s._samples[s._slot[dm.matched_ids()[0]]] = ()  # match must own itself
         with pytest.raises(AssertionError):
             dm.check_invariants()
 
     def test_detects_level_drift(self):
         dm = _built()
-        mid = dm.matched_ids()[0]
-        dm.structure.rec(mid).level += 1
+        s = dm.structure
+        s._level[s._slot[dm.matched_ids()[0]]] += 1
         with pytest.raises(AssertionError):
             dm.check_invariants()
 
@@ -176,38 +181,9 @@ class TestFailureInjection:
     def test_detects_matching_conflict(self):
         dm = _built()
         # force a second "match" adjacent to an existing one
-        cross = next(
-            r for r in dm.structure.recs.values() if r.type == EdgeType.CROSS
-        )
-        dm.structure.matched.add(cross.eid)
+        dm.structure.matched.add(self._cross_eid(dm))
         with pytest.raises(AssertionError):
             dm.check_invariants()
-
-
-class TestColumnPokes:
-    """The array backend's ``verts[v].p`` and ``rec.owner`` setters write
-    its cover and owner columns; a poke those columns cannot hold raises
-    ``KeyError`` and writes nothing."""
-
-    @pytest.mark.parametrize(
-        "poke", ["unregistered cover", "never-seen vertex", "unregistered owner"]
-    )
-    def test_unholdable_poke_raises_and_writes_nothing(self, poke):
-        dm = _built()
-        s = dm.structure
-        mid = dm.matched_ids()[0]
-        v = s.rec(mid).edge.vertices[0]
-        before = (s._pcol.tobytes(), s._ownslot.tobytes())
-        with pytest.raises(KeyError):
-            if poke == "unregistered cover":
-                s.verts[v].p = 424242
-            elif poke == "never-seen vertex":
-                s.verts[10**9].p = mid
-            else:
-                s.rec(mid).owner = 424242
-        assert (s._pcol.tobytes(), s._ownslot.tobytes()) == before
-        assert s.verts[v].p == mid and s.rec(mid).owner == mid
-        dm.check_invariants()
 
 
 class TestErrorRecovery:

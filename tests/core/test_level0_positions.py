@@ -49,14 +49,20 @@ def _insert_batch(n: int, rng, nv: int, next_eid: int, hub: int):
     return batch
 
 
+def _sets(dm: DynamicMatching, eid):
+    """(S(m), C(m)) of match ``eid``, read from the array backend's slots."""
+    s = dm.structure
+    i = s._slot[eid]
+    return s._samples[i], s._cross[i]
+
+
 def _delete_batch(dm: DynamicMatching, live: list, n: int, rng):
     """``n`` live ids: the matches with a larger S(m) or a heavy C(m)
     first (up to half the batch), then random fill."""
-    structure = dm.structure
     first = [
         eid for eid in live
         if dm.is_matched(eid)
-        and (len(structure.rec(eid).samples) > 1 or len(structure.rec(eid).cross) >= 16)
+        and (len(_sets(dm, eid)[0]) > 1 or len(_sets(dm, eid)[1]) >= 16)
     ][: n // 2]
     chosen = dict.fromkeys(first)
     for i in rng.permutation(len(live)).tolist():
@@ -109,9 +115,9 @@ class TestArrayVsDictAroundVecMin:
                 eids = _delete_batch(arr, live, n, rng)
                 for eid in eids:
                     if arr.is_matched(eid):
-                        rec = arr.structure.rec(eid)
-                        seen["owns_cross" if len(rec.cross) else "owns_none"] += 1
-                        seen["singleton" if len(rec.samples) == 1 else "larger"] += 1
+                        samples, cross = _sets(arr, eid)
+                        seen["owns_cross" if len(cross) else "owns_none"] += 1
+                        seen["singleton" if len(samples) == 1 else "larger"] += 1
                 gone = set(eids)
                 live = [eid for eid in live if eid not in gone]
                 arr.delete_edges(eids)
