@@ -16,8 +16,9 @@ per-edge state in flat, slot-indexed parallel arrays instead of one
   the interner's dense vertex ids: ``_pcol[dense(v)]`` is the slot of
   the match covering v (-1 = uncovered);
 * sample sets S(m) and cross sets C(m) are plain insertion-ordered dicts
-  plus an explicit simulated capacity (the grow/shrink accounting of
-  :class:`~repro.parallel.dictionary.BatchSet`, inlined).  The common
+  plus an explicit simulated capacity, grown and shrunk by
+  :class:`~repro.parallel.dictionary.BatchSet`'s rule, written once here
+  as :func:`_grow` and :func:`_shrink`.  The common
   small sets allocate no dict: a singleton S(m) = {m} (every level-0
   match) is the 1-tuple ``(m,)``, shrinking to a smaller tuple on
   discard, and an empty C(m) is the shared ``()``, which becomes a dict
@@ -25,7 +26,8 @@ per-edge state in flat, slot-indexed parallel arrays instead of one
   through ``len``/``iter``/``in`` either way; ``None`` still means "not
   a match", and the capacity columns are independent of the form;
 * the per-vertex per-level index P(v, l) keeps buckets as ``[dict, cap]``
-  pairs, and drops P(v) when its last bucket goes.
+  pairs, edited one edge at a time by :func:`_p_link` and
+  :func:`_p_unlink`, and drops P(v) when its last bucket goes.
 
 **Cost parity is a hard requirement**: every operation charges the shared
 ledger *exactly* what the record-dict backend charges — same work, same
@@ -37,7 +39,8 @@ issues a single :meth:`~repro.parallel.ledger.Ledger.charge_parallel`
 per batch, which is equivalent by construction.  The structure edits go
 further: they accumulate their charges locally and apply them by direct
 field arithmetic on the ledger (``work``, the open frame's depth,
-``by_tag``): one charge route, whichever size route a call takes
+``by_tag``; :func:`_emit` for a batch-level region): one charge route,
+whichever size route a call takes
 (docs/hotpath.md, "Route selection").  That is exact only for the
 base :class:`~repro.parallel.ledger.Ledger`, so the constructor rejects
 any other ledger type; the dict oracle keeps the ``charge()`` protocol
@@ -65,6 +68,7 @@ import numpy as np
 
 from repro import native
 from repro.hypergraph.edge import Edge, EdgeId, Vertex
+from repro.parallel.dictionary import _GROW_AT, _MIN_CAPACITY, _SHRINK_AT
 from repro.parallel.interning import VertexInterner, fits_int64
 from repro.parallel.ledger import Ledger, log2ceil, parallel_for
 from repro.core.level_structure import EDGE_TYPE_CODES, EdgeType, level_of
@@ -77,24 +81,127 @@ _T_CROSS = 3
 _TYPE_OBJS = EDGE_TYPE_CODES
 _TYPE_CODE = {t: i for i, t in enumerate(_TYPE_OBJS)}
 
-# Capacity simulation constants — must match repro.parallel.dictionary.
-_MIN_CAP = 8
-_GROW_AT = 0.75
-_SHRINK_AT = 0.125
+
+# ---------------------------------------------------------------------- #
+# The set-edit model: BatchSet's capacity rule and charges, written once
+# ---------------------------------------------------------------------- #
 
 
-def _as_dict(sets: list, i: int) -> Optional[dict]:
-    """Slot ``i``'s S(m)/C(m) as a mutable dict, materializing the
-    small-set tuple form in place (None stays None: not a match)."""
-    d = sets[i]
-    if d.__class__ is tuple:
-        d = sets[i] = dict.fromkeys(d)
-    return d
+def _grow(n: int, cap: int) -> Tuple[int, float, int]:
+    """Double ``cap`` until ``n`` keys fit under the grow threshold.
+
+    Returns ``(capacity, dict_rehash work, depth)``: each doubling costs
+    the copy of a 3/4-full table of the new capacity, at depth
+    ``log2ceil(n)``.  Callers test ``n > cap * _GROW_AT`` inline first,
+    as ``BatchSet.insert_one`` does; :func:`_shrink` likewise.
+    """
+    w = 0.0
+    depth = 0
+    dg = log2ceil(n)
+    while n > cap * _GROW_AT:
+        cap *= 2
+        w += cap * _GROW_AT
+        depth += dg
+    return cap, w, depth
 
 
-def _small_discard(sd: tuple, key: EdgeId) -> tuple:
-    """A small-set tuple without ``key`` (the same tuple when absent)."""
-    return tuple([x for x in sd if x != key]) if key in sd else sd
+def _shrink(n: int, cap: int) -> Tuple[int, float, int]:
+    """Halve ``cap`` (never below the minimum) until ``n`` keys sit at or
+    above the shrink threshold; returns ``(capacity, dict_rehash work,
+    depth)``, each halving costing ``max(n, 1)`` at depth
+    ``log2ceil(max(n, 2))``."""
+    w = 0.0
+    depth = 0
+    ws = max(n, 1)
+    ds = log2ceil(max(n, 2))
+    while cap > _MIN_CAPACITY and n < cap * _SHRINK_AT:
+        cap //= 2
+        w += ws
+        depth += ds
+    return cap, w, depth
+
+
+def _p_link(P: dict, vertices: Sequence[Vertex], lvl: int, eid: EdgeId) -> Tuple[float, int]:
+    """Insert cross edge ``eid`` into P(v, lvl) for each of its vertices,
+    creating a bucket (and P(v)) on first use: ``BatchSet.insert_one``
+    per bucket.
+
+    Returns ``(dict_rehash work, summed depth)``; the dict_batch work is
+    one per vertex.
+    """
+    w_rehash = 0.0
+    depth = 0
+    for v in vertices:
+        Pv = P.get(v)
+        if Pv is None:
+            Pv = P[v] = {}
+        b = Pv.get(lvl)
+        if b is None:
+            Pv[lvl] = [{eid: None}, _MIN_CAPACITY]
+            depth += 1
+            continue
+        d = b[0]
+        n = len(d)
+        depth += n.bit_length() if n >= 2 else 1  # log2ceil(n + 1)
+        d[eid] = None
+        n = len(d)
+        if n > b[1] * _GROW_AT:
+            b[1], wr, dr = _grow(n, b[1])
+            w_rehash += wr
+            depth += dr
+    return w_rehash, depth
+
+
+def _p_unlink(
+    P: dict, vertices: Sequence[Vertex], lvl: int, eid: EdgeId
+) -> Tuple[float, float, int]:
+    """Delete cross edge ``eid`` from P(v, lvl) for each of its vertices:
+    ``BatchSet.delete_one`` per bucket present (an absent bucket costs
+    nothing); a bucket goes when it empties, and P(v) with its last one.
+
+    Returns ``(dict_batch work, dict_rehash work, summed depth)``.
+    """
+    w_batch = 0.0
+    w_rehash = 0.0
+    depth = 0
+    for v in vertices:
+        Pv = P.get(v)
+        if Pv is None:
+            continue
+        b = Pv.get(lvl)
+        if b is None:
+            continue
+        d = b[0]
+        n = len(d)
+        w_batch += 1.0
+        depth += n.bit_length() if n >= 2 else 1  # log2ceil(n + 1)
+        d.pop(eid, None)
+        n = len(d)
+        if b[1] > _MIN_CAPACITY and n < b[1] * _SHRINK_AT:
+            b[1], wr, dr = _shrink(n, b[1])
+            w_rehash += wr
+            depth += dr
+        if not n:
+            del Pv[lvl]
+            if not Pv:
+                del P[v]
+    return w_batch, w_rehash, depth
+
+
+def _emit(led: Ledger, depth: int, *charges: Tuple[str, float]) -> None:
+    """Apply one region's pre-summed charges by direct field arithmetic:
+    each ``(tag, work)`` pair (a zero amount is a charge never made, so
+    its tag stays absent) and the region's ``depth`` on the open frame.
+    Every amount is integer-valued, so this equals the per-charge
+    sequence to the bit."""
+    bt = led.by_tag
+    total = 0.0
+    for tag, w in charges:
+        if w:
+            total += w
+            bt[tag] = bt.get(tag, 0.0) + w
+    led.work += total
+    led._stack[-1].depth += depth
 
 
 class ArrayLeveledStructure:
@@ -275,9 +382,9 @@ class ArrayLeveledStructure:
             self._level.append(-1)
             self._settle.append(0)
             self._samples.append(None)
-            self._scap.append(_MIN_CAP)
+            self._scap.append(_MIN_CAPACITY)
             self._cross.append(None)
-            self._ccap.append(_MIN_CAP)
+            self._ccap.append(_MIN_CAPACITY)
         self._slot[eid] = i
         self._vd_store(i, edge.vertices)
         return i
@@ -373,9 +480,9 @@ class ArrayLeveledStructure:
             larr.extend([-1] * r)
             sarr.extend([0] * r)
             smp.extend([None] * r)
-            scap.extend([_MIN_CAP] * r)
+            scap.extend([_MIN_CAPACITY] * r)
             crs.extend([None] * r)
-            ccap.extend([_MIN_CAP] * r)
+            ccap.extend([_MIN_CAPACITY] * r)
             vd_off.extend([0] * r)
             for j in range(k, n):
                 slot[ids[j]] = m0
@@ -543,46 +650,21 @@ class ArrayLeveledStructure:
         return flags
 
     # ------------------------------------------------------------------ #
-    # Inlined set/bucket primitives (BatchSet charge model)
+    # Set construction (BatchSet charge model)
     # ------------------------------------------------------------------ #
     def _new_set(self, keys: Sequence[EdgeId]) -> Tuple[Dict[EdgeId, None], int]:
         """Fresh sample/cross dict seeded with ``keys``; charges exactly
         like ``BatchSet(ledger, keys)`` (nothing when empty)."""
-        d: Dict[EdgeId, None] = {}
-        cap = _MIN_CAP
+        d: Dict[EdgeId, None] = dict.fromkeys(keys)
+        cap = _MIN_CAPACITY
         k = len(keys)
         if k:
             self.ledger.charge(work=k, depth=log2ceil(max(k, 2)), tag="dict_batch")
-            for key in keys:
-                d[key] = None
             n = len(d)
-            while n > cap * _GROW_AT:
-                cap *= 2
-                self.ledger.charge(
-                    work=cap * _GROW_AT, depth=log2ceil(max(n, 2)), tag="dict_rehash"
-                )
+            if n > cap * _GROW_AT:
+                cap, w, depth = _grow(n, cap)
+                self.ledger.charge(work=w, depth=depth, tag="dict_rehash")
         return d, cap
-
-    def _P_add(self, v: Vertex, level: int, eid: EdgeId) -> None:
-        led = self.ledger
-        Pv = self._P.get(v)
-        if Pv is None:
-            Pv = self._P[v] = {}
-        b = Pv.get(level)
-        if b is None:
-            Pv[level] = [{eid: None}, _MIN_CAP]
-            led.charge(work=1, depth=1, tag="dict_batch")
-            return
-        d = b[0]
-        led.charge(work=1, depth=log2ceil(len(d) + 1) if d else 1, tag="dict_batch")
-        d[eid] = None
-        n = len(d)
-        cap = b[1]
-        if n > cap * _GROW_AT:
-            while n > cap * _GROW_AT:
-                cap *= 2
-                led.charge(work=cap * _GROW_AT, depth=log2ceil(max(n, 2)), tag="dict_rehash")
-            b[1] = cap
 
     # ------------------------------------------------------------------ #
     # The four structure edits (Fig. 2, left column)
@@ -664,9 +746,9 @@ class ArrayLeveledStructure:
                 raise ValueError(f"edge {eid} is already matched")
             madd(eid)
             smp[i] = (eid,)
-            scap[i] = _MIN_CAP
+            scap[i] = _MIN_CAPACITY
             crs[i] = ()
-            ccap[i] = _MIN_CAP
+            ccap[i] = _MIN_CAPACITY
             sarr[i] = 1
             larr[i] = 0
             tarr[i] = _T_MATCHED
@@ -711,37 +793,14 @@ class ArrayLeveledStructure:
         max_bd = 0
         for ceid in owned:
             j = slot[ceid]
-            bd = 1
-            for v in verts[j]:
-                Pv = P.get(v)
-                if Pv is None:
-                    continue
-                b = Pv.get(lvl)
-                if b is None:
-                    continue
-                d = b[0]
-                nd = len(d)
-                w_batch += 1.0
-                bd += nd.bit_length() if nd >= 2 else 1
-                d.pop(ceid, None)
-                nd = len(d)
-                cap = b[1]
-                if cap > _MIN_CAP and nd < cap * _SHRINK_AT:
-                    ws = max(nd, 1)
-                    ds = (nd - 1).bit_length() if nd > 1 else 1
-                    while cap > _MIN_CAP and nd < cap * _SHRINK_AT:
-                        cap //= 2
-                        w_rehash += ws
-                        bd += ds
-                    b[1] = cap
-                if not d:
-                    del Pv[lvl]
-                    if not Pv:
-                        del P[v]
+            wb, wr, bd = _p_unlink(P, verts[j], lvl, ceid)
+            w_batch += wb
+            w_rehash += wr
             tarr[j] = _T_UNSETTLED
             oslc[j] = -1
             out.append(edges[j])
             w_rm += cards[j]
+            bd += 1
             if bd > max_bd:
                 max_bd = bd
         d_total += max_bd
@@ -804,45 +863,18 @@ class ArrayLeveledStructure:
         if cd.__class__ is tuple:  # the empty small form
             cd = self._cross[bi] = {}
         n = len(cd)
-        w_batch = 1.0
         w_rehash = 0.0
         d_total = (n.bit_length() if n >= 2 else 1)  # log2ceil(len+1), len>0
         cd[eid] = None
         n = len(cd)
-        cap = self._ccap[bi]
-        if n > cap * _GROW_AT:
-            dg = (n - 1).bit_length() if n > 1 else 1
-            while n > cap * _GROW_AT:
-                cap *= 2
-                w_rehash += cap * _GROW_AT
-                d_total += dg
-            self._ccap[bi] = cap
-        P = self._P
-        for v in edge.vertices:
-            Pv = P.get(v)
-            if Pv is None:
-                Pv = P[v] = {}
-            b = Pv.get(best_lvl)
-            w_batch += 1.0
-            if b is None:
-                Pv[best_lvl] = [{eid: None}, _MIN_CAP]
-                d_total += 1
-                continue
-            d = b[0]
-            nd = len(d)
-            d_total += nd.bit_length() if nd >= 2 else 1
-            d[eid] = None
-            nd = len(d)
-            cap = b[1]
-            if nd > cap * _GROW_AT:
-                dg = (nd - 1).bit_length() if nd > 1 else 1
-                while nd > cap * _GROW_AT:
-                    cap *= 2
-                    w_rehash += cap * _GROW_AT
-                    d_total += dg
-                b[1] = cap
+        if n > self._ccap[bi] * _GROW_AT:
+            self._ccap[bi], w_rehash, dg = _grow(n, self._ccap[bi])
+            d_total += dg
+        wr, dp = _p_link(self._P, edge.vertices, best_lvl, eid)
         card = self._card[i]
-        d_total += 1
+        w_batch = 1.0 + card
+        w_rehash += wr
+        d_total += dp + 1
         led = self.ledger
         led.work += w_batch + w_rehash + card
         led._stack[-1].depth += d_total
@@ -892,53 +924,20 @@ class ArrayLeveledStructure:
         if self._type[i] != _T_CROSS:
             raise ValueError(f"edge {eid} is not a cross edge")
         oi = self._ownslot[i]
-        lvl = self._level[oi]
         cd = self._cross[oi]
         n = len(cd)
-        w_batch = 1.0
         w_rehash = 0.0
         bd = n.bit_length() if n >= 2 else 1
         cd.pop(eid, None)
         n = len(cd)
         cap = self._ccap[oi]
-        if cap > _MIN_CAP and n < cap * _SHRINK_AT:
-            ws = max(n, 1)
-            ds = (n - 1).bit_length() if n > 1 else 1
-            while cap > _MIN_CAP and n < cap * _SHRINK_AT:
-                cap //= 2
-                w_rehash += ws
-                bd += ds
-            self._ccap[oi] = cap
-        P = self._P
-        for v in edge.vertices:
-            Pv = P.get(v)
-            if Pv is None:
-                continue
-            b = Pv.get(lvl)
-            if b is None:
-                continue
-            d = b[0]
-            nd = len(d)
-            w_batch += 1.0
-            bd += nd.bit_length() if nd >= 2 else 1
-            d.pop(eid, None)
-            nd = len(d)
-            cap = b[1]
-            if cap > _MIN_CAP and nd < cap * _SHRINK_AT:
-                ws = max(nd, 1)
-                ds = (nd - 1).bit_length() if nd > 1 else 1
-                while cap > _MIN_CAP and nd < cap * _SHRINK_AT:
-                    cap //= 2
-                    w_rehash += ws
-                    bd += ds
-                b[1] = cap
-            if not d:
-                del Pv[lvl]
-                if not Pv:
-                    del P[v]
+        if cap > _MIN_CAPACITY and n < cap * _SHRINK_AT:
+            self._ccap[oi], w_rehash, ds = _shrink(n, cap)
+            bd += ds
+        wb, wr, dp = _p_unlink(self._P, edge.vertices, self._level[oi], eid)
         self._type[i] = _T_UNSETTLED
         self._ownslot[i] = -1
-        return w_batch, w_rehash, self._card[i], bd + 1
+        return 1.0 + wb, w_rehash + wr, self._card[i], bd + dp + 1
 
     def _sdisc_acc(self, i: int, eid: EdgeId) -> Tuple[float, int]:
         """Delete ``eid`` from S(m) of the match in slot ``i``
@@ -951,20 +950,16 @@ class ArrayLeveledStructure:
         n = len(sd)
         bd = n.bit_length() if n >= 2 else 1
         w_rehash = 0.0
-        if sd.__class__ is tuple:
-            sd = self._samples[i] = _small_discard(sd, eid)
+        if sd.__class__ is tuple:  # the small form: a new, smaller tuple
+            if eid in sd:
+                sd = self._samples[i] = tuple([x for x in sd if x != eid])
         else:
             sd.pop(eid, None)
         n = len(sd)
         cap = self._scap[i]
-        if cap > _MIN_CAP and n < cap * _SHRINK_AT:
-            ws = max(n, 1)
-            ds = (n - 1).bit_length() if n > 1 else 1
-            while cap > _MIN_CAP and n < cap * _SHRINK_AT:
-                cap //= 2
-                w_rehash += ws
-                bd += ds
-            self._scap[i] = cap
+        if cap > _MIN_CAPACITY and n < cap * _SHRINK_AT:
+            self._scap[i], w_rehash, ds = _shrink(n, cap)
+            bd += ds
         return w_rehash, bd
 
     def _kernel_add_cross(self, edges: Sequence[Edge]) -> bool:
@@ -988,7 +983,6 @@ class ArrayLeveledStructure:
             )
         except KeyError:
             return False
-        slots_l = slots.tolist()
         carr_np = np.frombuffer(self._card, dtype=np.int32)
         cards = carr_np[slots].astype(np.int64)
         total_c = int(cards.sum())
@@ -1010,78 +1004,40 @@ class ArrayLeveledStructure:
             # Some edge has no incident match; the per-edge route raises
             # the exact error after applying the preceding edges.
             return False
+        # Each edge's C(m) insert and P links, in batch order, as in
+        # add_cross_edge.
         crs = self._cross
-        best_l = best.tolist()
-        for eid, bs in zip(ids, best_l):
-            if eid in crs[bs]:
-                # Duplicate insert would not grow the dict, breaking the
-                # capacity sim; take the per-edge route (its scan
-                # re-derives the same owners, so the column writes above
-                # are idempotent).
-                return False
-        ub, inv = np.unique(best, return_inverse=True)
-        ub_l = ub.tolist()
-        lens = np.fromiter(
-            map(len, map(crs.__getitem__, ub_l)),
-            dtype=np.int64,
-            count=len(ub_l),
-        )
-        ccv = np.frombuffer(self._ccap, dtype=np.int64)
-        caps = ccv[ub]
-        bd0, w_rehash = native.edit_cross_sim(
-            inv.astype(np.int64, copy=False), lens, caps
-        )
-        ccv[ub] = caps
-        bd0_l = bd0.tolist()
-        for bs in ub_l:
-            _as_dict(crs, bs)
+        ccap = self._ccap
         larr = self._level
         P = self._P
+        w_rehash = 0.0
         max_bd = 0
-        for k in range(n):
-            edge = edges[k]
-            eid = ids[k]
-            bs = best_l[k]
-            crs[bs][eid] = None
-            best_lvl = larr[bs]
-            bd = bd0_l[k]
-            for v in edge.vertices:
-                Pv = P.get(v)
-                if Pv is None:
-                    Pv = P[v] = {}
-                b = Pv.get(best_lvl)
-                if b is None:
-                    Pv[best_lvl] = [{eid: None}, _MIN_CAP]
-                    bd += 1
-                    continue
-                d = b[0]
-                nd = len(d)
-                bd += nd.bit_length() if nd >= 2 else 1
-                d[eid] = None
-                nd = len(d)
-                cap = b[1]
-                if nd > cap * _GROW_AT:
-                    dg = (nd - 1).bit_length() if nd > 1 else 1
-                    while nd > cap * _GROW_AT:
-                        cap *= 2
-                        w_rehash += cap * _GROW_AT
-                        bd += dg
-                    b[1] = cap
-            bd += 1
+        for edge, eid, bs in zip(edges, ids, best.tolist()):
+            cd = crs[bs]
+            if cd.__class__ is tuple:  # the empty small form
+                cd = crs[bs] = {}
+            nc = len(cd)
+            bd = nc.bit_length() if nc >= 2 else 1
+            cd[eid] = None
+            nc = len(cd)
+            if nc > ccap[bs] * _GROW_AT:
+                ccap[bs], wr, dg = _grow(nc, ccap[bs])
+                w_rehash += wr
+                bd += dg
+            wr, dp = _p_link(P, edge.vertices, larr[bs], eid)
+            w_rehash += wr
+            bd += dp + 1
             if bd > max_bd:
                 max_bd = bd
         # Every edge pays 1 + cardinality dict_batch work unconditionally,
         # so the batch total collapses to a constant.
-        w_batch = float(n + total_c)
-        w_card = float(total_c)
-        led = self.ledger
-        led.work += w_batch + w_rehash + w_card
-        led._stack[-1].depth += max_bd
-        bt = led.by_tag
-        bt["dict_batch"] = bt.get("dict_batch", 0.0) + w_batch
-        if w_rehash:
-            bt["dict_rehash"] = bt.get("dict_rehash", 0.0) + w_rehash
-        bt["add_cross_edge"] = bt.get("add_cross_edge", 0.0) + w_card
+        _emit(
+            self.ledger,
+            max_bd,
+            ("dict_batch", float(n + total_c)),
+            ("dict_rehash", w_rehash),
+            ("add_cross_edge", float(total_c)),
+        )
         return True
 
     def add_cross_edge_batch(self, edges: Sequence[Edge]) -> None:
@@ -1098,7 +1054,6 @@ class ArrayLeveledStructure:
         """Batched removeCrossEdge over one parallel region."""
         if not edges:
             return
-        led = self.ledger
         w_batch = 0.0
         w_rehash = 0.0
         w_card = 0.0
@@ -1110,13 +1065,13 @@ class ArrayLeveledStructure:
             w_card += card
             if bd > max_bd:
                 max_bd = bd
-        led.work += w_batch + w_rehash + w_card
-        led._stack[-1].depth += max_bd
-        bt = led.by_tag
-        bt["dict_batch"] = bt.get("dict_batch", 0.0) + w_batch
-        if w_rehash:
-            bt["dict_rehash"] = bt.get("dict_rehash", 0.0) + w_rehash
-        bt["remove_cross_edge"] = bt.get("remove_cross_edge", 0.0) + w_card
+        _emit(
+            self.ledger,
+            max_bd,
+            ("dict_batch", w_batch),
+            ("dict_rehash", w_rehash),
+            ("remove_cross_edge", w_card),
+        )
 
     def detach_unmatched_batch(self, eids: Sequence[EdgeId]) -> None:
         """Detach unmatched deleted edges over one parallel region: a
@@ -1124,7 +1079,6 @@ class ArrayLeveledStructure:
         leaves its owner's S (lazy: the owner's level does not move)."""
         if not eids:
             return
-        led = self.ledger
         slot = self._slot
         tarr = self._type
         oslc = self._ownslot
@@ -1151,14 +1105,13 @@ class ArrayLeveledStructure:
                 raise AssertionError(f"unsettled edge {eid} in structure")
             if bd > max_bd:
                 max_bd = bd
-        led.work += w_batch + w_rehash + w_cross
-        led._stack[-1].depth += max_bd
-        bt = led.by_tag
-        bt["dict_batch"] = bt.get("dict_batch", 0.0) + w_batch
-        if w_rehash:
-            bt["dict_rehash"] = bt.get("dict_rehash", 0.0) + w_rehash
-        if w_cross:
-            bt["remove_cross_edge"] = bt.get("remove_cross_edge", 0.0) + w_cross
+        _emit(
+            self.ledger,
+            max_bd,
+            ("dict_batch", w_batch),
+            ("dict_rehash", w_rehash),
+            ("remove_cross_edge", w_cross),
+        )
 
     def sample_discard_self_batch(self, mids: Sequence[EdgeId]) -> None:
         """Discard each match from its own S(m) over one parallel region.
@@ -1169,12 +1122,8 @@ class ArrayLeveledStructure:
         """
         if not mids:
             return
-        led = self.ledger
-        # _sdisc_acc inlined: this runs once per matched deletion, and the
-        # call overhead is measurable at delete-heavy batch sizes.
         slot = self._slot
         samples = self._samples
-        scaps = self._scap
         w_rehash = 0.0
         max_bd = 0
         loop = mids
@@ -1189,47 +1138,26 @@ class ArrayLeveledStructure:
         if sds is not None and None not in sds:
             # zip(mids) yields the 1-tuples (m,).
             single = np.fromiter(map(eq, sds, zip(mids)), dtype=np.bool_, count=len(sds))
-            single &= np.frombuffer(scaps, dtype=np.int64)[slots_l] == _MIN_CAP
+            single &= np.frombuffer(self._scap, dtype=np.int64)[slots_l] == _MIN_CAPACITY
             if single.any():
                 single_l = single.tolist()
                 for i in compress(slots_l, single_l):
                     samples[i] = ()
                 max_bd = 1
                 loop = list(compress(mids, map(not_, single_l)))
+        sdisc = self._sdisc_acc
         for mid in loop:
-            i = slot[mid]
-            sd = samples[i]
-            n = len(sd)
-            bd = n.bit_length() if n >= 2 else 1
-            if sd.__class__ is tuple:
-                sd = samples[i] = _small_discard(sd, mid)
-            else:
-                sd.pop(mid, None)
-            n = len(sd)
-            cap = scaps[i]
-            if cap > _MIN_CAP and n < cap * _SHRINK_AT:
-                ws = max(n, 1)
-                ds = (n - 1).bit_length() if n > 1 else 1
-                while cap > _MIN_CAP and n < cap * _SHRINK_AT:
-                    cap //= 2
-                    w_rehash += ws
-                    bd += ds
-                scaps[i] = cap
+            wr, bd = sdisc(slot[mid], mid)
+            w_rehash += wr
             if bd > max_bd:
                 max_bd = bd
-        led.work += len(mids) + w_rehash
-        led._stack[-1].depth += max_bd
-        bt = led.by_tag
-        bt["dict_batch"] = bt.get("dict_batch", 0.0) + float(len(mids))
-        if w_rehash:
-            bt["dict_rehash"] = bt.get("dict_rehash", 0.0) + w_rehash
+        _emit(self.ledger, max_bd, ("dict_batch", float(len(mids))), ("dict_rehash", w_rehash))
 
     def samples_of_batch(self, mids: Sequence[EdgeId]) -> List[Edge]:
         """Batched ``samples_of``; returns the concatenated sample edges
         (the scalar call sites flatten with a plain list comp, uncharged)."""
         if not mids:
             return []
-        led = self.ledger
         slot = self._slot
         edge = self._edge
         samples = self._samples
@@ -1243,10 +1171,7 @@ class ArrayLeveledStructure:
             if n > max_n:
                 max_n = n
             out += [edge[slot[sid]] for sid in sd]
-        led.work += w
-        led._stack[-1].depth += log2ceil(max_n)
-        bt = led.by_tag
-        bt["dict_elements"] = bt.get("dict_elements", 0.0) + w
+        _emit(self.ledger, log2ceil(max_n), ("dict_elements", w))
         return out
 
     def _kernel_remove_match(self, eids: Sequence[EdgeId]) -> Optional[List[Edge]]:
@@ -1334,7 +1259,6 @@ class ArrayLeveledStructure:
         own_it = iter(own_flat_l)
         n_empty = n - len(busy)
         P = self._P
-        Pget = P.get
         w_elems = float(n_empty)
         w_batch = 0.0
         w_rehash = 0.0
@@ -1348,33 +1272,10 @@ class ArrayLeveledStructure:
                 d_total = 0
             max_bd = 0
             for ceid, j in zip(owned, own_it):
-                bd = 1
-                for v in verts[j]:
-                    Pv = Pget(v)
-                    if Pv is None:
-                        continue
-                    b = Pv.get(lvl)
-                    if b is None:
-                        continue
-                    d = b[0]
-                    nd = len(d)
-                    w_batch += 1.0
-                    bd += nd.bit_length() if nd >= 2 else 1
-                    d.pop(ceid, None)
-                    nd = len(d)
-                    cap = b[1]
-                    if cap > _MIN_CAP and nd < cap * _SHRINK_AT:
-                        ws = max(nd, 1)
-                        ds = (nd - 1).bit_length() if nd > 1 else 1
-                        while cap > _MIN_CAP and nd < cap * _SHRINK_AT:
-                            cap //= 2
-                            w_rehash += ws
-                            bd += ds
-                        b[1] = cap
-                    if not d:
-                        del Pv[lvl]
-                        if not Pv:
-                            del P[v]
+                wb, wr, bd = _p_unlink(P, verts[j], lvl, ceid)
+                w_batch += wb
+                w_rehash += wr
+                bd += 1
                 if bd > max_bd:
                     max_bd = bd
             d_total += max_bd
@@ -1382,17 +1283,14 @@ class ArrayLeveledStructure:
             if d_total > max_d:
                 max_d = d_total
         out = list(map(self._edge.__getitem__, own_flat_l))
-        led = self.ledger
-        led.work += w_elems + w_batch + w_rehash + w_rm
-        led._stack[-1].depth += max_d
-        bt = led.by_tag
-        if w_elems:
-            bt["dict_elements"] = bt.get("dict_elements", 0.0) + w_elems
-        if w_batch:
-            bt["dict_batch"] = bt.get("dict_batch", 0.0) + w_batch
-        if w_rehash:
-            bt["dict_rehash"] = bt.get("dict_rehash", 0.0) + w_rehash
-        bt["remove_match"] = bt.get("remove_match", 0.0) + w_rm
+        _emit(
+            self.ledger,
+            max_d,
+            ("dict_elements", w_elems),
+            ("dict_batch", w_batch),
+            ("dict_rehash", w_rehash),
+            ("remove_match", w_rm),
+        )
         return out
 
     def remove_match_batch(self, eids: Sequence[EdgeId]) -> List[Edge]:
@@ -1413,7 +1311,6 @@ class ArrayLeveledStructure:
         stay with the caller, which charges nothing for them)."""
         if not matches:
             return []
-        led = self.ledger
         slot = self._slot
         tarr = self._type
         oslc = self._ownslot
@@ -1440,17 +1337,15 @@ class ArrayLeveledStructure:
             d = dict.fromkeys(s.eid for s in samples)
             n = len(d)
             bd = lg_k
-            cap = _MIN_CAP
+            cap = _MIN_CAPACITY
             if n > cap * _GROW_AT:
-                dg = log2ceil(max(n, 2))
-                while n > cap * _GROW_AT:
-                    cap *= 2
-                    w_rehash += cap * _GROW_AT
-                    bd += dg
+                cap, wr, dg = _grow(n, cap)
+                w_rehash += wr
+                bd += dg
             self._samples[i] = (eid,) if n == 1 else d
             self._scap[i] = cap
             self._cross[i] = ()
-            self._ccap[i] = _MIN_CAP
+            self._ccap[i] = _MIN_CAPACITY
             self._settle[i] = k
             lvl = level_of(k, alpha)
             self._level[i] = lvl
@@ -1468,13 +1363,13 @@ class ArrayLeveledStructure:
             if bd > max_bd:
                 max_bd = bd
             levels.append(lvl)
-        led.work += w_set + w_rehash + w_add
-        led._stack[-1].depth += max_bd
-        bt = led.by_tag
-        bt["dict_batch"] = bt.get("dict_batch", 0.0) + w_set
-        if w_rehash:
-            bt["dict_rehash"] = bt.get("dict_rehash", 0.0) + w_rehash
-        bt["add_match"] = bt.get("add_match", 0.0) + w_add
+        _emit(
+            self.ledger,
+            max_bd,
+            ("dict_batch", w_set),
+            ("dict_rehash", w_rehash),
+            ("add_match", w_add),
+        )
         return levels
 
     def adjust_scan_batch(self, new_matches: Sequence[Edge]) -> List[EdgeId]:
@@ -1484,7 +1379,6 @@ class ArrayLeveledStructure:
         concatenated in scan order."""
         if not new_matches:
             return []
-        led = self.ledger
         slot = self._slot
         level = self._level
         P = self._P
@@ -1511,12 +1405,7 @@ class ArrayLeveledStructure:
                 bd += log2ceil(max(n_out, 2))
             if bd > max_bd:
                 max_bd = bd
-        led.work += w_elems + w_scan
-        led._stack[-1].depth += max_bd
-        bt = led.by_tag
-        if w_elems:
-            bt["dict_elements"] = bt.get("dict_elements", 0.0) + w_elems
-        bt["level_scan"] = bt.get("level_scan", 0.0) + w_scan
+        _emit(self.ledger, max_bd, ("dict_elements", w_elems), ("level_scan", w_scan))
         return flat
 
     # ------------------------------------------------------------------ #
@@ -1580,9 +1469,13 @@ class ArrayLeveledStructure:
         if etype == EdgeType.CROSS:
             if eid not in self._cross[oi]:
                 raise ValueError(f"cross edge {eid} missing from C({owner})")
-            lvl = self._level[oi]
-            for v in self._verts[i]:
-                self._P_add(v, lvl, eid)
+            w_rehash, depth = _p_link(self._P, self._verts[i], self._level[oi], eid)
+            _emit(
+                self.ledger,
+                depth,
+                ("dict_batch", float(self._card[i])),
+                ("dict_rehash", w_rehash),
+            )
         elif etype == EdgeType.SAMPLED:
             if eid not in self._samples[oi]:
                 raise ValueError(f"sampled edge {eid} missing from S({owner})")

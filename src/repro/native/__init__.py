@@ -68,7 +68,6 @@ pack_index = _Counted(_kernels.pack_index)
 first_alive = _Counted(_kernels.first_alive)
 edit_add_level0 = _Counted(_kernels.edit_add_level0)
 edit_cross_scan = _Counted(_kernels.edit_cross_scan)
-edit_cross_sim = _Counted(_kernels.edit_cross_sim)
 edit_remove_match = _Counted(_kernels.edit_remove_match)
 intern_localize = _Counted(_kernels.intern_localize)
 

@@ -17,6 +17,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.parallel.dictionary import _MIN_CAPACITY
+
 
 def group_index(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stable grouping skeleton shared by the semisort-family kernels.
@@ -138,11 +140,6 @@ def first_alive(
 # --------------------------------------------------------------------- #
 
 
-def _bit_length_i64(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``int.bit_length`` for non-negative int64 < 2**53."""
-    return np.frexp(x.astype(np.float64))[1].astype(np.int64)
-
-
 def edit_add_level0(
     slots: np.ndarray,
     cards: np.ndarray,
@@ -168,8 +165,8 @@ def edit_add_level0(
     larr[slots] = 0
     sarr[slots] = 1
     osl[slots] = slots  # a level-0 match owns itself
-    scap[slots] = 8  # _MIN_CAP
-    ccap[slots] = 8
+    scap[slots] = _MIN_CAPACITY
+    ccap[slots] = _MIN_CAPACITY
     pcol[dflat] = np.repeat(slots, cards)
     return int(slots.size + cards.sum())
 
@@ -209,55 +206,6 @@ def edit_cross_scan(
     tarr[slots] = 3  # _T_CROSS
     osl[slots] = best
     return best, 1
-
-
-def edit_cross_sim(
-    inv: np.ndarray, lens: np.ndarray, caps: np.ndarray
-) -> Tuple[np.ndarray, float]:
-    """Sequential capacity simulation of ``add_cross_edge_batch``.
-
-    ``inv[j]`` is the owner-group index of the batch's j-th cross
-    insert (batch order); ``lens``/``caps`` hold each owner group's
-    C(m) length and simulated capacity before the batch and are updated
-    in place to the post-batch values.  Returns ``(bd0, w_rehash)``:
-    per-insert branch depth of the C(m) insert (probe depth at the
-    pre-insert length plus the doubling charges the scalar loop adds),
-    and the summed ``dict_rehash`` work.  All work terms are integral
-    dyadics, so float accumulation order cannot change the total.
-    """
-    n = inv.size
-    u = lens.size
-    cnt = np.bincount(inv, minlength=u)
-    order = np.argsort(inv, kind="stable")
-    gstart = np.cumsum(cnt) - cnt
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n, dtype=np.int64) - np.repeat(gstart, cnt)
-    pre = lens[inv] + rank
-    bd0 = np.where(pre >= 2, _bit_length_i64(pre), np.int64(1))
-    w_rehash = 0.0
-    newl = lens + cnt
-    grow = np.flatnonzero(newl > caps * 0.75)
-    for o in grow.tolist():
-        length = int(lens[o])
-        cap = int(caps[o])
-        k = int(cnt[o])
-        base = int(gstart[o])
-        while True:
-            # smallest post-insert length strictly above the threshold
-            nxt = int(cap * 0.75) + 1  # cap*0.75 is integral for cap>=8
-            if nxt > length + k:
-                break
-            t = nxt - length - 1  # 0-based rank of the triggering insert
-            dg = (nxt - 1).bit_length() if nxt > 1 else 1
-            add = 0
-            while nxt > cap * 0.75:
-                cap *= 2
-                w_rehash += cap * 0.75
-                add += dg
-            bd0[order[base + t]] += add
-        caps[o] = cap
-    lens[:] = newl
-    return bd0, w_rehash
 
 
 def edit_remove_match(

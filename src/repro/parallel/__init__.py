@@ -26,7 +26,7 @@ random_perm
 semisort
     semisort, group_by, sum_by, remove_duplicates (linear expected work).
 dictionary
-    Batch-parallel hash dictionary/set with doubling-halving amortization.
+    Batch-parallel hash set with doubling-halving amortization.
 findnext
     findNext via doubling then binary search (O(d) work, O(log d) depth).
 """
@@ -36,7 +36,7 @@ from repro.parallel.machine import Machine, brent_time
 from repro.parallel import primitives
 from repro.parallel.random_perm import random_permutation
 from repro.parallel.semisort import group_by, remove_duplicates, semisort, sum_by
-from repro.parallel.dictionary import BatchDict, BatchSet
+from repro.parallel.dictionary import BatchSet
 from repro.parallel.findnext import find_next
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "group_by",
     "sum_by",
     "remove_duplicates",
-    "BatchDict",
     "BatchSet",
     "find_next",
 ]

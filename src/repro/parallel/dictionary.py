@@ -1,12 +1,12 @@
-"""Batch-parallel hash dictionary and set with doubling/halving amortization.
+"""Batch-parallel hash set with doubling/halving amortization.
 
 The paper assumes a dictionary supporting batches of ``k`` insertions,
 deletions, or membership queries in O(k) expected amortized work and
 O(log(n+k)) depth whp (Gil–Matias–Vishkin hashing plus the standard
-grow/shrink-by-copying trick).  These wrappers execute on Python's built-in
-hash tables but *simulate the capacity dynamics*: they maintain an explicit
-power-of-two capacity, and when a batch pushes the load factor past the
-grow threshold (or below the shrink threshold) they charge the full copy
+grow/shrink-by-copying trick).  :class:`BatchSet` executes on Python's
+built-in hash table but *simulates the capacity dynamics*: it maintains an
+explicit power-of-two capacity, and when a batch pushes the load factor past
+the grow threshold (or below the shrink threshold) it charges the full copy
 cost of rehashing every element — exactly the amortization the analysis
 pays for.
 
@@ -17,12 +17,11 @@ All mutating entry points are batch-shaped; single-element conveniences
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Hashable, Iterable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Hashable, Iterable, Iterator, List, TypeVar
 
 from repro.parallel.ledger import Ledger, log2ceil
 
 K = TypeVar("K", bound=Hashable)
-V = TypeVar("V")
 
 _MIN_CAPACITY = 8
 _GROW_AT = 0.75  # load factor above which we double
@@ -134,94 +133,6 @@ class BatchSet(Generic[K]):
 
     def __bool__(self) -> bool:
         return bool(self._items)
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-
-class BatchDict(Generic[K, V]):
-    """A hash map with batch operations, mirroring :class:`BatchSet`."""
-
-    __slots__ = ("_ledger", "_items", "_capacity", "rehash_count")
-
-    def __init__(self, ledger: Ledger, items: Iterable[Tuple[K, V]] = ()) -> None:
-        self._ledger = ledger
-        self._items: Dict[K, V] = {}
-        self._capacity = _MIN_CAPACITY
-        self.rehash_count = 0
-        items = list(items)
-        if items:
-            self.insert_batch(items)
-
-    def _resize_if_needed(self) -> None:
-        n = len(self._items)
-        while n > self._capacity * _GROW_AT:
-            self._capacity *= 2
-            self.rehash_count += 1
-            # Copy cost of the rehash that this doubling stands in for: at
-            # most a 3/4-full table of the new capacity's predecessor.
-            self._ledger.charge(
-                work=self._capacity * _GROW_AT,
-                depth=log2ceil(max(n, 2)),
-                tag="dict_rehash",
-            )
-        while self._capacity > _MIN_CAPACITY and n < self._capacity * _SHRINK_AT:
-            self._capacity //= 2
-            self.rehash_count += 1
-            self._ledger.charge(work=max(n, 1), depth=log2ceil(max(n, 2)), tag="dict_rehash")
-
-    def _charge_batch(self, k: int) -> None:
-        self._ledger.charge(
-            work=max(k, 1),
-            depth=log2ceil(max(len(self._items) + k, 2)),
-            tag="dict_batch",
-        )
-
-    def insert_batch(self, pairs: Iterable[Tuple[K, V]]) -> None:
-        pairs = list(pairs)
-        self._charge_batch(len(pairs))
-        for k, v in pairs:
-            self._items[k] = v
-        self._resize_if_needed()
-
-    def delete_batch(self, keys: Iterable[K]) -> None:
-        keys = list(keys)
-        self._charge_batch(len(keys))
-        for k in keys:
-            self._items.pop(k, None)
-        self._resize_if_needed()
-
-    def lookup_batch(self, keys: Iterable[K]) -> List[Optional[V]]:
-        keys = list(keys)
-        self._charge_batch(len(keys))
-        return [self._items.get(k) for k in keys]
-
-    def insert_one(self, key: K, value: V) -> None:
-        self.insert_batch([(key, value)])
-
-    def delete_one(self, key: K) -> None:
-        self.delete_batch([key])
-
-    def get(self, key: K, default: Optional[V] = None) -> Optional[V]:
-        return self._items.get(key, default)
-
-    def items(self) -> List[Tuple[K, V]]:
-        n = len(self._items)
-        self._ledger.charge(work=max(n, 1), depth=log2ceil(max(n, 2)), tag="dict_elements")
-        return list(self._items.items())
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._items
-
-    def __getitem__(self, key: K) -> V:
-        return self._items[key]
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[K]:
-        return iter(self._items)
 
     @property
     def capacity(self) -> int:

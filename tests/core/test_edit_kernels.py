@@ -1,7 +1,7 @@
 """Columnar structure-edit kernels vs the per-edge route and the dict oracle.
 
 The batched edit kernels (``edit_add_level0`` / ``edit_cross_scan`` /
-``edit_cross_sim`` / ``edit_remove_match`` / ``intern_localize``) are
+``edit_remove_match`` / ``intern_localize``) are
 the columnar twins of ``ArrayLeveledStructure``'s per-edge edits.  Which
 one runs is decided per call by size (``repro.native.VEC_MIN``): calls
 of at least that many items take the kernels, smaller calls the scalar
@@ -22,9 +22,9 @@ Three layers:
   columnar mirrors against the dicts);
 * **route rule** — calls of 64+ items fire the kernels, a 63-item call
   fires none and still charges exactly what the oracle charges;
-* **kernel-level parity** (hypothesis) — ``edit_cross_sim``'s
-  jump-based capacity simulation vs a naive sequential re-derivation
-  of the scalar loop, and ``intern_localize`` vs ``np.unique``.
+* **kernel-level parity** (hypothesis) — ``intern_localize`` vs
+  ``np.unique``.  The capacity simulation the edits share with the dict
+  oracle's ``BatchSet`` is pinned in ``tests/core/test_set_model.py``.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ BIG = 2**31 - 2
 PER_EDGE = 10**9
 
 EDIT_KERNELS = (
-    "edit_add_level0", "edit_cross_scan", "edit_cross_sim",
-    "edit_remove_match", "intern_localize",
+    "edit_add_level0", "edit_cross_scan", "edit_remove_match",
+    "intern_localize",
 )
 
 
@@ -191,62 +191,6 @@ class TestRouteRule:
 # --------------------------------------------------------------------- #
 # Kernel-level parity
 # --------------------------------------------------------------------- #
-def _cross_sim_ref(inv, lens, caps):
-    """Naive sequential re-derivation of the scalar C(m)-insert loop
-    (pre-insert probe depth, post-insert doubling with w_rehash in
-    insertion order) — the semantics edit_cross_sim's jump simulation
-    must reproduce exactly."""
-    lens = lens.tolist()
-    caps = caps.tolist()
-    bd0 = np.zeros(inv.size, dtype=np.int64)
-    w_rehash = 0.0
-    for j, o in enumerate(inv.tolist()):
-        n = lens[o]
-        bd = n.bit_length() if n >= 2 else 1
-        n += 1
-        lens[o] = n
-        cap = caps[o]
-        if n > cap * 0.75:
-            dg = (n - 1).bit_length() if n > 1 else 1
-            while n > cap * 0.75:
-                cap *= 2
-                w_rehash += cap * 0.75
-                bd += dg
-            caps[o] = cap
-        bd0[j] = bd
-    return bd0, w_rehash, lens, caps
-
-
-@st.composite
-def _sim_inputs(draw):
-    u = draw(st.integers(1, 8))
-    capk = draw(st.lists(st.integers(0, 3), min_size=u, max_size=u))
-    caps = np.array([8 * 2**k for k in capk], dtype=np.int64)
-    lens = np.array(
-        [draw(st.integers(0, int(c * 0.75))) for c in caps], dtype=np.int64
-    )
-    n = draw(st.integers(1, 40))
-    inv = np.array(
-        draw(st.lists(st.integers(0, u - 1), min_size=n, max_size=n)),
-        dtype=np.int64,
-    )
-    return inv, lens, caps
-
-
-class TestCrossSimParity:
-    @settings(max_examples=120, deadline=None)
-    @given(data=_sim_inputs())
-    def test_jump_sim_matches_sequential(self, data):
-        inv, lens, caps = data
-        ref_bd, ref_wr, ref_lens, ref_caps = _cross_sim_ref(inv, lens, caps)
-        lens2, caps2 = lens.copy(), caps.copy()
-        bd0, wr = npk.edit_cross_sim(inv, lens2, caps2)
-        assert np.array_equal(bd0, ref_bd)
-        assert wr == ref_wr  # integral dyadics: order-independent, exact
-        assert lens2.tolist() == ref_lens
-        assert caps2.tolist() == ref_caps
-
-
 class TestInternLocalize:
     @settings(max_examples=80, deadline=None)
     @given(dense=st.lists(st.integers(0, 30), min_size=1, max_size=60))

@@ -37,8 +37,8 @@ N_TRACES = 50
 
 #: Edit kernels whose calls the differential expects to see.
 EDIT_KERNELS = (
-    "edit_add_level0", "edit_cross_scan", "edit_cross_sim",
-    "edit_remove_match", "intern_localize",
+    "edit_add_level0", "edit_cross_scan", "edit_remove_match",
+    "intern_localize",
 )
 
 

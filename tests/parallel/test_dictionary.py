@@ -1,10 +1,10 @@
-"""Unit and property tests for the batch dictionary/set with capacity
+"""Unit and property tests for the batch set with capacity
 simulation (doubling/halving amortization)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.parallel.dictionary import BatchDict, BatchSet, _MIN_CAPACITY
+from repro.parallel.dictionary import BatchSet, _MIN_CAPACITY
 from repro.parallel.ledger import Ledger
 
 
@@ -80,47 +80,6 @@ class TestBatchSetCapacity:
         k = 4096
         s.insert_batch(range(k))
         assert led.work <= 10 * k
-
-
-class TestBatchDict:
-    def test_insert_lookup(self, ledger):
-        d = BatchDict(ledger)
-        d.insert_batch([(1, "a"), (2, "b")])
-        assert d.lookup_batch([1, 2, 3]) == ["a", "b", None]
-
-    def test_overwrite(self, ledger):
-        d = BatchDict(ledger, [(1, "a")])
-        d.insert_batch([(1, "z")])
-        assert d[1] == "z"
-        assert len(d) == 1
-
-    def test_delete(self, ledger):
-        d = BatchDict(ledger, [(1, "a"), (2, "b")])
-        d.delete_batch([1])
-        assert 1 not in d and 2 in d
-
-    def test_get_default(self, ledger):
-        d = BatchDict(ledger)
-        assert d.get(5, "x") == "x"
-
-    def test_items(self, ledger):
-        d = BatchDict(ledger, [(1, "a"), (2, "b")])
-        assert dict(d.items()) == {1: "a", 2: "b"}
-
-    def test_single_element_api(self, ledger):
-        d = BatchDict(ledger)
-        d.insert_one(1, "a")
-        assert d[1] == "a"
-        d.delete_one(1)
-        assert 1 not in d
-
-    def test_capacity_dynamics(self, ledger):
-        d = BatchDict(ledger)
-        d.insert_batch([(i, i) for i in range(500)])
-        grown = d.capacity
-        assert grown > _MIN_CAPACITY
-        d.delete_batch(range(495))
-        assert d.capacity < grown
 
 
 @given(

@@ -1,7 +1,7 @@
-"""Stateful fuzzing of BatchSet/BatchDict against the built-in types.
+"""Stateful fuzzing of BatchSet against the built-in set.
 
 Hypothesis drives arbitrary batch-op sequences and checks, after every
-rule, behavioural equality with a reference set/dict plus the capacity
+rule, behavioural equality with a reference set plus the capacity
 invariants of the doubling/halving simulation.
 """
 
@@ -9,7 +9,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.parallel.dictionary import BatchDict, BatchSet, _GROW_AT, _MIN_CAPACITY
+from repro.parallel.dictionary import BatchSet, _GROW_AT, _MIN_CAPACITY
 from repro.parallel.ledger import Ledger
 
 keys = st.integers(0, 50)
@@ -56,36 +56,6 @@ class BatchSetMachine(RuleBasedStateMachine):
         assert self.ledger.work >= 0
 
 
-class BatchDictMachine(RuleBasedStateMachine):
-    def __init__(self):
-        super().__init__()
-        self.ledger = Ledger()
-        self.subject = BatchDict(self.ledger)
-        self.reference: dict = {}
-
-    @rule(pairs=st.lists(st.tuples(keys, st.integers()), max_size=12))
-    def insert(self, pairs):
-        self.subject.insert_batch(pairs)
-        self.reference.update(dict(pairs))
-
-    @rule(batch=key_batches)
-    def delete(self, batch):
-        self.subject.delete_batch(batch)
-        for k in batch:
-            self.reference.pop(k, None)
-
-    @rule(batch=key_batches)
-    def lookup(self, batch):
-        assert self.subject.lookup_batch(batch) == [self.reference.get(k) for k in batch]
-
-    @invariant()
-    def items_agree(self):
-        assert dict(self.subject.items()) == self.reference
-
-
 TestBatchSetStateful = BatchSetMachine.TestCase
 TestBatchSetStateful.settings = settings(max_examples=40, stateful_step_count=25,
                                          deadline=None)
-TestBatchDictStateful = BatchDictMachine.TestCase
-TestBatchDictStateful.settings = settings(max_examples=40, stateful_step_count=25,
-                                          deadline=None)
