@@ -15,16 +15,22 @@ per-edge state in flat, slot-indexed parallel arrays instead of one
 * the cover map p(v) is held once, as the int32 column ``_pcol`` over
   the interner's dense vertex ids: ``_pcol[dense(v)]`` is the slot of
   the match covering v (-1 = uncovered);
-* sample sets S(m) and cross sets C(m) are plain insertion-ordered dicts
-  plus an explicit simulated capacity, grown and shrunk by
+* sample sets S(m) and cross sets C(m) are doubly linked lists of slots
+  in int32 columns, one group per kind (``_S`` and ``_C``): per match
+  slot a head, a tail, a count and the simulated capacity (``_scap`` /
+  ``_ccap``), and per edge slot a prev and a next link.  A count of
+  ``_NOSET`` means "not a match" (no sets); a prev of ``_OUT`` means the
+  edge is in no list of that kind.  An insert appends, a delete unlinks
+  and a re-insert appends again, which is exactly an insertion-ordered
+  dict's order; capacities grow and shrink by
   :class:`~repro.parallel.dictionary.BatchSet`'s rule, written once here
-  as :func:`_grow` and :func:`_shrink`.  The common
-  small sets allocate no dict: a singleton S(m) = {m} (every level-0
-  match) is the 1-tuple ``(m,)``, shrinking to a smaller tuple on
-  discard, and an empty C(m) is the shared ``()``, which becomes a dict
-  on its first insert.  Reads go
-  through ``len``/``iter``/``in`` either way; ``None`` still means "not
-  a match", and the capacity columns are independent of the form;
+  as :func:`_grow` and :func:`_shrink`, inside :func:`_l_insert` and
+  :func:`_l_delete`.  S and C have separate links because an edge sits
+  in both for a moment: a dying match's samples (the match itself
+  included, on an induced death) join some C(m') before S(m) is dropped
+  by its header, unwalked, in ``remove_match``.  That leaves stale
+  S-links on those edges, which only a later list build (a new match's
+  S) overwrites; nothing reads them before;
 * the per-vertex per-level index P(v, l) keeps buckets as ``[dict, cap]``
   pairs, edited one edge at a time by :func:`_p_link` and
   :func:`_p_unlink`, and drops P(v) when its last bucket goes.
@@ -48,9 +54,9 @@ for any ledger.
 
 Two deliberate representation choices follow from parity, not speed:
 
-* sets are insertion-ordered dicts, never ``set`` — element extraction
-  order feeds the greedy matcher's priority assignment, so ordering is
-  part of observable determinism;
+* sets keep insertion order (linked lists, and dicts for P), never
+  ``set`` — element extraction order feeds the greedy matcher's
+  priority assignment, so ordering is part of observable determinism;
 * P(v, l) stays keyed per-vertex first (``{v: {level: bucket}}``): the
   level-dict insertion order determines the adjust scan's output order
   (the dict oracle's ``cross_edges_below``), which the oracle inherits
@@ -60,8 +66,8 @@ Two deliberate representation choices follow from parity, not speed:
 from __future__ import annotations
 
 from array import array
-from itertools import chain, compress
-from operator import eq, not_
+from itertools import chain, compress, islice
+from operator import attrgetter, not_
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -80,6 +86,14 @@ _T_SAMPLED = 2
 _T_CROSS = 3
 _TYPE_OBJS = EDGE_TYPE_CODES
 _TYPE_CODE = {t: i for i, t in enumerate(_TYPE_OBJS)}
+
+# List sentinels of the S(m)/C(m) columns.
+_NIL = -1  # no node: an empty list's head and tail, a list end's link
+_OUT = -2  # a prev link: the edge is in no list of that kind
+_NOSET = -1  # a count: the slot is not a match, so it has no sets
+
+#: Slots the per-edge registration grows the columns by at a time.
+_SLOT_CHUNK = 256
 
 
 # ---------------------------------------------------------------------- #
@@ -119,6 +133,112 @@ def _shrink(n: int, cap: int) -> Tuple[int, float, int]:
         w += ws
         depth += ds
     return cap, w, depth
+
+
+# S(m) and C(m) as linked lists.  ``cols`` is one kind's column group
+# ``(head, tail, count, cap, prev, next)``: the first four indexed by the
+# match's slot, the links by the member edge's slot.
+
+
+def _l_insert(cols, h: int, j: int) -> Tuple[float, int]:
+    """``BatchSet.insert_one``: append edge slot ``j`` to list ``h``,
+    unless it is in the list already (a dict re-store keeps its place).
+
+    ``j`` must be in list ``h`` or in no list of this kind.  Returns
+    ``(dict_rehash work, depth)``; the dict_batch work is always 1.
+    """
+    head, tail, cnt, cap, prev, nxt = cols
+    n = cnt[h]
+    depth = n.bit_length() if n >= 2 else 1  # log2ceil(n + 1)
+    if prev[j] == _OUT:
+        t = tail[h]
+        prev[j] = t
+        nxt[j] = _NIL
+        if t < 0:
+            head[h] = j
+        else:
+            nxt[t] = j
+        tail[h] = j
+        n += 1
+        cnt[h] = n
+    if n > cap[h] * _GROW_AT:
+        cap[h], w, dg = _grow(n, cap[h])
+        return w, depth + dg
+    return 0.0, depth
+
+
+def _l_delete(cols, h: int, j: int) -> Tuple[float, int]:
+    """``BatchSet.delete_one``: unlink edge slot ``j`` from list ``h``
+    (nothing when absent), then apply the shrink rule.
+
+    ``j`` must be in list ``h`` or in no list of this kind.  Returns
+    ``(dict_rehash work, depth)``; the dict_batch work is always 1.
+    """
+    head, tail, cnt, cap, prev, nxt = cols
+    n = cnt[h]
+    depth = n.bit_length() if n >= 2 else 1  # log2ceil(n + 1)
+    p = prev[j]
+    if p != _OUT:
+        q = nxt[j]
+        if p < 0:
+            head[h] = q
+        else:
+            nxt[p] = q
+        if q < 0:
+            tail[h] = p
+        else:
+            prev[q] = p
+        prev[j] = _OUT
+        n -= 1
+        cnt[h] = n
+    c = cap[h]
+    if c > _MIN_CAPACITY and n < c * _SHRINK_AT:
+        cap[h], w, ds = _shrink(n, c)
+        return w, depth + ds
+    return 0.0, depth
+
+
+def _l_build(cols, h: int, js: Sequence[int]) -> None:
+    """Make list ``h`` hold exactly the distinct edge slots ``js``, in
+    order (the capacity is the caller's)."""
+    head, tail, cnt, _, prev, nxt = cols
+    t = _NIL
+    for j in js:
+        prev[j] = t
+        if t < 0:
+            head[h] = j
+        else:
+            nxt[t] = j
+        t = j
+    if t < 0:
+        head[h] = _NIL
+    else:
+        nxt[t] = _NIL
+    tail[h] = t
+    cnt[h] = len(js)
+
+
+def _views(cols) -> Tuple[np.ndarray, ...]:
+    """Writable numpy views of a column group, for one call (never
+    kept: a live view blocks the columns' growth)."""
+    return tuple(
+        np.frombuffer(c, dtype=np.int64 if c.typecode == "q" else np.int32) for c in cols
+    )
+
+
+def _l_concat(cols, hs) -> List[int]:
+    """The members of lists ``hs``, concatenated in list order (an empty
+    list, or a slot with no set, contributes nothing)."""
+    head, cnt, nxt = cols[0], cols[2], cols[5]
+    out: List[int] = []
+    app = out.append
+    for h in hs:
+        if cnt[h] > 0:
+            j = head[h]
+            while j >= 0:
+                app(j)
+                j = nxt[j]
+    return out
 
 
 def _p_link(P: dict, vertices: Sequence[Vertex], lvl: int, eid: EdgeId) -> Tuple[float, int]:
@@ -240,29 +360,36 @@ class ArrayLeveledStructure:
         # record-dict backend exposes through recs.values().
         self._slot: Dict[EdgeId, int] = {}
         self._free: List[int] = []
-        # Slot-parallel arrays.  Object state (edges, vertex tuples,
-        # sample/cross dicts) stays in Python lists; the scalar state
-        # forms the *columnar edit plane*: ``array.array`` typecode 'i'
-        # (int32) / 'q' (int64) columns whose scalar reads and writes
-        # behave exactly like lists, but which expose zero-copy writable
-        # numpy views (``np.frombuffer``) to the batched edit kernels.
-        # Views are always taken per-operation and never cached —
-        # ``array.extend`` is a realloc and raises ``BufferError`` while
-        # a view is exporting the buffer.
+        # Slot-parallel arrays.  Object state (edges, vertex tuples)
+        # stays in Python lists; everything else forms the *columnar
+        # edit plane*: ``array.array`` typecode 'i' (int32) / 'q' (int64)
+        # columns whose scalar reads and writes behave exactly like
+        # lists, but which expose zero-copy writable numpy views
+        # (``np.frombuffer``) to the batched edit kernels.  Views are
+        # always taken per-operation and never cached — ``array.extend``
+        # is a realloc and raises ``BufferError`` while a view is
+        # exporting the buffer.
         self._edge: List[Optional[Edge]] = []
         self._verts: List[Tuple[Vertex, ...]] = []
         self._card = array("i")
         self._type = array("i")
         self._level = array("i")
         self._settle = array("i")
-        self._samples: List[Optional[Dict[EdgeId, None]]] = []
-        self._scap = array("q")
-        self._cross: List[Optional[Dict[EdgeId, None]]] = []
-        self._ccap = array("q")
         # The owner of each slot, as the owning match's slot (-1 =
         # none): slots are int32-safe by construction (bounded by the
         # slot count), while edge ids may straddle int32.
         self._ownslot = array("i")
+        # S(m) and C(m): per match slot head, tail, count (``_NOSET``:
+        # not a match) and capacity; per edge slot prev and next links
+        # (prev ``_OUT``: in no list of that kind).
+        self._shead, self._stail, self._scnt = array("i"), array("i"), array("i")
+        self._sprev, self._snext = array("i"), array("i")
+        self._scap = array("q")
+        self._chead, self._ctail, self._ccnt = array("i"), array("i"), array("i")
+        self._cprev, self._cnext = array("i"), array("i")
+        self._ccap = array("q")
+        self._S = (self._shead, self._stail, self._scnt, self._scap, self._sprev, self._snext)
+        self._C = (self._chead, self._ctail, self._ccnt, self._ccap, self._cprev, self._cnext)
         # Interned vertex table + columnar vertex state.  Raw vertex
         # ids of any type/magnitude live only as dict keys; the int32
         # plane sees dense ids.  ``_pcol[d]`` is the covering match
@@ -274,6 +401,20 @@ class ArrayLeveledStructure:
         self._vd_off = array("q")
         self._vd_flat = array("i")
         self._vd_live = 0
+        # Every int column indexed by slot, and the values a new edge's
+        # slot starts from (``_card`` and ``_vd_off`` are per edge; the
+        # capacities, heads, tails and next links are written when a set
+        # is made).  register_batch's small-call loop writes the same
+        # values by direct stores.
+        self._slotcols = (
+            self._card, self._type, self._level, self._settle, self._ownslot,
+            self._vd_off, *self._S, *self._C,
+        )
+        self._slot_reset = (
+            (self._type, _T_UNSETTLED), (self._ownslot, -1), (self._level, -1),
+            (self._settle, 0), (self._scnt, _NOSET), (self._ccnt, _NOSET),
+            (self._sprev, _OUT), (self._cprev, _OUT),
+        )
         # Vertex state.
         self.matched: Set[EdgeId] = set()
         self._P: Dict[Vertex, Dict[int, list]] = {}
@@ -315,19 +456,18 @@ class ArrayLeveledStructure:
         Slot recycling always appends a fresh segment, so churn leaks
         pool space; compaction (triggered from ``register_batch`` when
         the pool is 4x the live footprint) squeezes it back.  Pure
-        representation maintenance — never charged to the ledger.
+        representation maintenance — never charged to the ledger.  One
+        segmented gather over the live slots, in slot order.
         """
-        freed = set(self._free)
-        old = self._vd_flat
+        slot = self._slot
+        live = np.fromiter(slot.values(), dtype=np.int64, count=len(slot))
+        live.sort()
+        cards = np.frombuffer(self._card, dtype=np.int32)[live].astype(np.int64)
+        vd_off = np.frombuffer(self._vd_off, dtype=np.int64)
+        idx = native.seg_gather_index(vd_off[live], cards, int(cards.sum()))
         new = array("i")
-        vd_off = self._vd_off
-        card = self._card
-        for i in range(len(self._edge)):
-            if i in freed or self._edge[i] is None:
-                continue
-            o = vd_off[i]
-            vd_off[i] = len(new)
-            new.extend(old[o : o + card[i]])
+        new.frombytes(np.frombuffer(self._vd_flat, dtype=np.int32)[idx].tobytes())
+        vd_off[live] = np.cumsum(cards) - cards
         self._vd_flat = new
 
     def frame_dense(self, frame) -> np.ndarray:
@@ -350,6 +490,11 @@ class ArrayLeveledStructure:
     # ------------------------------------------------------------------ #
     # Registry
     # ------------------------------------------------------------------ #
+    def _grow_columns(self, r: int) -> None:
+        """Append ``r`` zeroed slots to every int column."""
+        for col in self._slotcols:
+            col.frombytes(bytes(col.itemsize * r))
+
     def _alloc(self, edge: Edge) -> int:
         eid = edge.eid
         if eid in self._slot:
@@ -361,30 +506,21 @@ class ArrayLeveledStructure:
             )
         if not fits_int64((eid,)):
             self.interner.wide = True
-        if self._free:
-            i = self._free.pop()
-            self._edge[i] = edge
-            self._verts[i] = edge.vertices
-            self._card[i] = card
-            self._type[i] = _T_UNSETTLED
-            self._ownslot[i] = -1
-            self._level[i] = -1
-            self._settle[i] = 0
-            self._samples[i] = None
-            self._cross[i] = None
-        else:
-            i = len(self._edge)
-            self._edge.append(edge)
-            self._verts.append(edge.vertices)
-            self._card.append(card)
-            self._type.append(_T_UNSETTLED)
-            self._ownslot.append(-1)
-            self._level.append(-1)
-            self._settle.append(0)
-            self._samples.append(None)
-            self._scap.append(_MIN_CAPACITY)
-            self._cross.append(None)
-            self._ccap.append(_MIN_CAPACITY)
+        free = self._free
+        if not free:
+            # Grow every column by a chunk of free slots, the lowest on
+            # top, so slots are still taken in ascending order.
+            m0 = len(self._edge)
+            self._edge.extend([None] * _SLOT_CHUNK)
+            self._verts.extend([()] * _SLOT_CHUNK)
+            self._grow_columns(_SLOT_CHUNK)
+            free.extend(range(m0 + _SLOT_CHUNK - 1, m0 - 1, -1))
+        i = free.pop()
+        self._edge[i] = edge
+        self._verts[i] = edge.vertices
+        self._card[i] = card
+        for col, v in self._slot_reset:
+            col[i] = v
         self._slot[eid] = i
         self._vd_store(i, edge.vertices)
         return i
@@ -396,20 +532,10 @@ class ArrayLeveledStructure:
     def register_batch(self, edges: Sequence[Edge]) -> None:
         if self.phase_hook is not None:
             self.phase_hook("structure.register_batch")
-        # _alloc inlined: the per-edge method call is measurable on the
-        # dynamic hot path (every inserted edge passes through here).
         slot = self._slot
         free = self._free
         earr = self._edge
         varr = self._verts
-        carr = self._card
-        tarr = self._type
-        larr = self._level
-        sarr = self._settle
-        smp = self._samples
-        scap = self._scap
-        crs = self._cross
-        ccap = self._ccap
         rank = self.rank
         edges = list(edges)
         ids = [e.eid for e in edges]
@@ -452,62 +578,65 @@ class ArrayLeveledStructure:
         coff = len(vd)
         vd.frombytes(dense.tobytes())
         self._vd_live += dense.size
-        vd_off = self._vd_off
-        oslc = self._ownslot
+        # Slots: recycled ones first, in the free list's pop order, then
+        # fresh ones grown onto every column; then the int columns are
+        # reset, by one scatter per column on the columnar route.
         k = min(len(free), n)
-        for j in range(k):
-            i = free.pop()
-            earr[i] = edges[j]
-            varr[i] = verts[j]
-            carr[i] = cards[j]
-            tarr[i] = _T_UNSETTLED
-            oslc[i] = -1
-            larr[i] = -1
-            sarr[i] = 0
-            smp[i] = None
-            crs[i] = None
-            slot[ids[j]] = i
-            vd_off[i] = coff
-            coff += cards[j]
+        cut = len(free) - k
+        slots = free[cut:]
+        slots.reverse()
+        del free[cut:]
+        for i, e, vs in zip(slots, edges, verts):
+            earr[i] = e
+            varr[i] = vs
         if k < n:
             m0 = len(earr)
             r = n - k
+            slots.extend(range(m0, m0 + r))
             earr.extend(edges[k:])
             varr.extend(verts[k:])
-            carr.extend(cards[k:])
-            tarr.extend([_T_UNSETTLED] * r)
-            oslc.extend([-1] * r)
-            larr.extend([-1] * r)
-            sarr.extend([0] * r)
-            smp.extend([None] * r)
-            scap.extend([_MIN_CAPACITY] * r)
-            crs.extend([None] * r)
-            ccap.extend([_MIN_CAPACITY] * r)
-            vd_off.extend([0] * r)
-            for j in range(k, n):
-                slot[ids[j]] = m0
-                vd_off[m0] = coff
-                coff += cards[j]
-                m0 += 1
+            self._grow_columns(r)
+        slot.update(zip(ids, slots))
+        if n >= native.VEC_MIN:
+            sl = np.array(slots, dtype=np.int64)
+            cn = np.array(cards, dtype=np.int64)
+            np.frombuffer(self._card, dtype=np.int32)[sl] = cn
+            np.frombuffer(self._vd_off, dtype=np.int64)[sl] = np.cumsum(cn) + (coff - cn)
+            for col, v in self._slot_reset:
+                np.frombuffer(col, dtype=np.int32)[sl] = v
+        else:
+            card, vd_off = self._card, self._vd_off
+            tarr, oslc, larr, sarr = self._type, self._ownslot, self._level, self._settle
+            scnt, ccnt, sprev, cprev = self._scnt, self._ccnt, self._sprev, self._cprev
+            for i, c in zip(slots, cards):
+                card[i] = c
+                vd_off[i] = coff
+                coff += c
+                tarr[i] = _T_UNSETTLED
+                oslc[i] = -1
+                larr[i] = -1
+                sarr[i] = 0
+                scnt[i] = _NOSET
+                ccnt[i] = _NOSET
+                sprev[i] = _OUT
+                cprev[i] = _OUT
         self.ledger.charge_parallel(n, work=sum(cards), depth=1, tag="register")
 
     def unregister_batch(self, eids: Sequence[EdgeId]) -> None:
         if self.phase_hook is not None:
             self.phase_hook("structure.unregister_batch")
-        spop = self._slot.pop
-        card = self._card
-        earr = self._edge
-        smp = self._samples
-        crs = self._cross
-        fapp = self._free.append
-        total = 0
-        for eid in eids:
-            i = spop(eid)
-            total += card[i]
-            earr[i] = None
-            smp[i] = None
-            crs[i] = None
-            fapp(i)
+        # A freed slot's int columns keep their values: register_batch
+        # resets them when the slot is reused.  On an absent id, the ids
+        # before it stay unregistered and their slots free.
+        slots: List[int] = []
+        try:
+            slots.extend(map(self._slot.pop, eids))
+        finally:
+            earr = self._edge
+            for i in slots:
+                earr[i] = None
+            self._free.extend(slots)
+        total = sum(map(self._card.__getitem__, slots))
         self._vd_live -= total
         self.ledger.charge_parallel(len(eids), work=total, depth=1, tag="register")
 
@@ -623,48 +752,67 @@ class ArrayLeveledStructure:
         self.ledger.charge_parallel(n, work=total, depth=1, tag="free_check")
         return flags
 
+    def _slots_of(self, eids: Sequence[EdgeId]) -> Optional[np.ndarray]:
+        """The slots of ``eids`` as one int64 gather, or None when an id
+        is absent (the caller's per-item loop then raises at it)."""
+        try:
+            return np.fromiter(
+                map(self._slot.__getitem__, eids), dtype=np.int64, count=len(eids)
+            )
+        except KeyError:
+            return None
+
     # ------------------------------------------------------------------ #
     # isHeavy (Fig. 2)
     # ------------------------------------------------------------------ #
     def heavy_flags(self, mids: Sequence[EdgeId]) -> List[bool]:
-        """isHeavy per match: one parallel region, one charge."""
+        """isHeavy per match: one parallel region, one charge.  Calls of
+        at least :data:`repro.native.VEC_MIN` ids gather the C(m) counts
+        and levels."""
         base = self.heavy_factor * (self.rank**2)
         alpha = self.alpha
+        n = len(mids)
+        slots = self._slots_of(mids) if n >= native.VEC_MIN else None
+        if slots is not None:
+            cnt = np.frombuffer(self._ccnt, dtype=np.int32)[slots]
+            if cnt.min() >= 0:  # else the loop raises at the first non-match
+                lv = np.frombuffer(self._level, dtype=np.int32)[slots]
+                lvls, inv = np.unique(lv, return_inverse=True)
+                th = np.array([base * (alpha**l) for l in lvls.tolist()])
+                self.ledger.charge_parallel(n, work=n, depth=1, tag="is_heavy")
+                return (cnt >= th[inv]).tolist()
         slot = self._slot
-        cross = self._cross
+        ccnt = self._ccnt
         level = self._level
         thresholds: Dict[int, float] = {}
         flags: List[bool] = []
         fapp = flags.append
         for mid in mids:
             i = slot[mid]
-            cd = cross[i]
-            if cd is None:
+            c = ccnt[i]
+            if c < 0:
                 raise ValueError(f"edge {mid} is not matched")
             lv = level[i]
             t = thresholds.get(lv)
             if t is None:
                 t = thresholds[lv] = base * (alpha ** lv)
-            fapp(len(cd) >= t)
-        self.ledger.charge_parallel(len(mids), work=len(mids), depth=1, tag="is_heavy")
+            fapp(c >= t)
+        self.ledger.charge_parallel(n, work=n, depth=1, tag="is_heavy")
         return flags
 
     # ------------------------------------------------------------------ #
     # Set construction (BatchSet charge model)
     # ------------------------------------------------------------------ #
-    def _new_set(self, keys: Sequence[EdgeId]) -> Tuple[Dict[EdgeId, None], int]:
-        """Fresh sample/cross dict seeded with ``keys``; charges exactly
-        like ``BatchSet(ledger, keys)`` (nothing when empty)."""
-        d: Dict[EdgeId, None] = dict.fromkeys(keys)
+    def _charge_new_set(self, k: int, n: int) -> int:
+        """Charge a fresh ``BatchSet(ledger, keys)`` of ``k`` keys, ``n``
+        of them distinct (nothing when empty); returns its capacity."""
         cap = _MIN_CAPACITY
-        k = len(keys)
         if k:
             self.ledger.charge(work=k, depth=log2ceil(max(k, 2)), tag="dict_batch")
-            n = len(d)
             if n > cap * _GROW_AT:
                 cap, w, depth = _grow(n, cap)
                 self.ledger.charge(work=w, depth=depth, tag="dict_rehash")
-        return d, cap
+        return cap
 
     # ------------------------------------------------------------------ #
     # The four structure edits (Fig. 2, left column)
@@ -684,10 +832,6 @@ class ArrayLeveledStructure:
             return
         slot = self._slot
         matched = self.matched
-        smp = self._samples
-        scap = self._scap
-        crs = self._cross
-        ccap = self._ccap
         sarr = self._settle
         larr = self._level
         tarr = self._type
@@ -696,17 +840,10 @@ class ArrayLeveledStructure:
         pcol = self._pcol
         if n >= native.VEC_MIN:
             ids = [e.eid for e in edges]
-            ok = len(set(ids)) == n and matched.isdisjoint(ids)
             slots = None
-            if ok:
-                try:
-                    slots = np.fromiter(
-                        map(slot.__getitem__, ids), dtype=np.int32, count=n
-                    )
-                except KeyError:
-                    ok = False
-            if ok:
-                slots_l = slots.tolist()
+            if len(set(ids)) == n and matched.isdisjoint(ids):
+                slots = self._slots_of(ids)
+            if slots is not None:
                 carr_np = np.frombuffer(card, dtype=np.int32)
                 cards = carr_np[slots].astype(np.int64)
                 total_c = int(cards.sum())
@@ -721,15 +858,10 @@ class ArrayLeveledStructure:
                     np.frombuffer(larr, dtype=np.int32),
                     np.frombuffer(sarr, dtype=np.int32),
                     np.frombuffer(oslc, dtype=np.int32),
-                    np.frombuffer(scap, dtype=np.int64),
-                    np.frombuffer(ccap, dtype=np.int64),
+                    _views(self._S),
+                    _views(self._C),
                     np.frombuffer(pcol, dtype=np.int32),
                 )
-                # Object-side residue the kernel cannot touch: the
-                # sample/cross sets and the matched set.
-                for i, eid in zip(slots_l, ids):
-                    smp[i] = (eid,)
-                    crs[i] = ()
                 matched.update(ids)
                 self.ledger.charge_parallel(n, work=n, depth=1, tag="dict_batch")
                 self.ledger.charge_parallel(n, work=total, depth=1, tag="add_match")
@@ -738,6 +870,8 @@ class ArrayLeveledStructure:
             # error (and partial-application semantics) match exactly.
         vid = self.interner._index
         madd = matched.add
+        shead, stail, scnt, scap, sprev, snext = self._S
+        chead, ctail, ccnt, ccap = self._C[:4]
         total = 0
         for e in edges:
             eid = e.eid
@@ -745,9 +879,13 @@ class ArrayLeveledStructure:
             if eid in matched:
                 raise ValueError(f"edge {eid} is already matched")
             madd(eid)
-            smp[i] = (eid,)
+            # The kernel's column stores, per edge: S(m) = {m}, C(m) empty.
+            shead[i] = stail[i] = i
+            scnt[i] = 1
             scap[i] = _MIN_CAPACITY
-            crs[i] = ()
+            sprev[i] = snext[i] = _NIL
+            chead[i] = ctail[i] = _NIL
+            ccnt[i] = 0
             ccap[i] = _MIN_CAPACITY
             sarr[i] = 1
             larr[i] = 0
@@ -760,27 +898,28 @@ class ArrayLeveledStructure:
         self.ledger.charge_parallel(n, work=total, depth=1, tag="add_match")
 
     def remove_match(self, eid: EdgeId) -> List[Edge]:
-        """removeMatch(m): detach a match, returning its owned cross edges."""
+        """removeMatch(m): detach a match, returning its owned cross edges.
+
+        C(m) is walked for the owned edges; S(m) is dropped by its header,
+        unwalked (its members are cross edges by now, see the module
+        docstring)."""
         i = self._slot[eid]
         if eid not in self.matched:
             raise ValueError(f"edge {eid} is not matched")
         self.matched.discard(eid)
-        cd = self._cross[i]
+        n = self._ccnt[i]
         w_elems = 0.0
         d_total = 0
-        if cd is not None:
-            n = len(cd)
+        if n >= 0:
             w_elems = float(max(n, 1))
             d_total = (n - 1).bit_length() if n > 1 else 1
-            owned = list(cd)
-        else:
-            owned = []
+        owned = _l_concat(self._C, (i,))
         lvl = self._level[i]
         out: List[Edge] = []
-        slot = self._slot
         verts = self._verts
         tarr = self._type
         oslc = self._ownslot
+        cprev = self._cprev
         edges = self._edge
         cards = self._card
         P = self._P
@@ -791,14 +930,15 @@ class ArrayLeveledStructure:
         w_rehash = 0.0
         w_rm = 0.0
         max_bd = 0
-        for ceid in owned:
-            j = slot[ceid]
-            wb, wr, bd = _p_unlink(P, verts[j], lvl, ceid)
+        for j in owned:
+            e = edges[j]
+            wb, wr, bd = _p_unlink(P, verts[j], lvl, e.eid)
             w_batch += wb
             w_rehash += wr
             tarr[j] = _T_UNSETTLED
             oslc[j] = -1
-            out.append(edges[j])
+            cprev[j] = _OUT
+            out.append(e)
             w_rm += cards[j]
             bd += 1
             if bd > max_bd:
@@ -810,8 +950,8 @@ class ArrayLeveledStructure:
             d = vid[v]
             if pcol[d] == i:
                 pcol[d] = -1
-        self._samples[i] = None
-        self._cross[i] = None
+        self._scnt[i] = _NOSET
+        self._ccnt[i] = _NOSET
         self._level[i] = -1
         self._settle[i] = 0
         if tarr[i] == _T_MATCHED:
@@ -859,17 +999,7 @@ class ArrayLeveledStructure:
             raise ValueError(f"cross edge {eid} has no incident match")
         self._type[i] = _T_CROSS
         self._ownslot[i] = bi
-        cd = self._cross[bi]
-        if cd.__class__ is tuple:  # the empty small form
-            cd = self._cross[bi] = {}
-        n = len(cd)
-        w_rehash = 0.0
-        d_total = (n.bit_length() if n >= 2 else 1)  # log2ceil(len+1), len>0
-        cd[eid] = None
-        n = len(cd)
-        if n > self._ccap[bi] * _GROW_AT:
-            self._ccap[bi], w_rehash, dg = _grow(n, self._ccap[bi])
-            d_total += dg
+        w_rehash, d_total = _l_insert(self._C, bi, i)
         wr, dp = _p_link(self._P, edge.vertices, best_lvl, eid)
         card = self._card[i]
         w_batch = 1.0 + card
@@ -889,12 +1019,12 @@ class ArrayLeveledStructure:
     # ------------------------------------------------------------------ #
     def samples_of(self, mid: EdgeId) -> List[Edge]:
         """S(m) extracted as edges (elements() charge, lookups free)."""
-        sd = self._samples[self._slot[mid]]
-        n = len(sd)
+        i = self._slot[mid]
+        n = self._scnt[i]
+        if n < 0:
+            raise ValueError(f"edge {mid} is not matched")
         self.ledger.charge(work=max(n, 1), depth=log2ceil(max(n, 2)), tag="dict_elements")
-        slot = self._slot
-        edge = self._edge
-        return [edge[slot[sid]] for sid in sd]
+        return list(map(self._edge.__getitem__, _l_concat(self._S, (i,))))
 
     # ------------------------------------------------------------------ #
     # Batched structure edits (vectorized dynamic pipeline)
@@ -911,56 +1041,23 @@ class ArrayLeveledStructure:
     # ``remove_match``) for calls below ``native.VEC_MIN`` items and
     # when their edit kernel bails out.
 
-    def _rce_acc(self, edge: Edge) -> Tuple[float, float, int, int]:
-        """removeCrossEdge(e): detach a cross edge from its owner and the
-        P index, without charge emission.
+    def _rce_acc(self, i: int, edge: Edge) -> Tuple[float, float, int, int]:
+        """removeCrossEdge(e): detach the cross edge in slot ``i`` from its
+        owner and the P index, without charge emission.
 
         Returns ``(w_batch, w_rehash, card, branch_depth)`` — exactly the
         amounts the per-edge op would charge — for the batch callers to
         accumulate (sum the work, max the depth).
         """
         eid = edge.eid
-        i = self._slot[eid]
         if self._type[i] != _T_CROSS:
             raise ValueError(f"edge {eid} is not a cross edge")
         oi = self._ownslot[i]
-        cd = self._cross[oi]
-        n = len(cd)
-        w_rehash = 0.0
-        bd = n.bit_length() if n >= 2 else 1
-        cd.pop(eid, None)
-        n = len(cd)
-        cap = self._ccap[oi]
-        if cap > _MIN_CAPACITY and n < cap * _SHRINK_AT:
-            self._ccap[oi], w_rehash, ds = _shrink(n, cap)
-            bd += ds
+        w_rehash, bd = _l_delete(self._C, oi, i)
         wb, wr, dp = _p_unlink(self._P, edge.vertices, self._level[oi], eid)
         self._type[i] = _T_UNSETTLED
         self._ownslot[i] = -1
         return 1.0 + wb, w_rehash + wr, self._card[i], bd + dp + 1
-
-    def _sdisc_acc(self, i: int, eid: EdgeId) -> Tuple[float, int]:
-        """Delete ``eid`` from S(m) of the match in slot ``i``
-        (``BatchSet.delete_one``), without charge emission.
-
-        Returns ``(w_rehash, branch_depth)``; the op's dict_batch work is
-        always exactly 1.
-        """
-        sd = self._samples[i]
-        n = len(sd)
-        bd = n.bit_length() if n >= 2 else 1
-        w_rehash = 0.0
-        if sd.__class__ is tuple:  # the small form: a new, smaller tuple
-            if eid in sd:
-                sd = self._samples[i] = tuple([x for x in sd if x != eid])
-        else:
-            sd.pop(eid, None)
-        n = len(sd)
-        cap = self._scap[i]
-        if cap > _MIN_CAPACITY and n < cap * _SHRINK_AT:
-            self._scap[i], w_rehash, ds = _shrink(n, cap)
-            bd += ds
-        return w_rehash, bd
 
     def _kernel_add_cross(self, edges: Sequence[Edge]) -> bool:
         """Columnar fast path for :meth:`add_cross_edge_batch`.
@@ -976,12 +1073,8 @@ class ArrayLeveledStructure:
         ids = [e.eid for e in edges]
         if len(set(ids)) != n or len(self._pcol) == 0:
             return False
-        slot = self._slot
-        try:
-            slots = np.fromiter(
-                map(slot.__getitem__, ids), dtype=np.int32, count=n
-            )
-        except KeyError:
+        slots = self._slots_of(ids)
+        if slots is None:
             return False
         carr_np = np.frombuffer(self._card, dtype=np.int32)
         cards = carr_np[slots].astype(np.int64)
@@ -1006,26 +1099,15 @@ class ArrayLeveledStructure:
             return False
         # Each edge's C(m) insert and P links, in batch order, as in
         # add_cross_edge.
-        crs = self._cross
-        ccap = self._ccap
+        C = self._C
         larr = self._level
         P = self._P
         w_rehash = 0.0
         max_bd = 0
-        for edge, eid, bs in zip(edges, ids, best.tolist()):
-            cd = crs[bs]
-            if cd.__class__ is tuple:  # the empty small form
-                cd = crs[bs] = {}
-            nc = len(cd)
-            bd = nc.bit_length() if nc >= 2 else 1
-            cd[eid] = None
-            nc = len(cd)
-            if nc > ccap[bs] * _GROW_AT:
-                ccap[bs], wr, dg = _grow(nc, ccap[bs])
-                w_rehash += wr
-                bd += dg
-            wr, dp = _p_link(P, edge.vertices, larr[bs], eid)
-            w_rehash += wr
+        for edge, eid, j, bs in zip(edges, ids, slots.tolist(), best.tolist()):
+            wr, bd = _l_insert(C, bs, j)
+            wp, dp = _p_link(P, edge.vertices, larr[bs], eid)
+            w_rehash += wr + wp
             bd += dp + 1
             if bd > max_bd:
                 max_bd = bd
@@ -1058,8 +1140,9 @@ class ArrayLeveledStructure:
         w_rehash = 0.0
         w_card = 0.0
         max_bd = 0
+        slot = self._slot
         for edge in edges:
-            wb, wr, card, bd = self._rce_acc(edge)
+            wb, wr, card, bd = self._rce_acc(slot[edge.eid], edge)
             w_batch += wb
             w_rehash += wr
             w_card += card
@@ -1083,6 +1166,7 @@ class ArrayLeveledStructure:
         tarr = self._type
         oslc = self._ownslot
         edges = self._edge
+        S = self._S
         w_batch = 0.0
         w_rehash = 0.0
         w_cross = 0.0
@@ -1091,12 +1175,12 @@ class ArrayLeveledStructure:
             i = slot[eid]
             t = tarr[i]
             if t == _T_CROSS:
-                wb, wr, card, bd = self._rce_acc(edges[i])
+                wb, wr, card, bd = self._rce_acc(i, edges[i])
                 w_batch += wb
                 w_rehash += wr
                 w_cross += card
             elif t == _T_SAMPLED:
-                wr, bd = self._sdisc_acc(oslc[i], eid)
+                wr, bd = _l_delete(S, oslc[i], i)
                 w_batch += 1.0
                 w_rehash += wr
                 tarr[i] = _T_UNSETTLED
@@ -1116,38 +1200,37 @@ class ArrayLeveledStructure:
     def sample_discard_self_batch(self, mids: Sequence[EdgeId]) -> None:
         """Discard each match from its own S(m) over one parallel region.
 
-        On the columnar route a singleton ``(m,)`` at the minimum
-        capacity (every level-0 match) becomes ``()`` in bulk, at branch
-        depth 1 and no rehash; the loop keeps every other form.
+        On the columnar route every singleton S(m) = {m} at the minimum
+        capacity (every level-0 match) is emptied by column scatters, at
+        branch depth 1 and no rehash; the loop unlinks the rest.
         """
         if not mids:
             return
-        slot = self._slot
-        samples = self._samples
-        w_rehash = 0.0
         max_bd = 0
         loop = mids
-        sds = None
-        if len(mids) >= native.VEC_MIN:
-            try:
-                slots_l = list(map(slot.__getitem__, mids))
-            except KeyError:
-                pass  # the loop below raises at the same id
-            else:
-                sds = list(map(samples.__getitem__, slots_l))
-        if sds is not None and None not in sds:
-            # zip(mids) yields the 1-tuples (m,).
-            single = np.fromiter(map(eq, sds, zip(mids)), dtype=np.bool_, count=len(sds))
-            single &= np.frombuffer(self._scap, dtype=np.int64)[slots_l] == _MIN_CAPACITY
-            if single.any():
-                single_l = single.tolist()
-                for i in compress(slots_l, single_l):
-                    samples[i] = ()
-                max_bd = 1
-                loop = list(compress(mids, map(not_, single_l)))
-        sdisc = self._sdisc_acc
+        slots = self._slots_of(mids) if len(mids) >= native.VEC_MIN else None
+        if slots is not None:
+            head, tail, cnt, cap, prev, _ = _views(self._S)
+            c = cnt[slots]
+            if c.min() >= 0:  # else the loop raises at the first non-match
+                single = (c == 1) & (head[slots] == slots) & (cap[slots] == _MIN_CAPACITY)
+                if single.any():
+                    ss = slots[single]
+                    cnt[ss] = 0
+                    head[ss] = _NIL
+                    tail[ss] = _NIL
+                    prev[ss] = _OUT
+                    max_bd = 1
+                    loop = list(compress(mids, (~single).tolist()))
+        slot = self._slot
+        scnt = self._scnt
+        S = self._S
+        w_rehash = 0.0
         for mid in loop:
-            wr, bd = sdisc(slot[mid], mid)
+            i = slot[mid]
+            if scnt[i] < 0:
+                raise ValueError(f"edge {mid} is not matched")
+            wr, bd = _l_delete(S, i, i)
             w_rehash += wr
             if bd > max_bd:
                 max_bd = bd
@@ -1155,24 +1238,37 @@ class ArrayLeveledStructure:
 
     def samples_of_batch(self, mids: Sequence[EdgeId]) -> List[Edge]:
         """Batched ``samples_of``; returns the concatenated sample edges
-        (the scalar call sites flatten with a plain list comp, uncharged)."""
+        (the scalar call sites flatten with a plain list comp, uncharged).
+        Calls of at least :data:`repro.native.VEC_MIN` ids gather the
+        S(m) counts and walk only the non-empty lists."""
         if not mids:
             return []
+        slots = self._slots_of(mids) if len(mids) >= native.VEC_MIN else None
+        if slots is not None:
+            cnt = np.frombuffer(self._scnt, dtype=np.int32)[slots]
+            if cnt.min() >= 0:  # else the loop raises at the first non-match
+                w = float(np.maximum(cnt, 1).sum())
+                max_n = max(int(cnt.max()), 2)
+                members = _l_concat(self._S, slots[cnt > 0].tolist())
+                _emit(self.ledger, log2ceil(max_n), ("dict_elements", w))
+                return list(map(self._edge.__getitem__, members))
         slot = self._slot
-        edge = self._edge
-        samples = self._samples
-        out: List[Edge] = []
+        scnt = self._scnt
+        hs: List[int] = []
         w = 0.0
         max_n = 2
         for mid in mids:
-            sd = samples[slot[mid]]
-            n = len(sd)
+            i = slot[mid]
+            n = scnt[i]
+            if n < 0:
+                raise ValueError(f"edge {mid} is not matched")
             w += float(max(n, 1))
             if n > max_n:
                 max_n = n
-            out += [edge[slot[sid]] for sid in sd]
+            hs.append(i)
+        members = _l_concat(self._S, hs)
         _emit(self.ledger, log2ceil(max_n), ("dict_elements", w))
-        return out
+        return list(map(self._edge.__getitem__, members))
 
     def _kernel_remove_match(self, eids: Sequence[EdgeId]) -> Optional[List[Edge]]:
         """Columnar fast path for :meth:`remove_match_batch`.
@@ -1180,12 +1276,13 @@ class ArrayLeveledStructure:
         Returns the owned-edge list on success, or ``None`` when a
         validation fails — the prelude is pure, so the caller can run the
         per-edge route for exact error and partial-state semantics.
-        The column resets (types, owner slots, levels, settle sizes and
-        the covers in ``_pcol``) and the owned-card work total move into
-        the edit kernel, and S(m) and C(m) are reset in bulk.  Only the
-        matches that own cross edges run the P-bucket unlink loop (whose
+        The column resets (types, owner slots, levels, settle sizes, the
+        covers in ``_pcol``, both set headers and the owned edges'
+        C-links) and the owned-card work total move into the edit
+        kernel.  A count gather finds the matches that own cross edges;
+        only they walk C(m) and run the P-bucket unlink loop (whose
         charges depend on evolving dict sizes), in the exact per-edge
-        order; a match with an empty C(m) — most level-0 matches —
+        order.  A match with an empty C(m) — most level-0 matches —
         charges ``dict_elements`` work 1 and branch depth 2, with no
         per-match Python.
         """
@@ -1194,30 +1291,20 @@ class ArrayLeveledStructure:
         matched = self.matched
         if len(set(ids)) != n or not matched.issuperset(ids):
             return None
-        slot = self._slot
-        try:
-            mslots = np.fromiter(
-                map(slot.__getitem__, ids), dtype=np.int32, count=n
-            )
-        except KeyError:
+        mslots = self._slots_of(ids)
+        if mslots is None:
             return None
-        slots_l = mslots.tolist()
-        crs = self._cross
-        cds = list(map(crs.__getitem__, slots_l))
+        S = _views(self._S)
+        C = _views(self._C)
+        ccnt = C[2][mslots]
         # The matches that need the per-item loop: those owning cross
-        # edges, and (in hand-built states only) those with no C(m).
-        busy = [k for k, cd in enumerate(cds) if cd or cd is None]
-        owned_lists = [list(cds[k] or ()) for k in busy]
-        n_own = sum(map(len, owned_lists))
-        try:
-            own_slots = np.fromiter(
-                map(slot.__getitem__, chain.from_iterable(owned_lists)),
-                dtype=np.int32,
-                count=n_own,
-            )
-        except KeyError:
-            return None
-        own_flat_l = own_slots.tolist()
+        # edges, and (in hand-built states only) those with no C(m),
+        # count -1.
+        busy = np.flatnonzero(ccnt)
+        bslots = mslots[busy].tolist()
+        bcnt = ccnt[busy].tolist()
+        own_flat_l = _l_concat(self._C, bslots)
+        own_slots = np.array(own_flat_l, dtype=np.int32)
         carr_np = np.frombuffer(self._card, dtype=np.int32)
         mcards = carr_np[mslots].astype(np.int64)
         total_c = int(mcards.sum())
@@ -1225,8 +1312,7 @@ class ArrayLeveledStructure:
         idx = native.seg_gather_index(vd_off[mslots], mcards, total_c)
         mdflat = np.frombuffer(self._vd_flat, dtype=np.int32)[idx]
         tarr_np = np.frombuffer(self._type, dtype=np.int32)
-        pcol_np = np.frombuffer(self._pcol, dtype=np.int32)
-        # Cross-dict members are always CROSS-typed, so a match that is
+        # Cross-list members are always CROSS-typed, so a match that is
         # MATCHED at batch start cannot be reset by an earlier
         # iteration's owned sweep — the start-state mask equals the
         # per-edge at-turn check.
@@ -1234,7 +1320,7 @@ class ArrayLeveledStructure:
         # The unlink loop needs its owners' levels, which the kernel
         # resets.
         larr = self._level
-        lvls = [larr[slots_l[k]] for k in busy]
+        lvls = [larr[h] for h in bslots]
         w_rm = native.edit_remove_match(
             mslots,
             mcards,
@@ -1246,33 +1332,30 @@ class ArrayLeveledStructure:
             np.frombuffer(larr, dtype=np.int32),
             np.frombuffer(self._settle, dtype=np.int32),
             carr_np,
-            pcol_np,
+            np.frombuffer(self._pcol, dtype=np.int32),
+            S,
+            C,
         )
         matched.difference_update(ids)
-        # A plain loop: CPython stores into a list faster this way than
-        # through a C-level map over ``list.__setitem__``.
-        smp = self._samples
-        for i in slots_l:
-            smp[i] = None
-            crs[i] = None
         verts = self._verts
-        own_it = iter(own_flat_l)
-        n_empty = n - len(busy)
+        edge = self._edge
+        n_empty = n - len(bslots)
         P = self._P
         w_elems = float(n_empty)
         w_batch = 0.0
         w_rehash = 0.0
         max_d = 2 if n_empty else 0
-        for k, owned, lvl in zip(busy, owned_lists, lvls):
-            no = len(owned)
-            if cds[k] is not None:
+        own_it = iter(own_flat_l)
+        for c, lvl in zip(bcnt, lvls):
+            if c >= 0:
+                no = c
                 w_elems += float(max(no, 1))
                 d_total = (no - 1).bit_length() if no > 1 else 1
             else:
-                d_total = 0
+                no = d_total = 0
             max_bd = 0
-            for ceid, j in zip(owned, own_it):
-                wb, wr, bd = _p_unlink(P, verts[j], lvl, ceid)
+            for j in islice(own_it, no):
+                wb, wr, bd = _p_unlink(P, verts[j], lvl, edge[j].eid)
                 w_batch += wb
                 w_rehash += wr
                 bd += 1
@@ -1282,7 +1365,7 @@ class ArrayLeveledStructure:
             d_total += (no - 1).bit_length() if no > 1 else 1
             if d_total > max_d:
                 max_d = d_total
-        out = list(map(self._edge.__getitem__, own_flat_l))
+        out = list(map(edge.__getitem__, own_flat_l))
         _emit(
             self.ledger,
             max_d,
@@ -1316,6 +1399,8 @@ class ArrayLeveledStructure:
         oslc = self._ownslot
         pcol = self._pcol
         vid = self.interner._index
+        S = self._S
+        C = self._C
         alpha = self.alpha
         w_set = 0.0
         w_rehash = 0.0
@@ -1334,23 +1419,22 @@ class ArrayLeveledStructure:
             self.matched.add(eid)
             k = len(samples)
             lg_k = log2ceil(max(k, 2))
-            d = dict.fromkeys(s.eid for s in samples)
-            n = len(d)
+            js = list(dict.fromkeys([slot[s.eid] for s in samples]))
+            n = len(js)
             bd = lg_k
             cap = _MIN_CAPACITY
             if n > cap * _GROW_AT:
                 cap, wr, dg = _grow(n, cap)
                 w_rehash += wr
                 bd += dg
-            self._samples[i] = (eid,) if n == 1 else d
+            _l_build(S, i, js)
             self._scap[i] = cap
-            self._cross[i] = ()
+            _l_build(C, i, ())
             self._ccap[i] = _MIN_CAPACITY
             self._settle[i] = k
             lvl = level_of(k, alpha)
             self._level[i] = lvl
-            for s in samples:
-                j = slot[s.eid]
+            for j in js:
                 tarr[j] = _T_SAMPLED
                 oslc[j] = i
             tarr[i] = _T_MATCHED
@@ -1439,20 +1523,29 @@ class ArrayLeveledStructure:
         scap: Optional[int] = None,
         ccap: Optional[int] = None,
     ) -> None:
-        i = self._slot[eid]
+        slot = self._slot
+        i = slot[eid]
         self.matched.add(eid)
         self._type[i] = _T_MATCHED
-        self._ownslot[i] = i
-        sd, self._scap[i] = self._new_set(list(samples))
-        cd, self._ccap[i] = self._new_set(list(cross))
-        self._samples[i] = tuple(sd) if len(sd) == 1 else sd
-        self._cross[i] = cd if cd else ()
-        # Shrink hysteresis makes capacity a history artifact; reinstate the
-        # captured values so future rehash charges match the original.
-        if scap is not None:
-            self._scap[i] = int(scap)
-        if ccap is not None:
-            self._ccap[i] = int(ccap)
+        oslc = self._ownslot
+        oslc[i] = i
+        for cols, ids, cap in ((self._S, samples, scap), (self._C, cross, ccap)):
+            try:
+                js = list(dict.fromkeys(map(slot.__getitem__, ids)))
+            except KeyError as exc:
+                raise ValueError(
+                    f"match {eid}: set member {exc.args[0]!r} is not a registered edge"
+                ) from None
+            c = self._charge_new_set(len(ids), len(js))
+            _l_build(cols, i, js)
+            # Each member is claimed for this match; restore_attached
+            # checks the claim before it writes the recorded owner.
+            for j in js:
+                oslc[j] = i
+            # Shrink hysteresis makes capacity a history artifact;
+            # reinstate the captured value so future rehash charges match
+            # the original.
+            cols[3][i] = c if cap is None else int(cap)
         self._level[i] = level
         self._settle[i] = settle_size
         pcol = self._pcol
@@ -1464,10 +1557,12 @@ class ArrayLeveledStructure:
         i = self._slot[eid]
         if owner is None or owner not in self.matched:
             raise ValueError(f"edge {eid}: owner {owner!r} is not a match")
-        oi = self._ownslot[i] = self._slot[owner]
+        oi = self._slot[owner]
+        claimed = self._ownslot[i] == oi
+        self._ownslot[i] = oi
         self._type[i] = _TYPE_CODE[etype]
         if etype == EdgeType.CROSS:
-            if eid not in self._cross[oi]:
+            if not claimed or self._cprev[i] == _OUT:
                 raise ValueError(f"cross edge {eid} missing from C({owner})")
             w_rehash, depth = _p_link(self._P, self._verts[i], self._level[oi], eid)
             _emit(
@@ -1477,7 +1572,7 @@ class ArrayLeveledStructure:
                 ("dict_rehash", w_rehash),
             )
         elif etype == EdgeType.SAMPLED:
-            if eid not in self._samples[oi]:
+            if not claimed or self._sprev[i] == _OUT:
                 raise ValueError(f"sampled edge {eid} missing from S({owner})")
         else:
             raise ValueError(f"edge {eid} has transient type {etype.value!r}")
@@ -1493,13 +1588,13 @@ class ArrayLeveledStructure:
         per column.
         """
         slot = self._slot
+        edge = self._edge
+        eid_of = attrgetter("eid")
         slots = np.fromiter(slot.values(), dtype=np.int64, count=len(slot))
         types = np.frombuffer(self._type, dtype=np.int32)[slots]
         mslots = slots[types == _T_MATCHED]
         live = slots.tolist()
         ms = mslots.tolist()
-        S = list(map(self._samples.__getitem__, ms))
-        C = list(map(self._cross.__getitem__, ms))
         P: Dict[str, list] = {k: [] for k in ("vertex", "level", "cap", "count", "members")}
         vertex, level, cap, count = P["vertex"], P["level"], P["cap"], P["count"]
         members = P["members"]
@@ -1523,10 +1618,10 @@ class ArrayLeveledStructure:
                 "settle": np.frombuffer(self._settle, dtype=np.int32)[mslots].tolist(),
                 "scap": np.frombuffer(self._scap, dtype=np.int64)[mslots].tolist(),
                 "ccap": np.frombuffer(self._ccap, dtype=np.int64)[mslots].tolist(),
-                "slen": list(map(len, S)),
-                "samples": list(chain.from_iterable(S)),
-                "clen": list(map(len, C)),
-                "cross": list(chain.from_iterable(C)),
+                "slen": np.frombuffer(self._scnt, dtype=np.int32)[mslots].tolist(),
+                "samples": list(map(eid_of, map(edge.__getitem__, _l_concat(self._S, ms)))),
+                "clen": np.frombuffer(self._ccnt, dtype=np.int32)[mslots].tolist(),
+                "cross": list(map(eid_of, map(edge.__getitem__, _l_concat(self._C, ms)))),
             },
             "P": P,
         }
@@ -1540,19 +1635,39 @@ class ArrayLeveledStructure:
         either backend."""
         index: Dict[Vertex, Dict[int, list]] = {}
         members = P["members"]
-        new_set = self._new_set
         off = 0
         for v, lvl, cap, count in zip(P["vertex"], P["level"], P["cap"], P["count"]):
             Pv = index.get(v)
             if Pv is None:
                 Pv = index[v] = {}
-            Pv[int(lvl)] = [new_set(members[off : off + count])[0], int(cap)]
+            keys = members[off : off + count]
+            d = dict.fromkeys(keys)
+            self._charge_new_set(len(keys), len(d))
+            Pv[int(lvl)] = [d, int(cap)]
             off += count
         self._P = index
 
     # ------------------------------------------------------------------ #
     # Invariant checking (test-only; never charged to the ledger)
     # ------------------------------------------------------------------ #
+    def _checked_list(self, cols, kind: str, mid: EdgeId, i: int) -> List[int]:
+        """The members of ``kind``(mid), list slot ``i``, after checking
+        its links against each other, its tail and its count."""
+        head, tail, cnt, _, prev, nxt = cols
+        n = cnt[i]
+        assert n >= 0, f"match {mid} has no {kind}({mid})"
+        out: List[int] = []
+        p = _NIL
+        j = head[i]
+        while j >= 0 and len(out) <= n:  # a cycle stops one past the count
+            assert prev[j] == p, f"{kind}({mid}): prev of slot {j} is {prev[j]}, not {p}"
+            out.append(j)
+            p = j
+            j = nxt[j]
+        assert len(out) == n, f"{kind}({mid}) links {len(out)} members, counts {n}"
+        assert tail[i] == p, f"{kind}({mid}): tail {tail[i]}, last member {p}"
+        return out
+
     def check_invariants(self) -> None:
         """Definition 4.1 plus structural consistency, over the arrays."""
         slot = self._slot
@@ -1595,27 +1710,38 @@ class ArrayLeveledStructure:
             o = ownslot[i]
             assert o == -1 or o in live, f"edge {eid}: owner slot {o} holds no edge"
 
+        # S(m) and C(m): well-linked lists of live edges, each member
+        # typed and owned as its list says.
         sample_owner: Dict[EdgeId, EdgeId] = {}
+        cross_owner: Dict[int, int] = {}
         for mid in matched:
             i = slot[mid]
             assert level[i] == level_of(self._settle[i], self.alpha), (
                 f"match {mid}: level {level[i]} != level_of({self._settle[i]})"
             )
-            sd = self._samples[i]
-            assert len(sd) <= self._settle[i], (
+            sj = self._checked_list(self._S, "S", mid, i)
+            assert len(sj) <= self._settle[i], (
                 f"match {mid}: sample set grew after settling"
             )
-            assert mid in sd, f"match {mid} missing from own sample space"
-            for sid in sd:
+            assert i in sj, f"match {mid} missing from own sample space"
+            for j in sj:
+                assert j in live, f"S({mid}) holds freed slot {j}"
+                sid = edge[j].eid
                 assert sid not in sample_owner, f"edge {sid} in two sample spaces"
                 sample_owner[sid] = mid
-                j = slot[sid]
                 assert owner_of(j) == mid, f"sample {sid}: owner {owner_of(j)} != {mid}"
                 assert edge[j].intersects(edge[i]), f"sample {sid} not incident on {mid}"
                 if sid != mid:
                     assert tarr[j] == _T_SAMPLED, (
                         f"sample {sid} has type {_TYPE_OBJS[tarr[j]]}"
                     )
+            for j in self._checked_list(self._C, "C", mid, i):
+                assert j in live, f"C({mid}) holds freed slot {j}"
+                assert tarr[j] == _T_CROSS and ownslot[j] == i, (
+                    f"C({mid}) holds edge {edge[j].eid} with type "
+                    f"{_TYPE_OBJS[tarr[j]]}, owner {owner_of(j)}"
+                )
+                cross_owner[j] = i
 
         for eid, i in slot.items():
             assert tarr[i] != _T_UNSETTLED, f"edge {eid} left unsettled"
@@ -1631,7 +1757,7 @@ class ArrayLeveledStructure:
                 f"edge {eid} not incident on its owner {owner}"
             )
             if tarr[i] == _T_CROSS:
-                assert eid in self._cross[oi], f"cross {eid} missing from C({owner})"
+                assert cross_owner.get(i) == oi, f"cross {eid} missing from C({owner})"
                 max_level = max(
                     (level[pcol[vid[v]]] for v in verts[i] if pcol[vid[v]] >= 0),
                     default=-1,
@@ -1660,16 +1786,6 @@ class ArrayLeveledStructure:
                         f"P({v},{lvl}) holds edge {eid} owned at level {level[oi]}"
                     )
                     assert v in verts[i], f"P({v},{lvl}) holds non-incident {eid}"
-
-        # C(m) soundness.
-        for mid in matched:
-            for ceid in self._cross[slot[mid]]:
-                ci = slot.get(ceid)
-                assert ci is not None, f"C({mid}) holds deleted edge {ceid}"
-                assert tarr[ci] == _T_CROSS and owner_of(ci) == mid, (
-                    f"C({mid}) holds edge {ceid} with type "
-                    f"{_TYPE_OBJS[tarr[ci]]}, owner {owner_of(ci)}"
-                )
 
         # The dense-vertex pool holds each slot's interned vertices.
         for eid, i in slot.items():

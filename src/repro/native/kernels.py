@@ -148,25 +148,38 @@ def edit_add_level0(
     larr: np.ndarray,
     sarr: np.ndarray,
     osl: np.ndarray,
-    scap: np.ndarray,
-    ccap: np.ndarray,
+    S: Tuple[np.ndarray, ...],
+    C: Tuple[np.ndarray, ...],
     pcol: np.ndarray,
 ) -> int:
     """Columnar ``add_level0_batch`` body: install level-0 matches.
 
     ``slots``/``cards`` describe the batch (one fresh match per entry),
     ``dflat`` is the concatenated dense vertex ids in slot order.
-    Mutates the type/level/settle/owner-slot/capacity columns and the
-    cover column; returns the scalar loop's ``total`` charge term
-    (``n + sum(cards)``).  Vertices are pairwise disjoint (a matching),
-    so the scattered writes are conflict-free.
+    ``S`` and ``C`` are the sample- and cross-list column groups
+    ``(head, tail, count, cap, prev, next)``.  Mutates the
+    type/level/settle/owner-slot columns, writes S(m) = {m} and an
+    empty C(m) for every match, and sets the cover column; returns the
+    scalar loop's ``total`` charge term (``n + sum(cards)``).  Vertices
+    are pairwise disjoint (a matching), so the scattered writes are
+    conflict-free.
     """
     tarr[slots] = 1  # _T_MATCHED
     larr[slots] = 0
     sarr[slots] = 1
     osl[slots] = slots  # a level-0 match owns itself
-    scap[slots] = _MIN_CAPACITY
-    ccap[slots] = _MIN_CAPACITY
+    head, tail, cnt, cap, prev, nxt = S
+    head[slots] = slots  # S(m) = {m}: m is head and tail, no links
+    tail[slots] = slots
+    cnt[slots] = 1
+    cap[slots] = _MIN_CAPACITY
+    prev[slots] = -1
+    nxt[slots] = -1
+    head, tail, cnt, cap = C[:4]
+    head[slots] = -1  # C(m) empty
+    tail[slots] = -1
+    cnt[slots] = 0
+    cap[slots] = _MIN_CAPACITY
     pcol[dflat] = np.repeat(slots, cards)
     return int(slots.size + cards.sum())
 
@@ -220,19 +233,24 @@ def edit_remove_match(
     sarr: np.ndarray,
     card: np.ndarray,
     pcol: np.ndarray,
+    S: Tuple[np.ndarray, ...],
+    C: Tuple[np.ndarray, ...],
 ) -> float:
     """Columnar column-resets of ``remove_match_batch``.
 
-    Detaches every owned cross edge (``own_slots``) and every dying
-    match (``mslots``), clearing covers in the cover map ``pcol`` only
-    where the vertex is still covered by its dying match
-    (``pcol == slot``, the guard of the scalar ``remove_match``).
+    Detaches every owned cross edge (``own_slots``: type, owner slot and
+    C-link) and every dying match (``mslots``), clearing covers in the
+    cover map ``pcol`` only where the vertex is still covered by its
+    dying match (``pcol == slot``, the guard of the scalar
+    ``remove_match``) and dropping both set headers (count -1: no set).
     ``premask`` flags matches still typed ``_T_MATCHED`` at batch start
-    — the ones whose type/owner the scalar loop resets.  Returns the
+    — the ones whose type/owner the scalar loop resets.  ``S``/``C`` are
+    the list column groups, as in :func:`edit_add_level0`.  Returns the
     ``remove_match`` work term (sum of detached cardinalities).
     """
     tarr[own_slots] = 0  # _T_UNSETTLED
     osl[own_slots] = -1
+    C[4][own_slots] = -2  # in no C-list
     w_rm = float(card[own_slots].sum() + card[mslots].sum())
     rep = np.repeat(mslots, mcards)
     sel = pcol[mdflat] == rep
@@ -242,6 +260,8 @@ def edit_remove_match(
     osl[ms] = -1
     larr[mslots] = -1
     sarr[mslots] = 0
+    S[2][mslots] = -1
+    C[2][mslots] = -1
     return w_rm
 
 

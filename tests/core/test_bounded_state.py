@@ -2,15 +2,16 @@
 
 The epoch tracker keeps no object per epoch and trims its log below the
 oldest registered reader, so a long churn adds no garbage-collector-
-tracked objects per batch; the array backend stores the common small
-sample/cross sets without a dict, and drops a vertex's level index P(v)
+tracked objects per batch; the array backend stores every sample and
+cross set in int columns, and drops a vertex's level index P(v)
 when its last bucket goes.  The streams use churn-r2's density
 (16 vertices per live edge).
 """
 
 import gc
-import sys
 import types
+from array import array
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -134,9 +135,10 @@ def reachable_gc_objects(*roots) -> int:
 
 def test_state_reachable_from_structure_and_tracker_tracks_the_live_graph():
     """Over a window on fresh vertices, the objects the structure and the
-    tracker hold stay ~2.45 per live edge (interned vertex ids are dict
-    keys, not tracked objects).  What the process-wide count still gains
-    per batch is ``batch_stats``: one ``BatchStats``, its
+    tracker hold stay ~2.45 per live edge, 2.43–2.49 at the eight
+    samples (interned vertex ids are dict keys, not tracked objects;
+    S(m) and C(m) are int columns).  What the process-wide count still
+    gains per batch is ``batch_stats``: one ``BatchStats``, its
     ``settle_rounds`` list and one ``SettleRound`` per round."""
     m, batch = 2**11, 128
     load, rest = window_plan(m, 400, batch)
@@ -150,7 +152,7 @@ def test_state_reachable_from_structure_and_tracker_tracks_the_live_graph():
         if k % 50 == 0:
             gc.collect()  # untracks the tuples that hold only atomic values
             per_edge = reachable_gc_objects(dm.structure, dm.tracker) / len(dm)
-            assert per_edge <= 4, (k, per_edge)
+            assert per_edge <= 2.6, (k, per_edge)
             samples.append(per_edge)
     # The first sample comes after the window has turned over once.
     assert all(abs(x - samples[0]) <= 0.1 * samples[0] for x in samples), samples
@@ -249,26 +251,68 @@ def test_recovered_service_reports_uninterrupted_aggregates(tmp_path):
     assert want.counts()["natural"] > 0
 
 
+def reachable_by_type(root) -> Counter:
+    """Every object reachable from ``root``, GC-tracked or not, counted
+    by type name; does not descend into types, modules or functions."""
+    seen = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _NO_DESCENT):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return Counter(type(o).__name__ for o in seen.values())
+
+
 @pytest.mark.parametrize("batch", [16, 1024], ids=["scalar-route", "kernel-route"])
-def test_small_sets_allocate_no_dict(batch):
-    """A singleton S(m) is the 1-tuple (m,), an empty C(m) the shared ();
-    on churn-r2's density that leaves ~one small tuple per match (the
-    parent layout held two dicts, ~310 bytes, per match)."""
+def test_sets_hold_no_per_match_object(batch):
+    """S(m) and C(m) live in int columns over slots, on either route.
+    The structure's per-slot Python lists are the edges and their vertex
+    tuples, and the tuples and dicts it holds do not grow with the
+    matches: one vertex tuple per slot, and P's dicts (sets held as
+    objects would add a 1-tuple per singleton S(m) and a dict per
+    non-empty C(m))."""
     load, rest = churn_plan(2**12, 20, batch, seed=9)
     dm = DynamicMatching(rank=2, seed=9)
     for b in load + rest:
         apply(dm, b)
     s = dm.structure
-    slots = [s._slot[m] for m in s.matched]
-    samples = [s._samples[i] for i in slots]
-    cross = [s._cross[i] for i in slots]
-    assert all(type(x) is tuple for x in samples if len(x) <= 1)
-    assert all(not x for x in cross if type(x) is tuple)
-    assert sum(len(x) == 1 for x in samples) > 0.9 * len(slots)
-    dicts = sum(type(x) is dict for x in samples + cross)
-    assert dicts <= 0.25 * len(slots), dicts / len(slots)
-    held = sum(sys.getsizeof(x) for x in samples + cross if x != ())
-    assert held <= 120 * len(slots), held / len(slots)
+    slots = len(s._edge)
+    per_slot = sorted(k for k, v in vars(s).items() if isinstance(v, list) and len(v) == slots)
+    assert per_slot == ["_edge", "_verts"]
+    for cols in (s._S, s._C):
+        assert all(type(c) is array and len(c) == slots for c in cols)
+    held = reachable_by_type(s)
+    buckets = sum(map(len, s._P.values()))
+    assert held["tuple"] <= slots + 32, (held["tuple"], slots)
+    assert held["dict"] <= 1 + len(s._P) + buckets + 32, held["dict"]
+    assert len(s.matched) > 0.8 * s.num_edges()
+    dm.check_invariants()
+
+
+def test_vd_compaction_keeps_segments_and_shrinks_the_pool():
+    """A recycled slot appends a fresh dense-vertex segment, so churn
+    leaks pool space; a compaction keeps every live slot's segment and
+    the live total, and shrinks the pool to exactly that total."""
+    load, rest = churn_plan(2**11, 40, 256, seed=13)
+    dm = DynamicMatching(rank=2, seed=13)
+    for b in load + rest:
+        apply(dm, b)
+    s = dm.structure
+
+    def segments():
+        off, card, pool = s._vd_off, s._card, s._vd_flat
+        return {eid: pool[off[i] : off[i] + card[i]].tolist() for eid, i in s._slot.items()}
+
+    before, live = segments(), s._vd_live
+    assert live == sum(s._card[i] for i in s._slot.values())
+    assert len(s._vd_flat) > live
+    s._vd_compact()
+    assert segments() == before
+    assert s._vd_live == live
+    assert len(s._vd_flat) == live
+    dm.check_invariants()
 
 
 @pytest.mark.parametrize("batch", [16, 256], ids=["scalar-route", "kernel-route"])

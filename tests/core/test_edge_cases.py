@@ -9,7 +9,7 @@ of corruption — a checker that never fires is worthless as evidence.
 import numpy as np
 import pytest
 
-from repro.core.arraystore import _T_CROSS
+from repro.core.arraystore import _T_CROSS, _l_delete
 from repro.core.dynamic_matching import DynamicMatching
 from repro.core.level_structure import EdgeType
 from repro.hypergraph.edge import Edge
@@ -150,17 +150,37 @@ class TestFailureInjection:
             dm.check_invariants()
 
     def test_detects_cross_set_desync(self):
+        """A cross edge unlinked from C(owner) but still typed and owned
+        as cross."""
         dm = _built()
         s = dm.structure
-        cross = self._cross_eid(dm)
-        del s._cross[s._ownslot[s._slot[cross]]][cross]
+        j = s._slot[self._cross_eid(dm)]
+        _l_delete(s._C, s._ownslot[j], j)
         with pytest.raises(AssertionError):
             dm.check_invariants()
 
     def test_detects_sample_set_desync(self):
         dm = _built()
         s = dm.structure
-        s._samples[s._slot[dm.matched_ids()[0]]] = ()  # match must own itself
+        i = s._slot[dm.matched_ids()[0]]
+        _l_delete(s._S, i, i)  # match must own itself
+        with pytest.raises(AssertionError):
+            dm.check_invariants()
+
+    def test_detects_broken_set_link(self):
+        """A C(m) member whose next link points back at itself: the walk
+        must stop and fire, not loop."""
+        dm = _built()
+        s = dm.structure
+        j = s._slot[self._cross_eid(dm)]
+        s._cnext[j] = j
+        with pytest.raises(AssertionError):
+            dm.check_invariants()
+
+    def test_detects_set_count_off_by_one(self):
+        dm = _built()
+        s = dm.structure
+        s._ccnt[s._ownslot[s._slot[self._cross_eid(dm)]]] += 1
         with pytest.raises(AssertionError):
             dm.check_invariants()
 

@@ -27,6 +27,7 @@ import pytest
 
 import repro.core.dynamic_matching as dmod
 from repro import native
+from repro.core.arraystore import _l_concat
 from repro.core.dynamic_matching import DynamicMatching
 from repro.core.epochs import NATURAL, STOLEN, EpochTracker
 from repro.hypergraph.edge import Edge
@@ -50,10 +51,11 @@ def _insert_batch(n: int, rng, nv: int, next_eid: int, hub: int):
 
 
 def _sets(dm: DynamicMatching, eid):
-    """(S(m), C(m)) of match ``eid``, read from the array backend's slots."""
+    """(S(m), C(m)) of match ``eid`` as edge-id lists, read uncharged
+    from the array backend's list columns."""
     s = dm.structure
     i = s._slot[eid]
-    return s._samples[i], s._cross[i]
+    return tuple([s._edge[j].eid for j in _l_concat(cols, (i,))] for cols in (s._S, s._C))
 
 
 def _delete_batch(dm: DynamicMatching, live: list, n: int, rng):

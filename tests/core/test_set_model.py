@@ -1,13 +1,14 @@
 """The array backend's set-edit model against the dict oracle's ``BatchSet``.
 
 ``ArrayLeveledStructure`` edits S(m), C(m) and the P(v, l) buckets
-through four module-level helpers that return their charges instead of
-making them: ``_grow`` and ``_shrink`` (the capacity rule) and
-``_p_link`` and ``_p_unlink`` (one cross edge into or out of the P(v, l)
-buckets of its vertices).  The dict oracle keeps one ``BatchSet`` per
-set, which charges a ``Ledger`` as it goes.  These tests pin the helpers
-to ``BatchSet`` op by op: capacity, member order, and the
-``dict_batch`` work, ``dict_rehash`` work and depth of every op.
+through module-level helpers that return their charges instead of
+making them: ``_grow`` and ``_shrink`` (the capacity rule), ``_l_insert``
+and ``_l_delete`` (one edge into or out of an S(m)/C(m) linked list in
+int columns), and ``_p_link`` and ``_p_unlink`` (one cross edge into or
+out of the P(v, l) buckets of its vertices).  The dict oracle keeps one
+``BatchSet`` per set, which charges a ``Ledger`` as it goes.  These
+tests pin the helpers to ``BatchSet`` op by op: capacity, member order,
+and the ``dict_batch`` work, ``dict_rehash`` work and depth of every op.
 """
 
 from __future__ import annotations
@@ -16,7 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.arraystore import _grow, _p_link, _p_unlink, _shrink
+from array import array
+
+from repro.core.arraystore import (
+    _NIL,
+    _OUT,
+    _grow,
+    _l_concat,
+    _l_delete,
+    _l_insert,
+    _p_link,
+    _p_unlink,
+    _shrink,
+)
 from repro.parallel.dictionary import (
     BatchSet,
     _GROW_AT,
@@ -132,3 +145,91 @@ def test_bucket_edits_match_batchset(ops):
                 members, cap = Pv[l]
                 assert cap == bucket.capacity
                 assert list(members) == list(bucket)
+
+
+# --------------------------------------------------------------------- #
+# S(m) and C(m): linked lists in int columns
+# --------------------------------------------------------------------- #
+HEADS = (0, 1, 2)
+POOL = 100  # list h draws its edge slots from [POOL * h, POOL * (h + 1))
+
+
+def _list_columns():
+    """One column group ``(head, tail, count, cap, prev, next)``: every
+    list empty at the minimum capacity, every edge slot in no list."""
+    n, m = len(HEADS), POOL * len(HEADS)
+    return (
+        array("i", [_NIL] * n),
+        array("i", [_NIL] * n),
+        array("i", [0] * n),
+        array("q", [_MIN_CAPACITY] * n),
+        array("i", [_OUT] * m),
+        array("i", [_NIL] * m),
+    )
+
+
+def _backward(cols, h):
+    """List ``h`` walked from its tail along the prev links, reversed."""
+    out = []
+    j = cols[1][h]
+    while j >= 0 and len(out) <= POOL:
+        out.append(j)
+        j = cols[4][j]
+    return out[::-1]
+
+
+@st.composite
+def _list_scripts(draw):
+    """Rounds of (insert/delete, list, key) ops.  Each round inserts
+    50-90 keys into one list (four doublings, to capacity 128), some of
+    them twice, deletes keys 0..99 in random order, some of them absent,
+    and re-inserts a few deleted keys, which go to the back.  The last
+    round drains its list (four halvings); an earlier one may stop part
+    way, so a later round can meet its leftovers."""
+    ops = []
+    rounds = draw(st.integers(2, 4))
+    for r in range(rounds):
+        h = draw(st.sampled_from(HEADS))
+        top = draw(st.integers(50, 90))
+        keys = draw(st.permutations(range(top)))
+        again = draw(st.lists(st.integers(0, top - 1), min_size=1, max_size=8))
+        ops += [("insert", h, k) for k in keys + again]
+        gone = draw(st.permutations(range(POOL)))
+        back = []
+        if r < rounds - 1:
+            gone = gone[: draw(st.integers(0, POOL))]
+            if gone:
+                back = draw(st.lists(st.sampled_from(gone), max_size=8))
+        ops += [("delete", h, k) for k in gone]
+        ops += [("insert", h, k) for k in back]
+    return ops
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=_list_scripts())
+def test_list_edits_match_batchset(ops):
+    cols = _list_columns()
+    led = Ledger()
+    ref = {h: BatchSet(led) for h in HEADS}
+    for kind, h, key in ops:
+        j = POOL * h + key
+        batch0, rehash0, depth0 = _charged(led)
+        if kind == "insert":
+            ref[h].insert_one(j)
+            w_rehash, depth = _l_insert(cols, h, j)
+        else:
+            ref[h].delete_one(j)
+            w_rehash, depth = _l_delete(cols, h, j)
+        batch1, rehash1, depth1 = _charged(led)
+        assert (1.0, w_rehash, depth) == (
+            batch1 - batch0,
+            rehash1 - rehash0,
+            depth1 - depth0,
+        ), (kind, h, key)
+        for g in HEADS:
+            members = list(ref[g])
+            assert _l_concat(cols, (g,)) == members, (kind, h, key, g)
+            assert _backward(cols, g) == members, (kind, h, key, g)
+            assert cols[2][g] == len(members)
+            assert cols[3][g] == ref[g].capacity
+        assert (cols[4][j] != _OUT) == (j in ref[h])
