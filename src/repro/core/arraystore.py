@@ -31,9 +31,16 @@ per-edge state in flat, slot-indexed parallel arrays instead of one
   by its header, unwalked, in ``remove_match``.  That leaves stale
   S-links on those edges, which only a later list build (a new match's
   S) overwrites; nothing reads them before;
-* the per-vertex per-level index P(v, l) keeps buckets as ``[dict, cap]``
-  pairs, edited one edge at a time by :func:`_p_link` and
-  :func:`_p_unlink`, and drops P(v) when its last bucket goes.
+* the per-vertex per-level index P(v, l) is int32 columns too (the
+  group ``_lidx``, see :func:`_p_new`): a cross edge has one P node per
+  endpoint at the fixed position ``slot * rank + k``; each bucket (from a
+  free list) is a linked list of nodes with a head, tail, count and
+  simulated capacity, and sits on its vertex's bucket list; a vertex
+  holds the head and tail of that list and the stamp of P(v)'s creation.
+  The scalar route edits it per edge (:func:`_p_link`, :func:`_p_unlink`,
+  which reads a node's bucket with no lookup), the columnar route by
+  grouped passes (:func:`_p_link_grouped`, :func:`_p_unlink_grouped`);
+  a bucket goes when it empties, and P(v) with its last one.
 
 **Cost parity is a hard requirement**: every operation charges the shared
 ledger *exactly* what the record-dict backend charges — same work, same
@@ -54,19 +61,20 @@ for any ledger.
 
 Two deliberate representation choices follow from parity, not speed:
 
-* sets keep insertion order (linked lists, and dicts for P), never
-  ``set`` — element extraction order feeds the greedy matcher's
-  priority assignment, so ordering is part of observable determinism;
-* P(v, l) stays keyed per-vertex first (``{v: {level: bucket}}``): the
-  level-dict insertion order determines the adjust scan's output order
-  (the dict oracle's ``cross_edges_below``), which the oracle inherits
-  from bucket creation history.
+* sets keep insertion order (linked lists), never ``set`` — element
+  extraction order feeds the greedy matcher's priority assignment, so
+  ordering is part of observable determinism;
+* P(v) keeps its buckets in creation order (each vertex's bucket list):
+  that order fixes the adjust scan's output order (the dict oracle's
+  ``cross_edges_below``), which the oracle inherits from bucket creation
+  history; and P(v)s listed by creation stamp are the order the
+  snapshot's P rows have always had.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from operator import attrgetter, not_
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -241,71 +249,443 @@ def _l_concat(cols, hs) -> List[int]:
     return out
 
 
-def _p_link(P: dict, vertices: Sequence[Vertex], lvl: int, eid: EdgeId) -> Tuple[float, int]:
-    """Insert cross edge ``eid`` into P(v, lvl) for each of its vertices,
-    creating a bucket (and P(v)) on first use: ``BatchSet.insert_one``
-    per bucket.
+# P(v, l) as int columns.  A cross edge has one P node per endpoint, at
+# the fixed position ``slot * rank + k`` (its k-th vertex).  ``P`` is the
+# group ``(B, nbkt, blevel, bvert, bprev, bnext, vhead, vtail, vstamp,
+# free, clock)``:
+#
+# * ``B = (head, tail, count, cap, prev, next)`` is a list group shaped
+#   like ``_S``/``_C``: the first four indexed by bucket, the links by
+#   node (prev ``_OUT``: the node is in no bucket), so the list helpers
+#   (:func:`_l_concat`, the grouped passes, the checker's walk) serve it;
+# * ``nbkt`` is each linked node's bucket;
+# * ``blevel``, ``bvert``, ``bprev``, ``bnext``: each bucket's level,
+#   dense vertex and links in that vertex's bucket list;
+# * ``vhead``, ``vtail``, ``vstamp``: per dense vertex, its bucket list
+#   (in creation order: P(v)'s level order) and the stamp of P(v)'s
+#   creation (P(v)s listed by stamp are in creation order);
+# * ``free`` (a list) holds the free bucket ids, lowest on top, and
+#   ``clock`` (one int64) the last stamp issued.
+
+#: Buckets the level index grows by at a time.
+_BUCKET_CHUNK = 1024
+
+
+def _p_new() -> tuple:
+    """An empty level index: no nodes, buckets or vertices."""
+    B = (array("i"), array("i"), array("i"), array("q"), array("i"), array("i"))
+    return (B, array("i"), array("i"), array("i"), array("i"), array("i"),
+            array("i"), array("i"), array("q"), [], array("q", [0]))
+
+
+def _p_grow_nodes(P, k: int) -> None:
+    """Append ``k`` nodes, each in no bucket."""
+    B, nbkt = P[0], P[1]
+    B[4].extend(array("i", [_OUT]) * k)
+    B[5].frombytes(bytes(4 * k))
+    nbkt.extend(array("i", [_NIL]) * k)
+
+
+def _p_grow_vertices(P, k: int) -> None:
+    """Append ``k`` dense vertices, each with no P(v)."""
+    P[6].extend(array("i", [_NIL]) * k)
+    P[7].extend(array("i", [_NIL]) * k)
+    P[8].frombytes(bytes(8 * k))
+
+
+def _p_reserve(P, k: int) -> None:
+    """Make at least ``k`` buckets free, growing the bucket columns by
+    at least :data:`_BUCKET_CHUNK`; never while a view is held."""
+    free = P[9]
+    short = k - len(free)
+    if short > 0:
+        B = P[0]
+        m0 = len(P[2])
+        r = max(short, _BUCKET_CHUNK)
+        for col in (*B[:4], *P[2:6]):
+            col.frombytes(bytes(col.itemsize * r))
+        free[:0] = range(m0 + r - 1, m0 - 1, -1)
+
+
+def _p_link(P, ds: Sequence[int], node: int, lvl: int) -> Tuple[float, int]:
+    """Insert a cross edge into P(v, lvl) for each of its vertices: ``ds``
+    are their dense ids in vertex order, ``node`` the edge's first P node,
+    and its nodes are in no bucket.  ``BatchSet.insert_one`` per bucket,
+    the list append of :func:`_l_insert` written inline; a missing bucket
+    is made holding just the node (an insert into an empty set: depth 1),
+    appended to P(v), which is stamped when this is its first bucket.
 
     Returns ``(dict_rehash work, summed depth)``; the dict_batch work is
     one per vertex.
     """
+    B, nbkt, blevel, bvert, bprev, bnext, vhead, vtail, vstamp, free, clock = P
+    head, tail, cnt, cap, prev, nxt = B
     w_rehash = 0.0
     depth = 0
-    for v in vertices:
-        Pv = P.get(v)
-        if Pv is None:
-            Pv = P[v] = {}
-        b = Pv.get(lvl)
-        if b is None:
-            Pv[lvl] = [{eid: None}, _MIN_CAPACITY]
+    for d in ds:
+        b = vhead[d]
+        while b >= 0 and blevel[b] != lvl:
+            b = bnext[b]
+        prev[node] = t = _NIL if b < 0 else tail[b]
+        nxt[node] = _NIL
+        if b >= 0:
+            nxt[t] = tail[b] = node
+            n = cnt[b]
+            depth += n.bit_length() if n >= 2 else 1  # log2ceil(n + 1)
+            n += 1
+            cnt[b] = n
+            if n > cap[b] * _GROW_AT:
+                cap[b], wr, dg = _grow(n, cap[b])
+                w_rehash += wr
+                depth += dg
+        else:
+            if not free:
+                _p_reserve(P, 1)
+            b = free.pop()
+            head[b] = tail[b] = node
+            cnt[b] = 1
+            cap[b] = _MIN_CAPACITY
+            blevel[b] = lvl
+            bvert[b] = d
+            bprev[b] = t = vtail[d]
+            bnext[b] = _NIL
+            if t < 0:
+                vhead[d] = b
+                clock[0] = vstamp[d] = clock[0] + 1
+            else:
+                bnext[t] = b
+            vtail[d] = b
             depth += 1
-            continue
-        d = b[0]
-        n = len(d)
-        depth += n.bit_length() if n >= 2 else 1  # log2ceil(n + 1)
-        d[eid] = None
-        n = len(d)
-        if n > b[1] * _GROW_AT:
-            b[1], wr, dr = _grow(n, b[1])
-            w_rehash += wr
-            depth += dr
+        nbkt[node] = b
+        node += 1
     return w_rehash, depth
 
 
-def _p_unlink(
-    P: dict, vertices: Sequence[Vertex], lvl: int, eid: EdgeId
-) -> Tuple[float, float, int]:
-    """Delete cross edge ``eid`` from P(v, lvl) for each of its vertices:
-    ``BatchSet.delete_one`` per bucket present (an absent bucket costs
-    nothing); a bucket goes when it empties, and P(v) with its last one.
+def _p_unlink(P, node: int, card: int) -> Tuple[float, float, int]:
+    """Delete a cross edge from its P(v, l) buckets: its ``card`` nodes
+    from ``node`` on.  ``BatchSet.delete_one`` per linked node (a node in
+    no bucket costs nothing), read through the node's bucket, the unlink
+    of :func:`_l_delete` written inline; a bucket goes when it empties,
+    and P(v) with its last one.
 
     Returns ``(dict_batch work, dict_rehash work, summed depth)``.
     """
+    B, nbkt, _, bvert, bprev, bnext, vhead, vtail, _, free, _ = P
+    head, tail, cnt, cap, prev, nxt = B
     w_batch = 0.0
     w_rehash = 0.0
     depth = 0
-    for v in vertices:
-        Pv = P.get(v)
-        if Pv is None:
+    for j in range(node, node + card):
+        p = prev[j]
+        if p == _OUT:
             continue
-        b = Pv.get(lvl)
-        if b is None:
-            continue
-        d = b[0]
-        n = len(d)
+        b = nbkt[j]
+        n = cnt[b]
         w_batch += 1.0
         depth += n.bit_length() if n >= 2 else 1  # log2ceil(n + 1)
-        d.pop(eid, None)
-        n = len(d)
-        if b[1] > _MIN_CAPACITY and n < b[1] * _SHRINK_AT:
-            b[1], wr, dr = _shrink(n, b[1])
+        q = nxt[j]
+        if p < 0:
+            head[b] = q
+        else:
+            nxt[p] = q
+        if q < 0:
+            tail[b] = p
+        else:
+            prev[q] = p
+        prev[j] = _OUT
+        n -= 1
+        cnt[b] = n
+        c = cap[b]
+        if c > _MIN_CAPACITY and n < c * _SHRINK_AT:
+            cap[b], wr, ds = _shrink(n, c)
             w_rehash += wr
-            depth += dr
+            depth += ds
         if not n:
-            del Pv[lvl]
-            if not Pv:
-                del P[v]
+            p = bprev[b]
+            q = bnext[b]
+            if p < 0:
+                vhead[bvert[b]] = q
+            else:
+                bnext[p] = q
+            if q < 0:
+                vtail[bvert[b]] = p
+            else:
+                bprev[q] = p
+            free.append(b)
     return w_batch, w_rehash, depth
+
+
+# ---------------------------------------------------------------------- #
+# The grouped set-edit model: the same rule over a whole pass of ops
+# ---------------------------------------------------------------------- #
+#
+# A grouped pass applies a sequence of inserts (or of deletes) at once.
+# Ops are grouped by list (``native.group_index``, stable, so each
+# group keeps input order); an op's pre-size is its list's count plus
+# (minus) its rank in the group, and the capacity after it is the
+# capacity ``_grow``/``_shrink`` reach from the list's starting capacity
+# at that size (sizes move one way in a pass, so the steps of one op are
+# the difference from its predecessor's).  Charges come back per op, in
+# input order, for the callers to sum per branch.
+
+
+def _bitlen(n: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of non-negative integers (frexp's exponent of
+    an integer-valued double, exact below 2**53)."""
+    return np.frexp(n.astype(np.float64))[1].astype(np.int64)
+
+
+def _probe_depth(n: np.ndarray) -> np.ndarray:
+    """``log2ceil(n + 1)`` (at least 1): the depth of ``insert_one`` or
+    ``delete_one`` on a set of ``n`` keys."""
+    return np.where(n >= 2, _bitlen(n), 1)
+
+
+def _grow_all(n: np.ndarray, cap: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """:func:`_grow` per element: from capacity ``cap``, the capacity that
+    fits ``n`` keys, the cumulative dict_rehash work and the doublings."""
+    cap = cap.astype(np.int64)
+    w = np.zeros(n.size)
+    k = np.zeros(n.size, dtype=np.int64)
+    m = n > cap * _GROW_AT
+    while m.any():
+        cap[m] *= 2
+        w[m] += cap[m] * _GROW_AT
+        k[m] += 1
+        m = n > cap * _GROW_AT
+    return cap, w, k
+
+
+def _shrink_all(n: np.ndarray, cap: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_shrink` per element: from capacity ``cap``, the capacity
+    for ``n`` keys and the halvings (each charged by the caller)."""
+    cap = cap.astype(np.int64)
+    k = np.zeros(n.size, dtype=np.int64)
+    m = (cap > _MIN_CAPACITY) & (n < cap * _SHRINK_AT)
+    while m.any():
+        cap[m] //= 2
+        k[m] += 1
+        m = (cap > _MIN_CAPACITY) & (n < cap * _SHRINK_AT)
+    return cap, k
+
+
+def _groups(h: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Ops grouped by list (``native.group_index``): ``(order, starts,
+    sizes, pos, rank)``, ``pos`` being each sorted op's rank in its group
+    and ``rank`` the groups in first-occurrence order."""
+    order, starts, rank = native.group_index(h)
+    sizes = np.diff(np.append(starts, h.size))
+    pos = np.arange(h.size) - np.repeat(starts, sizes)
+    return order, starts, sizes, pos, rank
+
+
+def _step(cum: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per-op increments of a per-group cumulative series (sorted order)."""
+    d = cum.copy()
+    d[1:] -= cum[:-1]
+    d[starts] = cum[starts]
+    return d
+
+
+def _append_all(head, tail, prev, nxt, g, jo, starts, sizes) -> None:
+    """Link surgery of a grouped append: group ``i`` (list ``g[i]``)
+    appends ``jo[starts[i]:starts[i] + sizes[i]]`` in that order."""
+    k = jo.size
+    last = starts + sizes - 1
+    t0 = tail[g].astype(np.int64)
+    pj = np.empty(k, dtype=np.int64)
+    pj[1:] = jo[:-1]
+    pj[starts] = t0
+    nj = np.empty(k, dtype=np.int64)
+    nj[:-1] = jo[1:]
+    nj[last] = _NIL
+    prev[jo] = pj
+    nxt[jo] = nj
+    old = t0 >= 0
+    nxt[t0[old]] = jo[starts[old]]
+    head[g[~old]] = jo[starts[~old]]
+    tail[g] = jo[last]
+
+
+def _unlink_all(head, tail, prev, nxt, h, js) -> None:
+    """Unlink the distinct nodes ``js`` from their lists ``h`` at once,
+    the rest keeping their order; each unlinked node's prev becomes
+    ``_OUT``.  While unlinking, a node's prev holds ``-3 - position``
+    (``prev`` of a listed node is never below ``_OUT``), so a node's
+    nearest kept neighbours come from pointer jumping over the unlinked
+    ones, O(log run) passes; every node of a run writes the same links."""
+    p = prev[js].astype(np.int64)
+    q = nxt[js].astype(np.int64)
+    prev[js] = -3 - np.arange(js.size)
+    for v in (p, q):
+        up = np.full(v.size, -1, dtype=np.int64)
+        m = v >= 0
+        up[m] = -3 - prev[v[m]]
+        m = up >= 0
+        while m.any():
+            v[m] = v[up[m]]
+            up[m] = up[up[m]]
+            m = up >= 0
+    hp = p >= 0
+    nxt[p[hp]] = q[hp]
+    head[h[~hp]] = q[~hp]
+    hq = q >= 0
+    prev[q[hq]] = p[hq]
+    tail[h[~hq]] = p[~hq]
+    prev[js] = _OUT
+
+
+def _l_insert_grouped(cols, h, js, grouping=None) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_l_insert` over ops ``(h[i], js[i])`` in order, as one pass:
+    ``cols`` are numpy views of a list group, and every ``js[i]`` is
+    distinct and in no list of this kind.  ``grouping`` is
+    :func:`_groups` of ``h`` when the caller has it.
+
+    Returns per-op ``(dict_rehash work, depth)``, in input order."""
+    head, tail, cnt, cap, prev, nxt = cols
+    order, starts, sizes, pos, _ = _groups(h) if grouping is None else grouping
+    g = h[order[starts]]
+    jo = js[order]
+    n0 = cnt[g].astype(np.int64)
+    n = np.repeat(n0, sizes) + pos
+    c, w, steps = _grow_all(n + 1, np.repeat(cap[g], sizes))
+    _append_all(head, tail, prev, nxt, g, jo, starts, sizes)
+    cnt[g] = n0 + sizes
+    cap[g] = c[starts + sizes - 1]
+    out_w = np.empty(js.size)
+    out_w[order] = _step(w, starts)
+    out_d = np.empty(js.size, dtype=np.int64)
+    out_d[order] = _probe_depth(n) * (1 + _step(steps, starts))
+    return out_w, out_d
+
+
+def _l_delete_grouped(cols, h, js, grouping=None) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_l_delete` over ops ``(h[i], js[i])`` in order, as one pass:
+    every ``js[i]`` is distinct and a member of list ``h[i]``.
+    ``grouping`` as for :func:`_l_insert_grouped`.
+
+    Returns per-op ``(dict_rehash work, depth)``, in input order."""
+    head, tail, cnt, cap, prev, nxt = cols
+    order, starts, sizes, pos, _ = _groups(h) if grouping is None else grouping
+    g = h[order[starts]]
+    n0 = cnt[g].astype(np.int64)
+    n = np.repeat(n0, sizes) - pos
+    c, steps = _shrink_all(n - 1, np.repeat(cap[g], sizes))
+    ds = _step(steps, starts)
+    _unlink_all(head, tail, prev, nxt, h, js)
+    cnt[g] = n0 - sizes
+    cap[g] = c[starts + sizes - 1]
+    out_w = np.empty(js.size)
+    out_w[order] = ds * np.maximum(n - 1, 1)
+    out_d = np.empty(js.size, dtype=np.int64)
+    post = np.maximum(n - 1, 2)
+    out_d[order] = _probe_depth(n) + ds * np.where(post > 2, _bitlen(post - 1), 1)
+    return out_w, out_d
+
+
+def _p_link_grouped(P, nodes, ds, lvls) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_p_link` over ops ``(nodes[i], ds[i], lvls[i])`` (a node,
+    its dense vertex, the level) in order, as one pass; every node is in
+    no bucket.  Ops are grouped by (vertex, level); each group's bucket
+    is found by walking P(v), or made, the new ones appended to their
+    P(v) in the ops' first-occurrence order and the P(v)s new in this
+    pass stamped in it.
+
+    Returns per-op ``(dict_rehash work, depth)``, in input order."""
+    _p_reserve(P, nodes.size)
+    B = _views(P[0])
+    nbkt, blevel, bvert, bprev, bnext, vhead, vtail, vstamp = _views(P[1:9])
+    free, clock = P[9], P[10]
+    lv = lvls.astype(np.int64)
+    grouping = _groups(ds.astype(np.int64) * (int(lv.max()) + 1) + lv)
+    order, starts, sizes, _, rank = grouping
+    first = order[starts]
+    gd = ds[first].astype(np.int64)
+    gl = lv[first]
+    b = vhead[gd].astype(np.int64)
+    m = b >= 0
+    m[m] = blevel[b[m]] != gl[m]
+    while m.any():
+        b[m] = bnext[b[m]]
+        m = b >= 0
+        m[m] = blevel[b[m]] != gl[m]
+    isnew = b < 0
+    if isnew.any():
+        new = rank[isnew[rank]]
+        cut = len(free) - new.size
+        ids = np.array(free[cut:][::-1], dtype=np.int64)
+        del free[cut:]
+        b[new] = ids
+        nd = gd[new]
+        blevel[ids] = gl[new]
+        bvert[ids] = nd
+        B[1][ids] = _NIL
+        B[2][ids] = 0
+        B[3][ids] = _MIN_CAPACITY
+        # Groups are in (vertex, level) order, so a vertex with two new
+        # buckets shows as two adjacent new groups.
+        gn = gd[isnew]
+        one_each = bool((gn[1:] != gn[:-1]).all())
+        fresh = nd[vhead[nd] < 0]
+        if not one_each:
+            fresh = fresh[native.dedup_first_index(fresh)]
+        c0 = int(clock[0])
+        vstamp[fresh] = np.arange(c0 + 1, c0 + 1 + fresh.size)
+        clock[0] = c0 + fresh.size
+        if one_each:
+            vo = vs = np.arange(nd.size)
+        else:
+            vo, vs, _ = native.group_index(nd)
+        _append_all(vhead, vtail, bprev, bnext, nd[vo[vs]], ids[vo],
+                    vs, np.diff(np.append(vs, nd.size)))
+    hb = np.empty(nodes.size, dtype=np.int64)
+    hb[order] = np.repeat(b, sizes)
+    w, d = _l_insert_grouped(B, hb, nodes, grouping)
+    nbkt[nodes] = hb
+    return w, d
+
+
+def _p_unlink_grouped(P, nodes) -> Tuple[float, np.ndarray, np.ndarray]:
+    """:func:`_p_unlink` over ``nodes`` in order, as one pass (a node in
+    no bucket costs nothing).  A node alone in its bucket empties it
+    directly; the rest take :func:`_l_delete_grouped`.  Emptied buckets
+    are dropped in bulk, and P(v) with its last one.
+
+    Returns ``(dict_batch work, per-node dict_rehash work, per-node
+    depth)``, in input order."""
+    B = _views(P[0])
+    _, _, cnt, cap, prev, _ = B
+    nbkt, _, bvert, bprev, bnext, vhead, vtail, _ = _views(P[1:9])
+    on = prev[nodes] != _OUT
+    hb = nbkt[nodes].astype(np.int64)
+    alone = on & (cnt[hb] == 1)
+    shared = on & ~alone
+    w = np.zeros(nodes.size)
+    d = np.zeros(nodes.size, dtype=np.int64)
+    gone = hb[alone]
+    if gone.size:
+        # delete_one on a one-key set: depth 1, then the shrink steps
+        # down from the bucket's capacity at size 0.
+        prev[nodes[alone]] = _OUT
+        cnt[gone] = 0
+        _, k = _shrink_all(np.zeros(gone.size, dtype=np.int64), cap[gone])
+        w[alone] = k
+        d[alone] = 1 + k
+    if shared.any():
+        h = hb[shared]
+        grouping = _groups(h)
+        w[shared], d[shared] = _l_delete_grouped(B, h, nodes[shared], grouping)
+        g = h[grouping[0][grouping[1]]]
+        gone = np.concatenate([gone, g[cnt[g] == 0]])
+    if gone.size:
+        vd = bvert[gone].astype(np.int64)
+        last = (vhead[vd] == gone) & (vtail[vd] == gone)
+        vhead[vd[last]] = _NIL
+        vtail[vd[last]] = _NIL
+        if not last.all():
+            _unlink_all(vhead, vtail, bprev, bnext, vd[~last], gone[~last])
+        P[9].extend(gone.tolist())
+    return float(on.sum()), w, d
 
 
 def _emit(led: Ledger, depth: int, *charges: Tuple[str, float]) -> None:
@@ -390,6 +770,9 @@ class ArrayLeveledStructure:
         self._ccap = array("q")
         self._S = (self._shead, self._stail, self._scnt, self._scap, self._sprev, self._snext)
         self._C = (self._chead, self._ctail, self._ccnt, self._ccap, self._cprev, self._cnext)
+        # P(v, l): the level index's column group (see ``_p_new``), with
+        # ``rank`` nodes per slot and one bucket list per dense vertex.
+        self._lidx = _p_new()
         # Interned vertex table + columnar vertex state.  Raw vertex
         # ids of any type/magnitude live only as dict keys; the int32
         # plane sees dense ids.  ``_pcol[d]`` is the covering match
@@ -417,7 +800,6 @@ class ArrayLeveledStructure:
         )
         # Vertex state.
         self.matched: Set[EdgeId] = set()
-        self._P: Dict[Vertex, Dict[int, list]] = {}
         # Fault-injection hook: when set, called with a phase name at the
         # batch-granularity entry points (never charged to the ledger).
         self.phase_hook = None
@@ -440,6 +822,7 @@ class ArrayLeveledStructure:
                 d = len(idx)
                 idx[v] = d
                 pcol.append(-1)
+                _p_grow_vertices(self._lidx, 1)
                 if not fits_int64((v,)):
                     self.interner.wide = True
             vd.append(d)
@@ -491,9 +874,11 @@ class ArrayLeveledStructure:
     # Registry
     # ------------------------------------------------------------------ #
     def _grow_columns(self, r: int) -> None:
-        """Append ``r`` zeroed slots to every int column."""
+        """Append ``r`` zeroed slots to every int column, and their P
+        nodes to the level index."""
         for col in self._slotcols:
             col.frombytes(bytes(col.itemsize * r))
+        _p_grow_nodes(self._lidx, r * self.rank)
 
     def _alloc(self, edge: Edge) -> int:
         eid = edge.eid
@@ -530,13 +915,19 @@ class ArrayLeveledStructure:
         self.ledger.charge(work=edge.cardinality, depth=1, tag="register")
 
     def register_batch(self, edges: Sequence[Edge]) -> None:
+        """Register a batch of new edges.
+
+        The batch must be valid: distinct ids, none registered, none over
+        the rank bound.  ``DynamicMatching.insert_edges`` checks that
+        before it registers anything (so a rejected batch mutates
+        neither backend); the per-edge :meth:`register` checks its own.
+        """
         if self.phase_hook is not None:
             self.phase_hook("structure.register_batch")
         slot = self._slot
         free = self._free
         earr = self._edge
         varr = self._verts
-        rank = self.rank
         edges = list(edges)
         ids = [e.eid for e in edges]
         verts = [e.vertices for e in edges]
@@ -546,19 +937,6 @@ class ArrayLeveledStructure:
             # before anything registers, so every later call takes the
             # per-edge route (DynamicMatching._columnar).
             self.interner.wide = True
-        if (
-            len(set(ids)) != n
-            or not slot.keys().isdisjoint(ids)
-            or any(len(vs) > rank for vs in verts)
-        ):
-            # Slow path only to raise: replays the per-edge validation so
-            # the error (and partial-application semantics) match exactly.
-            total = 0
-            for e in edges:
-                self._alloc(e)
-                total += len(e.vertices)
-            self.ledger.charge_parallel(n, work=total, depth=1, tag="register")
-            return
         cards = [len(vs) for vs in verts]
         # Columnar plane: intern the batch's vertices once, bulk-append
         # their dense ids to the CSR pool (compacting first when churn
@@ -575,6 +953,7 @@ class ArrayLeveledStructure:
         grown = intern.count - prev
         if grown:
             self._pcol.extend([-1] * grown)
+            _p_grow_vertices(self._lidx, grown)
         coff = len(vd)
         vd.frombytes(dense.tobytes())
         self._vd_live += dense.size
@@ -914,7 +1293,6 @@ class ArrayLeveledStructure:
             w_elems = float(max(n, 1))
             d_total = (n - 1).bit_length() if n > 1 else 1
         owned = _l_concat(self._C, (i,))
-        lvl = self._level[i]
         out: List[Edge] = []
         verts = self._verts
         tarr = self._type
@@ -922,7 +1300,8 @@ class ArrayLeveledStructure:
         cprev = self._cprev
         edges = self._edge
         cards = self._card
-        P = self._P
+        P = self._lidx
+        r = self.rank
         # The unlink loop is one parallel region: each branch pays its
         # P-bucket discards plus a unit charge, the region contributes the
         # max branch depth.
@@ -931,15 +1310,15 @@ class ArrayLeveledStructure:
         w_rm = 0.0
         max_bd = 0
         for j in owned:
-            e = edges[j]
-            wb, wr, bd = _p_unlink(P, verts[j], lvl, e.eid)
+            c = cards[j]
+            wb, wr, bd = _p_unlink(P, j * r, c)
             w_batch += wb
             w_rehash += wr
             tarr[j] = _T_UNSETTLED
             oslc[j] = -1
             cprev[j] = _OUT
-            out.append(e)
-            w_rm += cards[j]
+            out.append(edges[j])
+            w_rm += c
             bd += 1
             if bd > max_bd:
                 max_bd = bd
@@ -1000,8 +1379,9 @@ class ArrayLeveledStructure:
         self._type[i] = _T_CROSS
         self._ownslot[i] = bi
         w_rehash, d_total = _l_insert(self._C, bi, i)
-        wr, dp = _p_link(self._P, edge.vertices, best_lvl, eid)
         card = self._card[i]
+        off = self._vd_off[i]
+        wr, dp = _p_link(self._lidx, self._vd_flat[off : off + card], i * self.rank, best_lvl)
         w_batch = 1.0 + card
         w_rehash += wr
         d_total += dp + 1
@@ -1052,12 +1432,20 @@ class ArrayLeveledStructure:
         eid = edge.eid
         if self._type[i] != _T_CROSS:
             raise ValueError(f"edge {eid} is not a cross edge")
-        oi = self._ownslot[i]
-        w_rehash, bd = _l_delete(self._C, oi, i)
-        wb, wr, dp = _p_unlink(self._P, edge.vertices, self._level[oi], eid)
+        w_rehash, bd = _l_delete(self._C, self._ownslot[i], i)
+        card = self._card[i]
+        wb, wr, dp = _p_unlink(self._lidx, i * self.rank, card)
         self._type[i] = _T_UNSETTLED
         self._ownslot[i] = -1
-        return 1.0 + wb, w_rehash + wr, self._card[i], bd + dp + 1
+        return 1.0 + wb, w_rehash + wr, card, bd + dp + 1
+
+    def _p_nodes(self, slots: np.ndarray, cards: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The P nodes of edge slots ``slots`` (cardinalities ``cards``),
+        each edge's in vertex order, and each edge's offset among them."""
+        eoff = np.cumsum(cards) - cards
+        nodes = np.arange(int(cards.sum()), dtype=np.int64)
+        nodes += np.repeat(slots * self.rank - eoff, cards)
+        return nodes, eoff
 
     def _kernel_add_cross(self, edges: Sequence[Edge]) -> bool:
         """Columnar fast path for :meth:`add_cross_edge_batch`.
@@ -1067,7 +1455,10 @@ class ArrayLeveledStructure:
         validation fails, in which case *nothing user-visible changed*
         beyond idempotent type/owner-slot column writes and the caller
         must run the per-edge route for exact error and
-        partial-application semantics.
+        partial-application semantics.  The C(m) inserts and P links are
+        grouped passes (:func:`_l_insert_grouped`,
+        :func:`_p_link_grouped`); a branch's depth is its C(m) insert's
+        plus its endpoints' P links', plus one.
         """
         n = len(edges)
         ids = [e.eid for e in edges]
@@ -1080,6 +1471,14 @@ class ArrayLeveledStructure:
         cards = carr_np[slots].astype(np.int64)
         total_c = int(cards.sum())
         if total_c == 0:
+            return False
+        nodes, eoff = self._p_nodes(slots, cards)
+        # Attached edges (in some C(m) or P bucket) take the per-edge
+        # route, which re-stores them.
+        if not (
+            (np.frombuffer(self._cprev, dtype=np.int32)[slots] == _OUT).all()
+            and (np.frombuffer(self._lidx[0][4], dtype=np.int32)[nodes] == _OUT).all()
+        ):
             return False
         vd_off = np.frombuffer(self._vd_off, dtype=np.int64)
         idx = native.seg_gather_index(vd_off[slots], cards, total_c)
@@ -1097,27 +1496,18 @@ class ArrayLeveledStructure:
             # Some edge has no incident match; the per-edge route raises
             # the exact error after applying the preceding edges.
             return False
-        # Each edge's C(m) insert and P links, in batch order, as in
-        # add_cross_edge.
-        C = self._C
-        larr = self._level
-        P = self._P
-        w_rehash = 0.0
-        max_bd = 0
-        for edge, eid, j, bs in zip(edges, ids, slots.tolist(), best.tolist()):
-            wr, bd = _l_insert(C, bs, j)
-            wp, dp = _p_link(P, edge.vertices, larr[bs], eid)
-            w_rehash += wr + wp
-            bd += dp + 1
-            if bd > max_bd:
-                max_bd = bd
+        best = best.astype(np.int64)
+        w_c, d_c = _l_insert_grouped(_views(self._C), best, slots)
+        lv = np.frombuffer(self._level, dtype=np.int32)[best]
+        w_p, d_p = _p_link_grouped(self._lidx, nodes, dflat, np.repeat(lv, cards))
+        bd = d_c + np.add.reduceat(d_p, eoff) + 1
         # Every edge pays 1 + cardinality dict_batch work unconditionally,
         # so the batch total collapses to a constant.
         _emit(
             self.ledger,
-            max_bd,
+            int(bd.max()),
             ("dict_batch", float(n + total_c)),
-            ("dict_rehash", w_rehash),
+            ("dict_rehash", float(w_c.sum() + w_p.sum())),
             ("add_cross_edge", float(total_c)),
         )
         return True
@@ -1132,9 +1522,73 @@ class ArrayLeveledStructure:
             return
         parallel_for(self.ledger, edges, self.add_cross_edge)
 
+    def _kernel_detach(self, eids: Sequence[EdgeId], cross_only: bool) -> bool:
+        """Columnar route of :meth:`detach_unmatched_batch` (and, with
+        ``cross_only``, :meth:`remove_cross_edge_batch`): a cross edge's
+        C(m) delete and P unlinks, a sampled edge's S(m) delete, as
+        grouped passes (:func:`_l_delete_grouped`,
+        :func:`_p_unlink_grouped`), charged as the per-edge loop charges.
+
+        Returns False, having changed nothing, when an id is absent or
+        repeated, an edge is not cross (or, without ``cross_only``,
+        sampled), or is missing from its list: the caller's loop then
+        raises at it.
+        """
+        slots = self._slots_of(eids)
+        if slots is None:
+            return False
+        srt = np.sort(slots)
+        if (srt[1:] == srt[:-1]).any():
+            return False
+        tarr = np.frombuffer(self._type, dtype=np.int32)
+        t = tarr[slots]
+        cross = t == _T_CROSS
+        cs = slots[cross]
+        ss = slots[~cross]
+        if ss.size and (cross_only or (t[~cross] != _T_SAMPLED).any()):
+            return False
+        C = _views(self._C)
+        S = _views(self._S)
+        if (C[4][cs] == _OUT).any() or (S[4][ss] == _OUT).any():
+            return False
+        osl = np.frombuffer(self._ownslot, dtype=np.int32)
+        w_batch = float(slots.size)
+        w_rehash = 0.0
+        w_cross = 0.0
+        max_bd = 0
+        if cs.size:
+            cards = np.frombuffer(self._card, dtype=np.int32)[cs].astype(np.int64)
+            w_c, d_c = _l_delete_grouped(C, osl[cs].astype(np.int64), cs)
+            nodes, eoff = self._p_nodes(cs, cards)
+            w_b, w_p, d_p = _p_unlink_grouped(self._lidx, nodes)
+            max_bd = int((d_c + np.add.reduceat(d_p, eoff)).max()) + 1
+            w_batch += w_b
+            w_rehash += float(w_c.sum() + w_p.sum())
+            w_cross = float(cards.sum())
+        if ss.size:
+            w_s, d_s = _l_delete_grouped(S, osl[ss].astype(np.int64), ss)
+            max_bd = max(max_bd, int(d_s.max()))
+            w_rehash += float(w_s.sum())
+        tarr[slots] = _T_UNSETTLED
+        osl[slots] = -1
+        _emit(
+            self.ledger,
+            max_bd,
+            ("dict_batch", w_batch),
+            ("dict_rehash", w_rehash),
+            ("remove_cross_edge", w_cross),
+        )
+        return True
+
     def remove_cross_edge_batch(self, edges: Sequence[Edge]) -> None:
-        """Batched removeCrossEdge over one parallel region."""
+        """Batched removeCrossEdge over one parallel region: grouped
+        passes for calls of at least :data:`repro.native.VEC_MIN` edges,
+        else (or when they bail out) the per-edge loop."""
         if not edges:
+            return
+        if len(edges) >= native.VEC_MIN and self._kernel_detach(
+            [e.eid for e in edges], cross_only=True
+        ):
             return
         w_batch = 0.0
         w_rehash = 0.0
@@ -1159,8 +1613,11 @@ class ArrayLeveledStructure:
     def detach_unmatched_batch(self, eids: Sequence[EdgeId]) -> None:
         """Detach unmatched deleted edges over one parallel region: a
         cross edge leaves its owner and the P index; a sampled edge
-        leaves its owner's S (lazy: the owner's level does not move)."""
+        leaves its owner's S (lazy: the owner's level does not move).
+        Same route rule as :meth:`remove_cross_edge_batch`."""
         if not eids:
+            return
+        if len(eids) >= native.VEC_MIN and self._kernel_detach(eids, cross_only=False):
             return
         slot = self._slot
         tarr = self._type
@@ -1280,11 +1737,11 @@ class ArrayLeveledStructure:
         covers in ``_pcol``, both set headers and the owned edges'
         C-links) and the owned-card work total move into the edit
         kernel.  A count gather finds the matches that own cross edges;
-        only they walk C(m) and run the P-bucket unlink loop (whose
-        charges depend on evolving dict sizes), in the exact per-edge
-        order.  A match with an empty C(m) — most level-0 matches —
-        charges ``dict_elements`` work 1 and branch depth 2, with no
-        per-match Python.
+        only they walk C(m), and their owned edges' P unlinks run as one
+        grouped pass (:func:`_p_unlink_grouped`) in the per-edge order.
+        A match with an empty C(m) — most level-0 matches — charges
+        ``dict_elements`` work 1 and branch depth 2, with no per-match
+        Python.
         """
         n = len(eids)
         ids = list(eids)
@@ -1301,9 +1758,8 @@ class ArrayLeveledStructure:
         # edges, and (in hand-built states only) those with no C(m),
         # count -1.
         busy = np.flatnonzero(ccnt)
-        bslots = mslots[busy].tolist()
-        bcnt = ccnt[busy].tolist()
-        own_flat_l = _l_concat(self._C, bslots)
+        bcnt = ccnt[busy].astype(np.int64)
+        own_flat_l = _l_concat(self._C, mslots[busy].tolist())
         own_slots = np.array(own_flat_l, dtype=np.int32)
         carr_np = np.frombuffer(self._card, dtype=np.int32)
         mcards = carr_np[mslots].astype(np.int64)
@@ -1317,10 +1773,6 @@ class ArrayLeveledStructure:
         # iteration's owned sweep — the start-state mask equals the
         # per-edge at-turn check.
         premask = tarr_np[mslots] == _T_MATCHED
-        # The unlink loop needs its owners' levels, which the kernel
-        # resets.
-        larr = self._level
-        lvls = [larr[h] for h in bslots]
         w_rm = native.edit_remove_match(
             mslots,
             mcards,
@@ -1329,7 +1781,7 @@ class ArrayLeveledStructure:
             own_slots,
             tarr_np,
             np.frombuffer(self._ownslot, dtype=np.int32),
-            np.frombuffer(larr, dtype=np.int32),
+            np.frombuffer(self._level, dtype=np.int32),
             np.frombuffer(self._settle, dtype=np.int32),
             carr_np,
             np.frombuffer(self._pcol, dtype=np.int32),
@@ -1337,34 +1789,27 @@ class ArrayLeveledStructure:
             C,
         )
         matched.difference_update(ids)
-        verts = self._verts
         edge = self._edge
-        n_empty = n - len(bslots)
-        P = self._P
-        w_elems = float(n_empty)
+        # Per match: dict_elements work max(c, 1) and branch depth
+        # 2·log2ceil(c) plus its owned edges' max unlink depth, each edge
+        # paying its endpoints' summed P-unlink depths plus one; a match
+        # with no C(m) (count -1) pays no work and depth 1.
+        n_empty = n - busy.size
+        has = bcnt > 0
+        w_elems = float(n_empty + bcnt[has].sum())
+        max_d = 2 if n_empty else int(not has.all())
         w_batch = 0.0
         w_rehash = 0.0
-        max_d = 2 if n_empty else 0
-        own_it = iter(own_flat_l)
-        for c, lvl in zip(bcnt, lvls):
-            if c >= 0:
-                no = c
-                w_elems += float(max(no, 1))
-                d_total = (no - 1).bit_length() if no > 1 else 1
-            else:
-                no = d_total = 0
-            max_bd = 0
-            for j in islice(own_it, no):
-                wb, wr, bd = _p_unlink(P, verts[j], lvl, edge[j].eid)
-                w_batch += wb
-                w_rehash += wr
-                bd += 1
-                if bd > max_bd:
-                    max_bd = bd
-            d_total += max_bd
-            d_total += (no - 1).bit_length() if no > 1 else 1
-            if d_total > max_d:
-                max_d = d_total
+        if own_slots.size:
+            own = own_slots.astype(np.int64)
+            nodes, eoff = self._p_nodes(own, carr_np[own].astype(np.int64))
+            w_batch, w_p, d_p = _p_unlink_grouped(self._lidx, nodes)
+            w_rehash = float(w_p.sum())
+            c = bcnt[has]
+            edge_d = np.add.reduceat(d_p, eoff) + 1
+            d_total = np.maximum.reduceat(edge_d, np.cumsum(c) - c)
+            d_total += 2 * np.where(c > 1, _bitlen(c - 1), 1)
+            max_d = max(max_d, int(d_total.max()))
         out = list(map(edge.__getitem__, own_flat_l))
         _emit(
             self.ledger,
@@ -1465,25 +1910,36 @@ class ArrayLeveledStructure:
             return []
         slot = self._slot
         level = self._level
-        P = self._P
+        card = self._card
+        vd = self._vd_flat
+        vd_off = self._vd_off
+        edge = self._edge
+        r = self.rank
+        B, _, blevel, _, _, bnext, vhead = self._lidx[:7]
+        bhead, bcnt, nnext = B[0], B[2], B[5]
         w_elems = 0.0
         w_scan = 0.0
         max_bd = 0
         flat: List[EdgeId] = []
+        app = flat.append
         for m_edge in new_matches:
-            lvl = level[slot[m_edge.eid]]
+            i = slot[m_edge.eid]
+            lvl = level[i]
+            off = vd_off[i]
             bd = 0
-            for v in m_edge.vertices:
+            for d in vd[off : off + card[i]]:
                 start = len(flat)
-                Pv = P.get(v)
-                if Pv:
-                    for l, b in Pv.items():
-                        if l < lvl:
-                            d = b[0]
-                            n = len(d)
-                            w_elems += float(max(n, 1))
-                            bd += log2ceil(max(n, 2))
-                            flat.extend(d)
+                b = vhead[d]
+                while b >= 0:
+                    if blevel[b] < lvl:
+                        n = bcnt[b]
+                        w_elems += float(n)
+                        bd += log2ceil(max(n, 2))
+                        j = bhead[b]
+                        while j >= 0:
+                            app(edge[j // r].eid)
+                            j = nnext[j]
+                    b = bnext[b]
                 n_out = len(flat) - start
                 w_scan += float(max(n_out, 1))
                 bd += log2ceil(max(n_out, 2))
@@ -1564,13 +2020,12 @@ class ArrayLeveledStructure:
         if etype == EdgeType.CROSS:
             if not claimed or self._cprev[i] == _OUT:
                 raise ValueError(f"cross edge {eid} missing from C({owner})")
-            w_rehash, depth = _p_link(self._P, self._verts[i], self._level[oi], eid)
-            _emit(
-                self.ledger,
-                depth,
-                ("dict_batch", float(self._card[i])),
-                ("dict_rehash", w_rehash),
+            card = self._card[i]
+            off = self._vd_off[i]
+            w_rehash, depth = _p_link(
+                self._lidx, self._vd_flat[off : off + card], i * self.rank, self._level[oi]
             )
+            _emit(self.ledger, depth, ("dict_batch", float(card)), ("dict_rehash", w_rehash))
         elif etype == EdgeType.SAMPLED:
             if not claimed or self._sprev[i] == _OUT:
                 raise ValueError(f"sampled edge {eid} missing from S({owner})")
@@ -1595,16 +2050,28 @@ class ArrayLeveledStructure:
         mslots = slots[types == _T_MATCHED]
         live = slots.tolist()
         ms = mslots.tolist()
-        P: Dict[str, list] = {k: [] for k in ("vertex", "level", "cap", "count", "members")}
-        vertex, level, cap, count = P["vertex"], P["level"], P["cap"], P["count"]
-        members = P["members"]
-        for v, Pv in self._P.items():
-            for lvl, (b, c) in Pv.items():
-                vertex.append(v)
-                level.append(lvl)
-                cap.append(c)
-                count.append(len(b))
-                members.extend(b)
+        # P rows: each P(v) in creation (stamp) order, its buckets in list
+        # order; a bucket's vertex is read off its head node.
+        B, _, blevel, _, _, bnext, vhead, _, vstamp = self._lidx[:9]
+        vh = np.frombuffer(vhead, dtype=np.int32)
+        pv = np.flatnonzero(vh >= 0)
+        pv = pv[np.argsort(np.frombuffer(vstamp, dtype=np.int64)[pv], kind="stable")]
+        order: List[int] = []
+        for b in vh[pv].tolist():
+            while b >= 0:
+                order.append(b)
+                b = bnext[b]
+        bs = np.array(order, dtype=np.int64)
+        r = self.rank
+        verts = self._verts
+        bh, _, bc, bcap = _views(B[:4])
+        P = {
+            "vertex": [verts[h // r][h % r] for h in bh[bs].tolist()],
+            "level": np.frombuffer(blevel, dtype=np.int32)[bs].tolist(),
+            "cap": bcap[bs].tolist(),
+            "count": bc[bs].tolist(),
+            "members": [edge[j // r].eid for j in _l_concat(B, order)],
+        }
         return {
             "edges": {
                 "eid": list(slot),
@@ -1628,34 +2095,60 @@ class ArrayLeveledStructure:
 
     def restore_level_index(self, P: Dict[str, Sequence]) -> None:
         """Overwrite P(v, l) wholesale from the ``P`` columns of
-        :meth:`snapshot_columns` (bucket order and capacities included).
+        :meth:`snapshot_columns` (row order, member order and capacities
+        included): each row's members are linked in order, which makes
+        its bucket (and P(v), stamped in row order) on first use.
 
         Each bucket is charged as a fresh set build, exactly like the dict
         oracle's ``BatchSet`` rebuild, so ``load_state`` costs the same on
-        either backend."""
-        index: Dict[Vertex, Dict[int, list]] = {}
+        either backend.  A row naming an edge that is not registered on
+        its vertex, or one already filed under that vertex, raises
+        ``ValueError``."""
+        L = self._lidx
+        B, nbkt, blevel, free, clock = L[0], L[1], L[2], L[9], L[10]
+        np.frombuffer(B[4], dtype=np.int32)[:] = _OUT
+        np.frombuffer(L[6], dtype=np.int32)[:] = _NIL
+        np.frombuffer(L[7], dtype=np.int32)[:] = _NIL
+        free[:] = range(len(blevel) - 1, -1, -1)
+        clock[0] = 0
+        vid = self.interner._index
+        slot = self._slot
+        verts = self._verts
+        r = self.rank
         members = P["members"]
         off = 0
         for v, lvl, cap, count in zip(P["vertex"], P["level"], P["cap"], P["count"]):
-            Pv = index.get(v)
-            if Pv is None:
-                Pv = index[v] = {}
             keys = members[off : off + count]
-            d = dict.fromkeys(keys)
-            self._charge_new_set(len(keys), len(d))
-            Pv[int(lvl)] = [d, int(cap)]
             off += count
-        self._P = index
+            uniq = list(dict.fromkeys(keys))
+            self._charge_new_set(len(keys), len(uniq))
+            lvl = int(lvl)
+            d = vid.get(v)
+            node = -1
+            for eid in uniq:
+                i = slot.get(eid)
+                try:
+                    node = i * r + verts[i].index(v)
+                except (TypeError, ValueError):
+                    node = -1
+                if d is None or node < 0 or B[4][node] != _OUT:
+                    raise ValueError(
+                        f"P({v!r}, {lvl}): edge {eid!r} is not a registered edge on "
+                        f"{v!r}, or is filed there twice"
+                    )
+                _p_link(L, (d,), node, lvl)
+            if node >= 0:
+                B[3][nbkt[node]] = int(cap)
 
     # ------------------------------------------------------------------ #
     # Invariant checking (test-only; never charged to the ledger)
     # ------------------------------------------------------------------ #
-    def _checked_list(self, cols, kind: str, mid: EdgeId, i: int) -> List[int]:
-        """The members of ``kind``(mid), list slot ``i``, after checking
-        its links against each other, its tail and its count."""
+    def _checked_list(self, cols, kind: str, mid, i: int) -> List[int]:
+        """The members of ``kind``(mid), list ``i``, after checking its
+        links against each other, its tail and its count."""
         head, tail, cnt, _, prev, nxt = cols
         n = cnt[i]
-        assert n >= 0, f"match {mid} has no {kind}({mid})"
+        assert n >= 0, f"{kind}({mid}) does not exist"
         out: List[int] = []
         p = _NIL
         j = head[i]
@@ -1667,6 +2160,66 @@ class ArrayLeveledStructure:
         assert len(out) == n, f"{kind}({mid}) links {len(out)} members, counts {n}"
         assert tail[i] == p, f"{kind}({mid}): tail {tail[i]}, last member {p}"
         return out
+
+    def _checked_level_index(self, live: Set[int]) -> Set[int]:
+        """Walk every P(v) and every bucket, and return the P nodes filed.
+
+        Each vertex's bucket list and each bucket's member list must be
+        well linked (prev/next symmetric, tail last, count the walk's
+        length); no bucket is empty, dropped (on the free list) or at a
+        level its vertex already has, and every allocated bucket is on
+        its vertex's list; each member is a node of a live cross edge,
+        owned at its bucket's level, whose vertex is the bucket's; and
+        exactly the filed nodes are linked."""
+        B, nbkt, blevel, bvert, bprev, bnext, vhead, vtail, _, free, _ = self._lidx
+        r = self.rank
+        edge = self._edge
+        verts = self._verts
+        tarr = self._type
+        level = self._level
+        ownslot = self._ownslot
+        dropped = set(free)
+        walked: Set[int] = set()
+        filed: Set[int] = set()
+        for v, d in self.interner._index.items():
+            b = vhead[d]
+            assert (b < 0) == (vtail[d] < 0), f"P({v!r}): head {b}, tail {vtail[d]}"
+            p = _NIL
+            lvls: Set[int] = set()
+            while b >= 0:
+                assert b not in dropped, f"P({v!r}) lists dropped bucket {b}"
+                assert b not in walked, f"bucket {b} listed twice"
+                walked.add(b)
+                lvl = blevel[b]
+                assert bprev[b] == p, f"P({v!r}): prev of bucket {b} is {bprev[b]}, not {p}"
+                assert bvert[b] == d and lvl not in lvls, (
+                    f"P({v!r}): bucket {b} (vertex {bvert[b]}, level {lvl}) misfiled"
+                )
+                lvls.add(lvl)
+                nodes = self._checked_list(B, "P", f"{v!r}, {lvl}", b)
+                assert nodes, f"P({v!r}, {lvl}) is empty"
+                for j in nodes:
+                    i, k = divmod(j, r)
+                    assert i in live, f"P({v!r}, {lvl}) holds freed slot {i}"
+                    eid = edge[i].eid
+                    assert nbkt[j] == b, f"P({v!r}, {lvl}): node {j} names bucket {nbkt[j]}"
+                    assert tarr[i] == _T_CROSS, f"P({v!r}, {lvl}) holds non-cross edge {eid}"
+                    assert level[ownslot[i]] == lvl, (
+                        f"P({v!r}, {lvl}) holds edge {eid} owned at level {level[ownslot[i]]}"
+                    )
+                    assert k < len(verts[i]) and verts[i][k] == v, (
+                        f"P({v!r}, {lvl}) holds non-incident {eid}"
+                    )
+                    filed.add(j)
+                p = b
+                b = bnext[b]
+            assert vtail[d] == p, f"P({v!r}): tail {vtail[d]}, last bucket {p}"
+        assert len(walked) + len(dropped) == len(blevel), (
+            f"{len(blevel) - len(walked) - len(dropped)} buckets on no P(v)"
+        )
+        linked = int((np.frombuffer(B[4], dtype=np.int32) != _OUT).sum())
+        assert linked == len(filed), f"{linked} P nodes linked, {len(filed)} filed"
+        return filed
 
     def check_invariants(self) -> None:
         """Definition 4.1 plus structural consistency, over the arrays."""
@@ -1743,6 +2296,8 @@ class ArrayLeveledStructure:
                 )
                 cross_owner[j] = i
 
+        filed = self._checked_level_index(live)
+
         for eid, i in slot.items():
             assert tarr[i] != _T_UNSETTLED, f"edge {eid} left unsettled"
             owner = owner_of(i)
@@ -1766,26 +2321,10 @@ class ArrayLeveledStructure:
                 assert level[oi] == max_level, (
                     f"cross {eid}: owner level {level[oi]} != max incident {max_level}"
                 )
-                for v in verts[i]:
-                    Pv = self._P.get(v)
-                    bucket = Pv.get(level[oi]) if Pv else None
-                    assert bucket is not None and eid in bucket[0], (
+                for k, v in enumerate(verts[i]):
+                    assert i * self.rank + k in filed, (
                         f"cross {eid} missing from P({v}, {level[oi]})"
                     )
-
-        # P(v, l) soundness: no stale entries, no empty P(v).
-        for v, Pv in self._P.items():
-            assert Pv, f"P({v}) is empty"
-            for lvl, b in Pv.items():
-                for eid in b[0]:
-                    i = slot.get(eid)
-                    assert i is not None, f"P({v},{lvl}) holds deleted edge {eid}"
-                    assert tarr[i] == _T_CROSS, f"P({v},{lvl}) holds non-cross edge {eid}"
-                    oi = ownslot[i]
-                    assert level[oi] == lvl, (
-                        f"P({v},{lvl}) holds edge {eid} owned at level {level[oi]}"
-                    )
-                    assert v in verts[i], f"P({v},{lvl}) holds non-incident {eid}"
 
         # The dense-vertex pool holds each slot's interned vertices.
         for eid, i in slot.items():

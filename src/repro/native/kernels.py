@@ -31,7 +31,10 @@ def group_index(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     order = np.argsort(keys, kind="stable")
     ks = keys[order]
-    starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
+    edge = np.empty(ks.size, dtype=bool)
+    edge[:1] = True
+    np.not_equal(ks[1:], ks[:-1], out=edge[1:])
+    starts = np.flatnonzero(edge)
     rank = np.argsort(order[starts], kind="stable")
     return order, starts, rank
 

@@ -9,7 +9,7 @@ of corruption — a checker that never fires is worthless as evidence.
 import numpy as np
 import pytest
 
-from repro.core.arraystore import _T_CROSS, _l_delete
+from repro.core.arraystore import _NIL, _OUT, _T_CROSS, _l_concat, _l_delete
 from repro.core.dynamic_matching import DynamicMatching
 from repro.core.level_structure import EdgeType
 from repro.hypergraph.edge import Edge
@@ -181,6 +181,43 @@ class TestFailureInjection:
         dm = _built()
         s = dm.structure
         s._ccnt[s._ownslot[s._slot[self._cross_eid(dm)]]] += 1
+        with pytest.raises(AssertionError):
+            dm.check_invariants()
+
+    @classmethod
+    def _filed(cls, dm):
+        """The level index, a cross edge's first P node and its bucket."""
+        s = dm.structure
+        node = s._slot[cls._cross_eid(dm)] * s.rank
+        return s._lidx, node, s._lidx[1][node]
+
+    def test_detects_broken_level_index_link(self):
+        """A P node whose next link points back at itself: the bucket
+        walk must stop and fire, not loop."""
+        dm = _built()
+        P, node, _ = self._filed(dm)
+        P[0][5][node] = node
+        with pytest.raises(AssertionError):
+            dm.check_invariants()
+
+    def test_detects_bucket_count_off_by_one(self):
+        dm = _built()
+        P, _, b = self._filed(dm)
+        P[0][2][b] += 1
+        with pytest.raises(AssertionError):
+            dm.check_invariants()
+
+    def test_detects_dropped_bucket_left_on_its_vertex(self):
+        """A bucket emptied and freed, as a drop does, but left on its
+        vertex's bucket list."""
+        dm = _built()
+        P, _, b = self._filed(dm)
+        B = P[0]
+        for node in _l_concat(B, (b,)):
+            B[4][node] = _OUT
+        B[0][b] = B[1][b] = _NIL
+        B[2][b] = 0
+        P[9].append(b)
         with pytest.raises(AssertionError):
             dm.check_invariants()
 

@@ -4,15 +4,20 @@
 through module-level helpers that return their charges instead of
 making them: ``_grow`` and ``_shrink`` (the capacity rule), ``_l_insert``
 and ``_l_delete`` (one edge into or out of an S(m)/C(m) linked list in
-int columns), and ``_p_link`` and ``_p_unlink`` (one cross edge into or
-out of the P(v, l) buckets of its vertices).  The dict oracle keeps one
+int columns), ``_p_link`` and ``_p_unlink`` (one cross edge into or out
+of the P(v, l) buckets of its vertices, held as int columns too), and
+their grouped forms, which apply a whole pass of inserts or deletes at
+once: ``_l_insert_grouped``/``_l_delete_grouped`` and
+``_p_link_grouped``/``_p_unlink_grouped``.  The dict oracle keeps one
 ``BatchSet`` per set, which charges a ``Ledger`` as it goes.  These
 tests pin the helpers to ``BatchSet`` op by op: capacity, member order,
-and the ``dict_batch`` work, ``dict_rehash`` work and depth of every op.
+and the ``dict_batch`` work, ``dict_rehash`` work and depth of every op
+(for a grouped pass, against a sequential replay of the same ops).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,10 +30,18 @@ from repro.core.arraystore import (
     _grow,
     _l_concat,
     _l_delete,
+    _l_delete_grouped,
     _l_insert,
+    _l_insert_grouped,
+    _p_grow_nodes,
+    _p_grow_vertices,
     _p_link,
+    _p_link_grouped,
+    _p_new,
     _p_unlink,
+    _p_unlink_grouped,
     _shrink,
+    _views,
 )
 from repro.parallel.dictionary import (
     BatchSet,
@@ -38,8 +51,9 @@ from repro.parallel.dictionary import (
 )
 from repro.parallel.ledger import Ledger
 
-VERTICES = ("a", "b")
-LEVELS = (0, 1)
+VERTICES = ("a", "b", "c")
+DENSE = {v: d for d, v in enumerate(VERTICES)}
+LEVELS = (0, 1, 2)
 
 
 def _charged(led: Ledger):
@@ -69,82 +83,225 @@ def test_resize_matches_batchset(cap):
         assert got == (bs.capacity, rehash, depth), (n, cap)
 
 
-def _ref_link(ref, led, vertices, lvl, eid):
-    """The dict oracle's P(v, l) insert: a BatchSet per bucket."""
-    for v in vertices:
-        bucket = ref[v].get(lvl)
-        if bucket is None:
-            bucket = ref[v][lvl] = BatchSet(led)
-        bucket.insert_one(eid)
+# --------------------------------------------------------------------- #
+# P(v, l): buckets as int columns, one node per (edge, vertex)
+# --------------------------------------------------------------------- #
+RANK = 2
 
 
-def _ref_unlink(ref, vertices, lvl, eid):
-    """The dict oracle's P(v, l) discard; an empty bucket goes."""
-    for v in vertices:
-        bucket = ref[v].get(lvl)
+class _RefIndex:
+    """The dict oracle's P(v, l): a BatchSet per bucket, dropped when it
+    empties, and the vertices in P(v) creation order."""
+
+    def __init__(self, led: Ledger) -> None:
+        self.led = led
+        self.P = {v: {} for v in VERTICES}
+        self.order = []
+
+    def link(self, v, lvl, key):
+        """One bucket insert; returns its (dict_batch, rehash, depth)."""
+        before = _charged(self.led)
+        bucket = self.P[v].get(lvl)
         if bucket is None:
-            continue
-        bucket.delete_one(eid)
+            if not self.P[v]:
+                self.order.append(v)
+            bucket = self.P[v][lvl] = BatchSet(self.led)
+        bucket.insert_one(key)
+        return tuple(b - a for a, b in zip(before, _charged(self.led)))
+
+    def unlink(self, v, lvl, key):
+        before = _charged(self.led)
+        bucket = self.P[v][lvl]
+        bucket.delete_one(key)
         if not bucket:
-            del ref[v][lvl]
+            del self.P[v][lvl]
+            if not self.P[v]:
+                self.order.remove(v)
+        return tuple(b - a for a, b in zip(before, _charged(self.led)))
+
+
+def _index(keys: int):
+    """An empty level index over VERTICES, with nodes for ``keys`` edges."""
+    P = _p_new()
+    _p_grow_nodes(P, RANK * keys)
+    _p_grow_vertices(P, len(VERTICES))
+    return P
+
+
+def _assert_same_index(P, ref: _RefIndex, edges, where):
+    """Bucket lists, member order, counts and capacities, and the P(v)
+    creation order, equal to the oracle's."""
+    B, nbkt, blevel, _, bprev, bnext, vhead, vtail, vstamp = P[:9]
+    for v in VERTICES:
+        d = DENSE[v]
+        levels = []
+        b = vhead[d]
+        p = _NIL
+        while b >= 0:
+            assert bprev[b] == p, where
+            levels.append(blevel[b])
+            members = [j // RANK for j in _l_concat(B, (b,))]
+            bucket = ref.P[v][blevel[b]]
+            assert members == list(bucket), (where, v, blevel[b])
+            assert B[2][b] == len(bucket) and B[3][b] == bucket.capacity, (where, v)
+            for j in _l_concat(B, (b,)):
+                assert nbkt[j] == b and edges[j // RANK][0][j % RANK] == v, where
+            p = b
+            b = bnext[b]
+        assert vtail[d] == p, where
+        assert levels == list(ref.P[v]), (where, v)
+    live = [v for v in VERTICES if vhead[DENSE[v]] >= 0]
+    assert sorted(live, key=lambda v: vstamp[DENSE[v]]) == ref.order, where
 
 
 @st.composite
-def _scripts(draw):
-    """Rounds of (link/unlink, vertices, level, key) ops.  Each round
-    fills one level's buckets past 48 keys (four doublings, to capacity
-    128), inserting some keys twice, then deletes keys 0..99 in random
-    order, some of them absent.  The last round drains its buckets (four
-    halvings, and the buckets go); an earlier one may stop part way, so
-    a later round can meet its leftovers or use the other level of the
-    same vertex."""
+def _bucket_scripts(draw):
+    """Rounds of (link/unlink, key) ops over fresh keys: each key is an
+    edge on one or two of the vertices, linked at one level.  Each round
+    fills one (vertices, level) choice past 48 keys (four doublings),
+    then unlinks some of them in random order and re-links a few, which
+    go to the back; the last round drains everything (four halvings,
+    every bucket and P(v) dropped).  An earlier round may stop part way,
+    so a later one meets its leftovers or another level of the same
+    vertex."""
     ops = []
+    edges = []
+    live = []
     rounds = draw(st.integers(2, 4))
     for r in range(rounds):
-        vs = draw(st.sampled_from([("a",), ("b",), ("a", "b")]))
+        vs = draw(st.sampled_from([("a",), ("b",), ("a", "b"), ("b", "c")]))
         lvl = draw(st.sampled_from(LEVELS))
         top = draw(st.integers(50, 90))
-        keys = draw(st.permutations(range(top)))
-        again = draw(st.lists(st.integers(0, top - 1), min_size=1, max_size=8))
-        ops += [("link", vs, lvl, k) for k in keys + again]
-        gone = draw(st.permutations(range(100)))
+        keys = list(range(len(edges), len(edges) + top))
+        edges += [(vs, lvl)] * top
+        ops += [("link", k) for k in draw(st.permutations(keys))]
+        live += keys
         if r < rounds - 1:
-            gone = gone[: draw(st.integers(0, 100))]
-        ops += [("unlink", vs, lvl, k) for k in gone]
-    return ops
+            gone = draw(st.lists(st.sampled_from(live), unique=True))
+        else:
+            gone = draw(st.permutations(live))
+        ops += [("unlink", k) for k in gone]
+        live = [k for k in live if k not in set(gone)]
+        if r < rounds - 1 and gone:
+            back = draw(st.lists(st.sampled_from(gone), unique=True, max_size=8))
+            ops += [("link", k) for k in back]
+            live += back
+    return edges, ops
 
 
 @settings(max_examples=40, deadline=None)
-@given(ops=_scripts())
-def test_bucket_edits_match_batchset(ops):
-    P: dict = {}
-    ref = {v: {} for v in VERTICES}
+@given(script=_bucket_scripts())
+def test_bucket_edits_match_batchset(script):
+    """``_p_link``/``_p_unlink`` on the P columns, op by op, against a
+    BatchSet per bucket: charges, member order, capacities, a bucket
+    dropped exactly when its set empties and P(v) with its last bucket,
+    and P(v)s in creation order."""
+    edges, ops = script
+    P = _index(len(edges))
     led = Ledger()
-    for kind, vs, lvl, key in ops:
-        batch0, rehash0, depth0 = _charged(led)
+    ref = _RefIndex(led)
+    for kind, key in ops:
+        vs, lvl = edges[key]
         if kind == "link":
-            _ref_link(ref, led, vs, lvl, key)
-            w_rehash, depth = _p_link(P, vs, lvl, key)
-            w_batch = float(len(vs))
+            want = [ref.link(v, lvl, key) for v in vs]
+            w_rehash, depth = _p_link(P, [DENSE[v] for v in vs], RANK * key, lvl)
+            got = (float(len(vs)), w_rehash, depth)
         else:
-            _ref_unlink(ref, vs, lvl, key)
-            w_batch, w_rehash, depth = _p_unlink(P, vs, lvl, key)
-        batch1, rehash1, depth1 = _charged(led)
-        assert (w_batch, w_rehash, depth) == (
-            batch1 - batch0,
-            rehash1 - rehash0,
-            depth1 - depth0,
-        ), (kind, vs, lvl, key)
-        for v in VERTICES:
-            # A bucket goes exactly when its set empties, and P(v) with
-            # its last bucket; the rest keep the oracle's level order.
-            assert (v in P) == bool(ref[v])
-            Pv = P.get(v, {})
-            assert list(Pv) == list(ref[v])
-            for l, bucket in ref[v].items():
-                members, cap = Pv[l]
-                assert cap == bucket.capacity
-                assert list(members) == list(bucket)
+            want = [ref.unlink(v, lvl, key) for v in vs]
+            got = _p_unlink(P, RANK * key, len(vs))
+        assert got == tuple(map(sum, zip(*want))), (kind, key)
+        _assert_same_index(P, ref, edges, (kind, key))
+    assert ref.order == [] and len(P[9]) == len(P[2])
+
+
+@st.composite
+def _grouped_bucket_scripts(draw):
+    """Batches of fresh-key links and of live-key unlinks.  The first
+    batch puts 49-90 keys into one bucket (several members, four
+    doublings in one batch) among a few keys elsewhere; later batches
+    hit existing buckets again and make others, unlink most of the big
+    bucket at once (several halvings), drain vertices (bucket and P(v)
+    drops) and link onto drained vertices again (P(v) re-made)."""
+    rnd = draw(st.randoms(use_true_random=False))
+    choices = [("a",), ("b",), ("c",), ("a", "b"), ("b", "c"), ("a", "c")]
+    edges = []
+    live = []
+    batches = []
+
+    def fresh(n, focus=None):
+        keys = []
+        for _ in range(n):
+            e = focus or (rnd.choice(choices), rnd.choice(LEVELS))
+            keys.append(len(edges))
+            edges.append(e)
+        return keys
+
+    big = (rnd.choice(choices), rnd.choice(LEVELS))
+    first = fresh(draw(st.integers(49, 90)), big) + fresh(draw(st.integers(1, 12)))
+    rnd.shuffle(first)
+    batches.append(("link", first))
+    live += first
+    for _ in range(draw(st.integers(3, 7))):
+        kind = draw(st.sampled_from(["link", "unlink", "drain"]))
+        if kind == "link":
+            keys = fresh(draw(st.integers(1, 20))) + fresh(draw(st.integers(0, 10)), big)
+            rnd.shuffle(keys)
+            live += keys
+        else:
+            if kind == "drain":
+                v = rnd.choice(VERTICES)
+                keys = [k for k in live if v in edges[k][0]]
+            else:
+                keys = [k for k in live if edges[k] == big]
+                keys = keys[: len(keys) - rnd.randint(0, 4)]
+                keys += rnd.sample(live, min(len(live), rnd.randint(0, 6)))
+                keys = list(dict.fromkeys(keys))
+            rnd.shuffle(keys)
+            live = [k for k in live if k not in set(keys)]
+            kind = "unlink"
+        if keys:
+            batches.append((kind, keys))
+    if live:
+        batches.append(("unlink", rnd.sample(live, len(live))))
+    return edges, batches
+
+
+@settings(max_examples=40, deadline=None)
+@given(script=_grouped_bucket_scripts())
+def test_grouped_bucket_passes_match_sequential_batchset(script):
+    """``_p_link_grouped``/``_p_unlink_grouped`` over whole batches
+    against a sequential replay of BatchSet inserts and deletes: per op
+    (one per node) the dict_batch work, rehash work and depth, per batch
+    the region's max of the per-edge summed depths, and after every
+    batch the buckets, their members and capacities, and P(v)s in
+    creation order."""
+    edges, batches = script
+    P = _index(len(edges))
+    led = Ledger()
+    ref = _RefIndex(led)
+    for kind, keys in batches:
+        nodes = [RANK * k + i for k in keys for i in range(len(edges[k][0]))]
+        verts = [v for k in keys for v in edges[k][0]]
+        lvls = [edges[k][1] for k in keys for _ in edges[k][0]]
+        step = ref.link if kind == "link" else ref.unlink
+        want = [step(v, lvl, n // RANK) for n, v, lvl in zip(nodes, verts, lvls)]
+        nd = np.array(nodes, dtype=np.int64)
+        if kind == "link":
+            w, d = _p_link_grouped(
+                P, nd, np.array([DENSE[v] for v in verts], dtype=np.int32),
+                np.array(lvls, dtype=np.int64),
+            )
+            w_batch = float(len(nodes))
+        else:
+            w_batch, w, d = _p_unlink_grouped(P, nd)
+        got = list(zip([1.0] * len(nodes), w.tolist(), d.tolist()))
+        assert got == want, kind
+        assert w_batch == len(nodes)
+        bounds = np.cumsum([0] + [len(edges[k][0]) for k in keys])
+        region = max(sum(x[2] for x in want[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
+        assert int(np.add.reduceat(d, bounds[:-1]).max()) == region
+        _assert_same_index(P, ref, edges, kind)
+    assert ref.order == [] and len(P[9]) == len(P[2])
 
 
 # --------------------------------------------------------------------- #
@@ -233,3 +390,79 @@ def test_list_edits_match_batchset(ops):
             assert cols[2][g] == len(members)
             assert cols[3][g] == ref[g].capacity
         assert (cols[4][j] != _OUT) == (j in ref[h])
+
+
+@st.composite
+def _grouped_list_scripts(draw):
+    """Batches of inserts (edge slots in no list) and of deletes (slots
+    in a list) over the lists in HEADS.  The first batch puts 49-90
+    slots into one list among a few elsewhere (several doublings in one
+    batch); later batches insert into lists hit before, delete most of
+    the big list at once (several halvings) and re-insert deleted
+    slots, which go to the back."""
+    rnd = draw(st.randoms(use_true_random=False))
+    big = rnd.choice(HEADS)
+    free = {h: list(range(POOL * h, POOL * (h + 1))) for h in HEADS}
+    held = {h: [] for h in HEADS}
+    batches = []
+
+    def take(h, n):
+        out = [(h, free[h].pop(rnd.randrange(len(free[h])))) for _ in range(min(n, len(free[h])))]
+        held[h] += [j for _, j in out]
+        return out
+
+    first = take(big, draw(st.integers(49, 90)))
+    for h in HEADS:
+        first += take(h, rnd.randint(0, 5))
+    rnd.shuffle(first)
+    batches.append(("insert", first))
+    for _ in range(draw(st.integers(3, 7))):
+        if draw(st.booleans()):
+            ops = take(big, rnd.randint(0, 8))
+            for h in HEADS:
+                ops += take(h, rnd.randint(0, 4))
+            kind = "insert"
+        else:
+            ops = []
+            for h in HEADS:
+                k = len(held[h]) - rnd.randint(0, 4) if h == big else rnd.randint(0, len(held[h]))
+                for j in rnd.sample(held[h], max(k, 0)):
+                    held[h].remove(j)
+                    free[h].append(j)
+                    ops.append((h, j))
+            kind = "delete"
+        rnd.shuffle(ops)
+        if ops:
+            batches.append((kind, ops))
+    return batches
+
+
+@settings(max_examples=40, deadline=None)
+@given(batches=_grouped_list_scripts())
+def test_grouped_list_passes_match_sequential_batchset(batches):
+    """``_l_insert_grouped``/``_l_delete_grouped`` over whole batches
+    against a sequential replay of ``BatchSet.insert_one``/``delete_one``:
+    per op the rehash work and depth (dict_batch work is one per op),
+    the batch's max depth, and after every batch each list's members
+    both ways, count and capacity."""
+    cols = _list_columns()
+    led = Ledger()
+    ref = {h: BatchSet(led) for h in HEADS}
+    for kind, ops in batches:
+        want = []
+        for h, j in ops:
+            before = _charged(led)
+            (ref[h].insert_one if kind == "insert" else ref[h].delete_one)(j)
+            want.append(tuple(b - a for a, b in zip(before, _charged(led))))
+        h = np.array([h for h, _ in ops], dtype=np.int64)
+        js = np.array([j for _, j in ops], dtype=np.int64)
+        grouped = _l_insert_grouped if kind == "insert" else _l_delete_grouped
+        w, d = grouped(_views(cols), h, js)
+        assert list(zip([1.0] * len(ops), w.tolist(), d.tolist())) == want, kind
+        assert int(d.max()) == max(x[2] for x in want)
+        for g in HEADS:
+            members = list(ref[g])
+            assert _l_concat(cols, (g,)) == members, (kind, g)
+            assert _backward(cols, g) == members, (kind, g)
+            assert cols[2][g] == len(members)
+            assert cols[3][g] == ref[g].capacity
