@@ -37,10 +37,10 @@ per-edge state in flat, slot-indexed parallel arrays instead of one
   free list) is a linked list of nodes with a head, tail, count and
   simulated capacity, and sits on its vertex's bucket list; a vertex
   holds the head and tail of that list and the stamp of P(v)'s creation.
-  The scalar route edits it per edge (:func:`_p_link`, :func:`_p_unlink`,
-  which reads a node's bucket with no lookup), the columnar route by
-  grouped passes (:func:`_p_link_grouped`, :func:`_p_unlink_grouped`);
-  a bucket goes when it empties, and P(v) with its last one.
+  It is edited per edge by :func:`_p_link` and :func:`_p_unlink` (which
+  reads a node's bucket with no lookup) and, in large cross-edge
+  inserts, by the grouped pass :func:`_p_link_grouped`; a bucket goes
+  when it empties, and P(v) with its last one.
 
 **Cost parity is a hard requirement**: every operation charges the shared
 ledger *exactly* what the record-dict backend charges — same work, same
@@ -256,8 +256,10 @@ def _l_concat(cols, hs) -> List[int]:
 #
 # * ``B = (head, tail, count, cap, prev, next)`` is a list group shaped
 #   like ``_S``/``_C``: the first four indexed by bucket, the links by
-#   node (prev ``_OUT``: the node is in no bucket), so the list helpers
-#   (:func:`_l_concat`, the grouped passes, the checker's walk) serve it;
+#   node (prev ``_OUT``: the node is in no bucket), so the list code
+#   (:func:`_l_concat`, the grouped insert, the checker's walk) serves
+#   it, and :func:`_p_link`/:func:`_p_unlink` write the append and
+#   unlink of :func:`_l_insert`/:func:`_l_delete` inline;
 # * ``nbkt`` is each linked node's bucket;
 # * ``blevel``, ``bvert``, ``bprev``, ``bnext``: each bucket's level,
 #   dense vertex and links in that vertex's bucket list;
@@ -307,13 +309,18 @@ def _p_reserve(P, k: int) -> None:
         free[:0] = range(m0 + r - 1, m0 - 1, -1)
 
 
-def _p_link(P, ds: Sequence[int], node: int, lvl: int) -> Tuple[float, int]:
-    """Insert a cross edge into P(v, lvl) for each of its vertices: ``ds``
-    are their dense ids in vertex order, ``node`` the edge's first P node,
-    and its nodes are in no bucket.  ``BatchSet.insert_one`` per bucket,
-    the list append of :func:`_l_insert` written inline; a missing bucket
-    is made holding just the node (an insert into an empty set: depth 1),
-    appended to P(v), which is stamped when this is its first bucket.
+def _p_link(P, vid, vs: Sequence[Vertex], node: int, lvl: int) -> Tuple[float, int]:
+    """Insert a cross edge into P(v, lvl) for each of its vertices ``vs``
+    (in vertex order; ``vid`` maps a vertex to its dense id), ``node``
+    being the edge's first P node.  ``BatchSet.insert_one`` per bucket: a
+    node already in its bucket is re-stored (charged, not moved); a
+    missing bucket is made holding just the node (an insert into an
+    empty set: depth 1) and appended to P(v), which is stamped when this
+    is its first bucket; a node filed in another bucket raises
+    ``ValueError``.  The append of :func:`_l_insert` is written inline:
+    this runs once per endpoint on the scalar route, where calling the
+    helper cost about 0.2 us per endpoint (docs/hotpath.md, "One
+    set-edit model").
 
     Returns ``(dict_rehash work, summed depth)``; the dict_batch work is
     one per vertex.
@@ -322,29 +329,25 @@ def _p_link(P, ds: Sequence[int], node: int, lvl: int) -> Tuple[float, int]:
     head, tail, cnt, cap, prev, nxt = B
     w_rehash = 0.0
     depth = 0
-    for d in ds:
+    for v in vs:
+        d = vid[v]
         b = vhead[d]
         while b >= 0 and blevel[b] != lvl:
             b = bnext[b]
-        prev[node] = t = _NIL if b < 0 else tail[b]
-        nxt[node] = _NIL
-        if b >= 0:
-            nxt[t] = tail[b] = node
+        if prev[node] != _OUT:
+            if nbkt[node] != b:
+                raise ValueError(f"P node {node} is filed in bucket {nbkt[node]}, not at level {lvl}")
             n = cnt[b]
             depth += n.bit_length() if n >= 2 else 1  # log2ceil(n + 1)
-            n += 1
-            cnt[b] = n
-            if n > cap[b] * _GROW_AT:
-                cap[b], wr, dg = _grow(n, cap[b])
-                w_rehash += wr
-                depth += dg
-        else:
+        elif b < 0:
             if not free:
                 _p_reserve(P, 1)
             b = free.pop()
             head[b] = tail[b] = node
             cnt[b] = 1
             cap[b] = _MIN_CAPACITY
+            prev[node] = nxt[node] = _NIL
+            nbkt[node] = b
             blevel[b] = lvl
             bvert[b] = d
             bprev[b] = t = vtail[d]
@@ -356,17 +359,32 @@ def _p_link(P, ds: Sequence[int], node: int, lvl: int) -> Tuple[float, int]:
                 bnext[t] = b
             vtail[d] = b
             depth += 1
-        nbkt[node] = b
+        else:
+            n = cnt[b]
+            depth += n.bit_length() if n >= 2 else 1  # log2ceil(n + 1)
+            prev[node] = t = tail[b]
+            nxt[node] = _NIL
+            nxt[t] = tail[b] = node
+            n += 1
+            cnt[b] = n
+            nbkt[node] = b
+            if n > cap[b] * _GROW_AT:
+                cap[b], wr, dg = _grow(n, cap[b])
+                w_rehash += wr
+                depth += dg
         node += 1
     return w_rehash, depth
 
 
 def _p_unlink(P, node: int, card: int) -> Tuple[float, float, int]:
     """Delete a cross edge from its P(v, l) buckets: its ``card`` nodes
-    from ``node`` on.  ``BatchSet.delete_one`` per linked node (a node in
-    no bucket costs nothing), read through the node's bucket, the unlink
-    of :func:`_l_delete` written inline; a bucket goes when it empties,
-    and P(v) with its last one.
+    from ``node`` on.  ``BatchSet.delete_one`` per linked node, on the
+    bucket the node names; a node in no bucket costs nothing (the dict
+    oracle would charge a no-op delete if its vertex had another edge at
+    that level, a state no edit reaches: a cross edge stays filed under
+    each of its vertices until it is detached).  A bucket goes when it
+    empties, and P(v) with its last one.  The unlink of :func:`_l_delete`
+    is written inline, as :func:`_p_link` writes its append.
 
     Returns ``(dict_batch work, dict_rehash work, summed depth)``.
     """
@@ -416,17 +434,26 @@ def _p_unlink(P, node: int, card: int) -> Tuple[float, float, int]:
 
 
 # ---------------------------------------------------------------------- #
-# The grouped set-edit model: the same rule over a whole pass of ops
+# The grouped set-edit model: the same rule over a whole pass of inserts
 # ---------------------------------------------------------------------- #
 #
-# A grouped pass applies a sequence of inserts (or of deletes) at once.
-# Ops are grouped by list (``native.group_index``, stable, so each
-# group keeps input order); an op's pre-size is its list's count plus
-# (minus) its rank in the group, and the capacity after it is the
-# capacity ``_grow``/``_shrink`` reach from the list's starting capacity
-# at that size (sizes move one way in a pass, so the steps of one op are
-# the difference from its predecessor's).  Charges come back per op, in
-# input order, for the callers to sum per branch.
+# A grouped pass applies a sequence of inserts at once.  Ops are grouped
+# by list (``native.group_index``, stable, so each group keeps input
+# order); an op's pre-size is its list's count plus its rank in the
+# group, and the capacity after it is the capacity ``_grow`` reaches
+# from the list's starting capacity at that size (sizes only rise in a
+# pass, so the doublings of one op are the difference from its
+# predecessor's).  Charges come back per op, in input order, for the
+# callers to sum per branch.  Deletes have no grouped form: at the call
+# sizes the workloads produce, the per-op loop was never slower.
+
+#: Calls of ``add_cross_edge_batch`` with at least this many edges make
+#: their C(m) inserts and P links as grouped passes, smaller ones per
+#: edge.  This is the measured crossover (docs/hotpath.md, "Batched
+#: structure edits"): on serve-r3's rank-3 settles the passes cost 1.05x
+#: the per-edge loop at 112-127 edges, 1.00x at 128-159 and 0.92x at
+#: 160-191.
+_GROUPED_MIN = 128
 
 
 def _bitlen(n: np.ndarray) -> np.ndarray:
@@ -454,19 +481,6 @@ def _grow_all(n: np.ndarray, cap: np.ndarray) -> Tuple[np.ndarray, ...]:
         k[m] += 1
         m = n > cap * _GROW_AT
     return cap, w, k
-
-
-def _shrink_all(n: np.ndarray, cap: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_shrink` per element: from capacity ``cap``, the capacity
-    for ``n`` keys and the halvings (each charged by the caller)."""
-    cap = cap.astype(np.int64)
-    k = np.zeros(n.size, dtype=np.int64)
-    m = (cap > _MIN_CAPACITY) & (n < cap * _SHRINK_AT)
-    while m.any():
-        cap[m] //= 2
-        k[m] += 1
-        m = (cap > _MIN_CAPACITY) & (n < cap * _SHRINK_AT)
-    return cap, k
 
 
 def _groups(h: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -507,34 +521,6 @@ def _append_all(head, tail, prev, nxt, g, jo, starts, sizes) -> None:
     tail[g] = jo[last]
 
 
-def _unlink_all(head, tail, prev, nxt, h, js) -> None:
-    """Unlink the distinct nodes ``js`` from their lists ``h`` at once,
-    the rest keeping their order; each unlinked node's prev becomes
-    ``_OUT``.  While unlinking, a node's prev holds ``-3 - position``
-    (``prev`` of a listed node is never below ``_OUT``), so a node's
-    nearest kept neighbours come from pointer jumping over the unlinked
-    ones, O(log run) passes; every node of a run writes the same links."""
-    p = prev[js].astype(np.int64)
-    q = nxt[js].astype(np.int64)
-    prev[js] = -3 - np.arange(js.size)
-    for v in (p, q):
-        up = np.full(v.size, -1, dtype=np.int64)
-        m = v >= 0
-        up[m] = -3 - prev[v[m]]
-        m = up >= 0
-        while m.any():
-            v[m] = v[up[m]]
-            up[m] = up[up[m]]
-            m = up >= 0
-    hp = p >= 0
-    nxt[p[hp]] = q[hp]
-    head[h[~hp]] = q[~hp]
-    hq = q >= 0
-    prev[q[hq]] = p[hq]
-    tail[h[~hq]] = p[~hq]
-    prev[js] = _OUT
-
-
 def _l_insert_grouped(cols, h, js, grouping=None) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`_l_insert` over ops ``(h[i], js[i])`` in order, as one pass:
     ``cols`` are numpy views of a list group, and every ``js[i]`` is
@@ -559,59 +545,43 @@ def _l_insert_grouped(cols, h, js, grouping=None) -> Tuple[np.ndarray, np.ndarra
     return out_w, out_d
 
 
-def _l_delete_grouped(cols, h, js, grouping=None) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_l_delete` over ops ``(h[i], js[i])`` in order, as one pass:
-    every ``js[i]`` is distinct and a member of list ``h[i]``.
-    ``grouping`` as for :func:`_l_insert_grouped`.
-
-    Returns per-op ``(dict_rehash work, depth)``, in input order."""
-    head, tail, cnt, cap, prev, nxt = cols
-    order, starts, sizes, pos, _ = _groups(h) if grouping is None else grouping
-    g = h[order[starts]]
-    n0 = cnt[g].astype(np.int64)
-    n = np.repeat(n0, sizes) - pos
-    c, steps = _shrink_all(n - 1, np.repeat(cap[g], sizes))
-    ds = _step(steps, starts)
-    _unlink_all(head, tail, prev, nxt, h, js)
-    cnt[g] = n0 - sizes
-    cap[g] = c[starts + sizes - 1]
-    out_w = np.empty(js.size)
-    out_w[order] = ds * np.maximum(n - 1, 1)
-    out_d = np.empty(js.size, dtype=np.int64)
-    post = np.maximum(n - 1, 2)
-    out_d[order] = _probe_depth(n) + ds * np.where(post > 2, _bitlen(post - 1), 1)
-    return out_w, out_d
+def _p_find(P, ds: np.ndarray, lvls: np.ndarray) -> np.ndarray:
+    """The bucket of P(v, l) per (dense vertex, level) pair, found by
+    walking P(v); -1 where there is none.  Holds no view past return."""
+    blevel, bnext, vhead = (np.frombuffer(P[k], dtype=np.int32) for k in (2, 5, 6))
+    b = vhead[ds].astype(np.int64)
+    m = b >= 0
+    m[m] = blevel[b[m]] != lvls[m]
+    while m.any():
+        b[m] = bnext[b[m]]
+        m = b >= 0
+        m[m] = blevel[b[m]] != lvls[m]
+    return b
 
 
 def _p_link_grouped(P, nodes, ds, lvls) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`_p_link` over ops ``(nodes[i], ds[i], lvls[i])`` (a node,
     its dense vertex, the level) in order, as one pass; every node is in
     no bucket.  Ops are grouped by (vertex, level); each group's bucket
-    is found by walking P(v), or made, the new ones appended to their
-    P(v) in the ops' first-occurrence order and the P(v)s new in this
-    pass stamped in it.
+    is found by walking P(v) (:func:`_p_find`), or made, the new ones
+    appended to their P(v) in the ops' first-occurrence order and the
+    P(v)s new in this pass stamped in it.
 
     Returns per-op ``(dict_rehash work, depth)``, in input order."""
-    _p_reserve(P, nodes.size)
-    B = _views(P[0])
-    nbkt, blevel, bvert, bprev, bnext, vhead, vtail, vstamp = _views(P[1:9])
-    free, clock = P[9], P[10]
     lv = lvls.astype(np.int64)
     grouping = _groups(ds.astype(np.int64) * (int(lv.max()) + 1) + lv)
     order, starts, sizes, _, rank = grouping
     first = order[starts]
     gd = ds[first].astype(np.int64)
     gl = lv[first]
-    b = vhead[gd].astype(np.int64)
-    m = b >= 0
-    m[m] = blevel[b[m]] != gl[m]
-    while m.any():
-        b[m] = bnext[b[m]]
-        m = b >= 0
-        m[m] = blevel[b[m]] != gl[m]
+    b = _p_find(P, gd, gl)
     isnew = b < 0
-    if isnew.any():
-        new = rank[isnew[rank]]
+    new = rank[isnew[rank]]
+    _p_reserve(P, new.size)
+    B = _views(P[0])
+    nbkt, blevel, bvert, bprev, bnext, vhead, vtail, vstamp = _views(P[1:9])
+    free, clock = P[9], P[10]
+    if new.size:
         cut = len(free) - new.size
         ids = np.array(free[cut:][::-1], dtype=np.int64)
         del free[cut:]
@@ -622,20 +592,12 @@ def _p_link_grouped(P, nodes, ds, lvls) -> Tuple[np.ndarray, np.ndarray]:
         B[1][ids] = _NIL
         B[2][ids] = 0
         B[3][ids] = _MIN_CAPACITY
-        # Groups are in (vertex, level) order, so a vertex with two new
-        # buckets shows as two adjacent new groups.
-        gn = gd[isnew]
-        one_each = bool((gn[1:] != gn[:-1]).all())
         fresh = nd[vhead[nd] < 0]
-        if not one_each:
-            fresh = fresh[native.dedup_first_index(fresh)]
+        fresh = fresh[native.dedup_first_index(fresh)]
         c0 = int(clock[0])
         vstamp[fresh] = np.arange(c0 + 1, c0 + 1 + fresh.size)
         clock[0] = c0 + fresh.size
-        if one_each:
-            vo = vs = np.arange(nd.size)
-        else:
-            vo, vs, _ = native.group_index(nd)
+        vo, vs, _ = native.group_index(nd)
         _append_all(vhead, vtail, bprev, bnext, nd[vo[vs]], ids[vo],
                     vs, np.diff(np.append(vs, nd.size)))
     hb = np.empty(nodes.size, dtype=np.int64)
@@ -643,49 +605,6 @@ def _p_link_grouped(P, nodes, ds, lvls) -> Tuple[np.ndarray, np.ndarray]:
     w, d = _l_insert_grouped(B, hb, nodes, grouping)
     nbkt[nodes] = hb
     return w, d
-
-
-def _p_unlink_grouped(P, nodes) -> Tuple[float, np.ndarray, np.ndarray]:
-    """:func:`_p_unlink` over ``nodes`` in order, as one pass (a node in
-    no bucket costs nothing).  A node alone in its bucket empties it
-    directly; the rest take :func:`_l_delete_grouped`.  Emptied buckets
-    are dropped in bulk, and P(v) with its last one.
-
-    Returns ``(dict_batch work, per-node dict_rehash work, per-node
-    depth)``, in input order."""
-    B = _views(P[0])
-    _, _, cnt, cap, prev, _ = B
-    nbkt, _, bvert, bprev, bnext, vhead, vtail, _ = _views(P[1:9])
-    on = prev[nodes] != _OUT
-    hb = nbkt[nodes].astype(np.int64)
-    alone = on & (cnt[hb] == 1)
-    shared = on & ~alone
-    w = np.zeros(nodes.size)
-    d = np.zeros(nodes.size, dtype=np.int64)
-    gone = hb[alone]
-    if gone.size:
-        # delete_one on a one-key set: depth 1, then the shrink steps
-        # down from the bucket's capacity at size 0.
-        prev[nodes[alone]] = _OUT
-        cnt[gone] = 0
-        _, k = _shrink_all(np.zeros(gone.size, dtype=np.int64), cap[gone])
-        w[alone] = k
-        d[alone] = 1 + k
-    if shared.any():
-        h = hb[shared]
-        grouping = _groups(h)
-        w[shared], d[shared] = _l_delete_grouped(B, h, nodes[shared], grouping)
-        g = h[grouping[0][grouping[1]]]
-        gone = np.concatenate([gone, g[cnt[g] == 0]])
-    if gone.size:
-        vd = bvert[gone].astype(np.int64)
-        last = (vhead[vd] == gone) & (vtail[vd] == gone)
-        vhead[vd[last]] = _NIL
-        vtail[vd[last]] = _NIL
-        if not last.all():
-            _unlink_all(vhead, vtail, bprev, bnext, vd[~last], gone[~last])
-        P[9].extend(gone.tolist())
-    return float(on.sum()), w, d
 
 
 def _emit(led: Ledger, depth: int, *charges: Tuple[str, float]) -> None:
@@ -1355,11 +1274,22 @@ class ArrayLeveledStructure:
     def add_cross_edge(self, edge: Edge) -> None:
         """addCrossEdge(e): attach e to the max-level incident match.
 
-        Charges are accumulated locally and applied once at the end by
-        direct field arithmetic; the arithmetic is exact (all amounts are
-        integer-valued), so the totals match the dict oracle's
-        per-operation charge sequence to the bit.
-        """
+        An edge attached to that match already is re-stored in C(m) and
+        its P buckets, charged as the oracle's inserts; one attached to
+        another match raises ``ValueError``."""
+        w_rehash, card, bd = self._ace_acc(edge)
+        _emit(
+            self.ledger,
+            bd,
+            ("dict_batch", 1.0 + card),
+            ("dict_rehash", w_rehash),
+            ("add_cross_edge", float(card)),
+        )
+
+    def _ace_acc(self, edge: Edge) -> Tuple[float, int, int]:
+        """:meth:`add_cross_edge` without charge emission: returns
+        ``(w_rehash, card, branch_depth)``, the dict_batch work being
+        ``1 + card`` (see :meth:`_rce_acc`)."""
         eid = edge.eid
         i = self._slot[eid]
         pcol = self._pcol
@@ -1376,23 +1306,13 @@ class ArrayLeveledStructure:
                     best_lvl = l
         if bi < 0:
             raise ValueError(f"cross edge {eid} has no incident match")
+        if self._cprev[i] != _OUT and self._ownslot[i] != bi:
+            raise ValueError(f"cross edge {eid} is attached to another match")
         self._type[i] = _T_CROSS
         self._ownslot[i] = bi
         w_rehash, d_total = _l_insert(self._C, bi, i)
-        card = self._card[i]
-        off = self._vd_off[i]
-        wr, dp = _p_link(self._lidx, self._vd_flat[off : off + card], i * self.rank, best_lvl)
-        w_batch = 1.0 + card
-        w_rehash += wr
-        d_total += dp + 1
-        led = self.ledger
-        led.work += w_batch + w_rehash + card
-        led._stack[-1].depth += d_total
-        bt = led.by_tag
-        bt["dict_batch"] = bt.get("dict_batch", 0.0) + w_batch
-        if w_rehash:
-            bt["dict_rehash"] = bt.get("dict_rehash", 0.0) + w_rehash
-        bt["add_cross_edge"] = bt.get("add_cross_edge", 0.0) + card
+        wr, dp = _p_link(self._lidx, vid, edge.vertices, i * self.rank, best_lvl)
+        return w_rehash + wr, self._card[i], d_total + dp + 1
 
     # ------------------------------------------------------------------ #
     # Sample-set helpers
@@ -1416,10 +1336,10 @@ class ArrayLeveledStructure:
     # across branches, region depth = MAX branch depth.  A plain Ledger
     # only keeps order-insensitive totals, so the single aggregated
     # emission is bit-identical to running the per-edge region.
-    # ``add_cross_edge_batch`` and ``remove_match_batch`` take the
-    # per-edge route (``parallel_for`` over ``add_cross_edge`` /
-    # ``remove_match``) for calls below ``native.VEC_MIN`` items and
-    # when their edit kernel bails out.
+    # For calls below ``native.VEC_MIN`` items, and when their edit
+    # kernel bails out, ``add_cross_edge_batch`` sums its per-edge ops
+    # (``_ace_acc``) and ``remove_match_batch`` takes the per-edge route
+    # (``parallel_for`` over ``remove_match``).
 
     def _rce_acc(self, i: int, edge: Edge) -> Tuple[float, float, int, int]:
         """removeCrossEdge(e): detach the cross edge in slot ``i`` from its
@@ -1455,10 +1375,11 @@ class ArrayLeveledStructure:
         validation fails, in which case *nothing user-visible changed*
         beyond idempotent type/owner-slot column writes and the caller
         must run the per-edge route for exact error and
-        partial-application semantics.  The C(m) inserts and P links are
+        partial-application semantics.  Calls of at least
+        :data:`_GROUPED_MIN` edges make the C(m) inserts and P links as
         grouped passes (:func:`_l_insert_grouped`,
-        :func:`_p_link_grouped`); a branch's depth is its C(m) insert's
-        plus its endpoints' P links', plus one.
+        :func:`_p_link_grouped`), smaller ones per edge; a branch's depth
+        is its C(m) insert's plus its endpoints' P links', plus one.
         """
         n = len(edges)
         ids = [e.eid for e in edges]
@@ -1472,13 +1393,9 @@ class ArrayLeveledStructure:
         total_c = int(cards.sum())
         if total_c == 0:
             return False
-        nodes, eoff = self._p_nodes(slots, cards)
-        # Attached edges (in some C(m) or P bucket) take the per-edge
-        # route, which re-stores them.
-        if not (
-            (np.frombuffer(self._cprev, dtype=np.int32)[slots] == _OUT).all()
-            and (np.frombuffer(self._lidx[0][4], dtype=np.int32)[nodes] == _OUT).all()
-        ):
+        # Attached edges (in some C(m), and so filed in P) take the
+        # per-edge route, which re-stores them (add_cross_edge).
+        if not (np.frombuffer(self._cprev, dtype=np.int32)[slots] == _OUT).all():
             return False
         vd_off = np.frombuffer(self._vd_off, dtype=np.int64)
         idx = native.seg_gather_index(vd_off[slots], cards, total_c)
@@ -1496,18 +1413,38 @@ class ArrayLeveledStructure:
             # Some edge has no incident match; the per-edge route raises
             # the exact error after applying the preceding edges.
             return False
-        best = best.astype(np.int64)
-        w_c, d_c = _l_insert_grouped(_views(self._C), best, slots)
-        lv = np.frombuffer(self._level, dtype=np.int32)[best]
-        w_p, d_p = _p_link_grouped(self._lidx, nodes, dflat, np.repeat(lv, cards))
-        bd = d_c + np.add.reduceat(d_p, eoff) + 1
+        if n >= _GROUPED_MIN:
+            nodes, eoff = self._p_nodes(slots, cards)
+            best = best.astype(np.int64)
+            w_c, d_c = _l_insert_grouped(_views(self._C), best, slots)
+            lv = np.frombuffer(self._level, dtype=np.int32)[best]
+            w_p, d_p = _p_link_grouped(self._lidx, nodes, dflat, np.repeat(lv, cards))
+            max_bd = int((d_c + np.add.reduceat(d_p, eoff)).max()) + 1
+            w_rehash = float(w_c.sum() + w_p.sum())
+        else:
+            # Each edge's C(m) insert and P links, in batch order, as in
+            # add_cross_edge.
+            C = self._C
+            larr = self._level
+            P = self._lidx
+            vid = self.interner._index
+            r = self.rank
+            w_rehash = 0.0
+            max_bd = 0
+            for edge, j, bs in zip(edges, slots.tolist(), best.tolist()):
+                wr, bd = _l_insert(C, bs, j)
+                wp, dp = _p_link(P, vid, edge.vertices, j * r, larr[bs])
+                w_rehash += wr + wp
+                bd += dp + 1
+                if bd > max_bd:
+                    max_bd = bd
         # Every edge pays 1 + cardinality dict_batch work unconditionally,
         # so the batch total collapses to a constant.
         _emit(
             self.ledger,
-            int(bd.max()),
+            max_bd,
             ("dict_batch", float(n + total_c)),
-            ("dict_rehash", float(w_c.sum() + w_p.sum())),
+            ("dict_rehash", w_rehash),
             ("add_cross_edge", float(total_c)),
         )
         return True
@@ -1515,80 +1452,39 @@ class ArrayLeveledStructure:
     def add_cross_edge_batch(self, edges: Sequence[Edge]) -> None:
         """Batched ``add_cross_edge`` over one parallel region: the edit
         kernels for large calls, else (or when the kernel bails out) the
-        per-edge route."""
+        per-edge ops (:meth:`_ace_acc`), their charges summed and emitted
+        once."""
         if not edges:
             return
         if len(edges) >= native.VEC_MIN and self._kernel_add_cross(edges):
             return
-        parallel_for(self.ledger, edges, self.add_cross_edge)
-
-    def _kernel_detach(self, eids: Sequence[EdgeId], cross_only: bool) -> bool:
-        """Columnar route of :meth:`detach_unmatched_batch` (and, with
-        ``cross_only``, :meth:`remove_cross_edge_batch`): a cross edge's
-        C(m) delete and P unlinks, a sampled edge's S(m) delete, as
-        grouped passes (:func:`_l_delete_grouped`,
-        :func:`_p_unlink_grouped`), charged as the per-edge loop charges.
-
-        Returns False, having changed nothing, when an id is absent or
-        repeated, an edge is not cross (or, without ``cross_only``,
-        sampled), or is missing from its list: the caller's loop then
-        raises at it.
-        """
-        slots = self._slots_of(eids)
-        if slots is None:
-            return False
-        srt = np.sort(slots)
-        if (srt[1:] == srt[:-1]).any():
-            return False
-        tarr = np.frombuffer(self._type, dtype=np.int32)
-        t = tarr[slots]
-        cross = t == _T_CROSS
-        cs = slots[cross]
-        ss = slots[~cross]
-        if ss.size and (cross_only or (t[~cross] != _T_SAMPLED).any()):
-            return False
-        C = _views(self._C)
-        S = _views(self._S)
-        if (C[4][cs] == _OUT).any() or (S[4][ss] == _OUT).any():
-            return False
-        osl = np.frombuffer(self._ownslot, dtype=np.int32)
-        w_batch = float(slots.size)
         w_rehash = 0.0
-        w_cross = 0.0
+        w_card = 0.0
         max_bd = 0
-        if cs.size:
-            cards = np.frombuffer(self._card, dtype=np.int32)[cs].astype(np.int64)
-            w_c, d_c = _l_delete_grouped(C, osl[cs].astype(np.int64), cs)
-            nodes, eoff = self._p_nodes(cs, cards)
-            w_b, w_p, d_p = _p_unlink_grouped(self._lidx, nodes)
-            max_bd = int((d_c + np.add.reduceat(d_p, eoff)).max()) + 1
-            w_batch += w_b
-            w_rehash += float(w_c.sum() + w_p.sum())
-            w_cross = float(cards.sum())
-        if ss.size:
-            w_s, d_s = _l_delete_grouped(S, osl[ss].astype(np.int64), ss)
-            max_bd = max(max_bd, int(d_s.max()))
-            w_rehash += float(w_s.sum())
-        tarr[slots] = _T_UNSETTLED
-        osl[slots] = -1
-        _emit(
-            self.ledger,
-            max_bd,
-            ("dict_batch", w_batch),
-            ("dict_rehash", w_rehash),
-            ("remove_cross_edge", w_cross),
-        )
-        return True
+        n = 0
+        acc = self._ace_acc
+        try:
+            for edge in edges:
+                wr, card, bd = acc(edge)
+                n += 1
+                w_rehash += wr
+                w_card += card
+                if bd > max_bd:
+                    max_bd = bd
+        finally:
+            # Emitted even when an edge raises: the edges before it stay
+            # attached and charged, as under parallel_for.
+            _emit(
+                self.ledger,
+                max_bd,
+                ("dict_batch", n + w_card),
+                ("dict_rehash", w_rehash),
+                ("add_cross_edge", w_card),
+            )
 
     def remove_cross_edge_batch(self, edges: Sequence[Edge]) -> None:
-        """Batched removeCrossEdge over one parallel region: grouped
-        passes for calls of at least :data:`repro.native.VEC_MIN` edges,
-        else (or when they bail out) the per-edge loop."""
+        """Batched removeCrossEdge over one parallel region."""
         if not edges:
-            return
-        if len(edges) >= native.VEC_MIN and self._kernel_detach(
-            [e.eid for e in edges], cross_only=True
-        ):
             return
         w_batch = 0.0
         w_rehash = 0.0
@@ -1613,11 +1509,8 @@ class ArrayLeveledStructure:
     def detach_unmatched_batch(self, eids: Sequence[EdgeId]) -> None:
         """Detach unmatched deleted edges over one parallel region: a
         cross edge leaves its owner and the P index; a sampled edge
-        leaves its owner's S (lazy: the owner's level does not move).
-        Same route rule as :meth:`remove_cross_edge_batch`."""
+        leaves its owner's S (lazy: the owner's level does not move)."""
         if not eids:
-            return
-        if len(eids) >= native.VEC_MIN and self._kernel_detach(eids, cross_only=False):
             return
         slot = self._slot
         tarr = self._type
@@ -1737,8 +1630,8 @@ class ArrayLeveledStructure:
         covers in ``_pcol``, both set headers and the owned edges'
         C-links) and the owned-card work total move into the edit
         kernel.  A count gather finds the matches that own cross edges;
-        only they walk C(m), and their owned edges' P unlinks run as one
-        grouped pass (:func:`_p_unlink_grouped`) in the per-edge order.
+        only they walk C(m) and unlink their owned edges' P nodes
+        (:func:`_p_unlink`, in the per-edge order).
         A match with an empty C(m) — most level-0 matches — charges
         ``dict_elements`` work 1 and branch depth 2, with no per-match
         Python.
@@ -1801,13 +1694,17 @@ class ArrayLeveledStructure:
         w_batch = 0.0
         w_rehash = 0.0
         if own_slots.size:
-            own = own_slots.astype(np.int64)
-            nodes, eoff = self._p_nodes(own, carr_np[own].astype(np.int64))
-            w_batch, w_p, d_p = _p_unlink_grouped(self._lidx, nodes)
-            w_rehash = float(w_p.sum())
+            P = self._lidx
+            r = self.rank
+            card = self._card
+            edge_d = []
+            for j in own_flat_l:
+                wb, wr, bd = _p_unlink(P, j * r, card[j])
+                w_batch += wb
+                w_rehash += wr
+                edge_d.append(bd + 1)
             c = bcnt[has]
-            edge_d = np.add.reduceat(d_p, eoff) + 1
-            d_total = np.maximum.reduceat(edge_d, np.cumsum(c) - c)
+            d_total = np.maximum.reduceat(np.array(edge_d), np.cumsum(c) - c)
             d_total += 2 * np.where(c > 1, _bitlen(c - 1), 1)
             max_d = max(max_d, int(d_total.max()))
         out = list(map(edge.__getitem__, own_flat_l))
@@ -2020,12 +1917,11 @@ class ArrayLeveledStructure:
         if etype == EdgeType.CROSS:
             if not claimed or self._cprev[i] == _OUT:
                 raise ValueError(f"cross edge {eid} missing from C({owner})")
-            card = self._card[i]
-            off = self._vd_off[i]
+            vs = self._verts[i]
             w_rehash, depth = _p_link(
-                self._lidx, self._vd_flat[off : off + card], i * self.rank, self._level[oi]
+                self._lidx, self.interner._index, vs, i * self.rank, self._level[oi]
             )
-            _emit(self.ledger, depth, ("dict_batch", float(card)), ("dict_rehash", w_rehash))
+            _emit(self.ledger, depth, ("dict_batch", float(len(vs))), ("dict_rehash", w_rehash))
         elif etype == EdgeType.SAMPLED:
             if not claimed or self._sprev[i] == _OUT:
                 raise ValueError(f"sampled edge {eid} missing from S({owner})")
@@ -2136,7 +2032,7 @@ class ArrayLeveledStructure:
                         f"P({v!r}, {lvl}): edge {eid!r} is not a registered edge on "
                         f"{v!r}, or is filed there twice"
                     )
-                _p_link(L, (d,), node, lvl)
+                _p_link(L, vid, (v,), node, lvl)
             if node >= 0:
                 B[3][nbkt[node]] = int(cap)
 

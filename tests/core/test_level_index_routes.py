@@ -1,11 +1,12 @@
 """P(v, l) on both routes of the array backend, against the dict oracle.
 
-The level index is edited by grouped passes on the columnar route and
-by per-edge helpers on the scalar route.  The parity suites fingerprint
-the matching, samples, epochs and ledger; this file fingerprints P
-itself.  Each stream runs three ways: the array backend with every call
-on the columnar route (``repro.native.VEC_MIN`` = 1), the array backend
-with every call per-edge, and the dict oracle.  After every batch the
+The level index is edited by per-edge helpers, and in large cross-edge
+inserts on the columnar route by a grouped pass.  The parity suites
+fingerprint the matching, samples, epochs and ledger; this file
+fingerprints P itself.  Each stream runs three ways: the array backend
+with every call on the columnar route and every cross-edge insert
+grouped (``repro.native.VEC_MIN`` and ``arraystore._GROUPED_MIN`` = 1),
+the array backend with every call per-edge, and the dict oracle.  After every batch the
 two array runs must give identical ``snapshot_columns()`` (P rows and
 their order included), and the array backend's P rows must equal the
 oracle's per vertex (the oracle lists vertices in registration order,
@@ -18,11 +19,25 @@ import numpy as np
 import pytest
 
 from repro import native
+from repro.core import arraystore
+from repro.core.arraystore import ArrayLeveledStructure
 from repro.core.dynamic_matching import DynamicMatching
+from repro.core.level_structure import LeveledStructure
 from repro.hypergraph.edge import Edge
+from repro.parallel.ledger import Ledger
 
-#: Route constants: every call columnar, every call per-edge, default.
-ROUTES = (("columnar", 1), ("per-edge", 1 << 30), ("oracle", native.VEC_MIN))
+#: Route constants (``VEC_MIN``, ``_GROUPED_MIN``): every call columnar
+#: and grouped, every call per-edge, and the defaults.
+ROUTES = (
+    ("columnar", (1, 1)),
+    ("per-edge", (1 << 30, 1 << 30)),
+    ("oracle", (native.VEC_MIN, arraystore._GROUPED_MIN)),
+)
+
+
+def _route(monkeypatch, constants):
+    monkeypatch.setattr(native, "VEC_MIN", constants[0])
+    monkeypatch.setattr(arraystore, "_GROUPED_MIN", constants[1])
 
 
 def _P_by_vertex(P):
@@ -72,14 +87,14 @@ def test_level_index_same_on_both_routes_and_the_oracle(rank, seed, monkeypatch)
     grew = shrank = False
     for step, (kind, arg) in enumerate(_stream(rank, seed)):
         victims = _victims(dms["oracle"], arg, rng) if kind == "delete" else None
-        for name, vec_min in ROUTES:
-            monkeypatch.setattr(native, "VEC_MIN", vec_min)
+        for name, constants in ROUTES:
+            _route(monkeypatch, constants)
             dm = dms[name]
             if kind == "insert":
                 dm.insert_edges([Edge(e.eid, e.vertices) for e in arg])
             else:
                 dm.delete_edges(list(victims))
-        monkeypatch.setattr(native, "VEC_MIN", ROUTES[-1][1])
+        _route(monkeypatch, ROUTES[-1][1])
         col = dms["columnar"].structure.snapshot_columns()
         assert dms["per-edge"].structure.snapshot_columns() == col, f"step {step}"
         want = dms["oracle"].structure.snapshot_columns()["P"]
@@ -95,3 +110,36 @@ def test_level_index_same_on_both_routes_and_the_oracle(rank, seed, monkeypatch)
             dm.check_invariants()
     assert max(levels) >= 2
     assert grew and shrank
+
+
+@pytest.mark.parametrize("route", [name for name, _ in ROUTES[:2]])
+def test_re_adding_attached_cross_edges_re_stores_them(route, monkeypatch):
+    """``add_cross_edge_batch`` on edges already attached to the match it
+    picks re-stores them in place, as the oracle's BatchSet inserts do:
+    the same P rows, C(m) and charges on either route; an edge attached
+    to another match is refused."""
+    _route(monkeypatch, dict(ROUTES)[route])
+    ms = [Edge(0, (0, 1)), Edge(1, (2, 3))]
+    cross = [Edge(2 + k, (k % 4, 4 + k)) for k in range(80)]
+    out = []
+    for cls in (ArrayLeveledStructure, LeveledStructure):
+        s = cls(rank=2, ledger=Ledger())
+        s.register_batch(ms + cross)
+        s.add_level0_batch(ms)
+        s.add_cross_edge_batch(cross)
+        before = s.ledger.work
+        s.add_cross_edge_batch(cross[::-1])
+        s.check_invariants()
+        col = s.snapshot_columns()
+        P = _P_by_vertex(col.pop("P"))
+        led = s.ledger
+        out.append((col, P, led.work - before, led.depth, sorted(led.by_tag.items())))
+    assert out[0] == out[1]
+    s = ArrayLeveledStructure(rank=2, ledger=Ledger())
+    extra = Edge(90, (1, 2))  # owned by match 1, then vertex 1 gets match 0
+    s.register_batch(ms + [extra])
+    s.add_level0_batch(ms[1:])
+    s.add_cross_edge_batch([extra])
+    s.add_level0_batch(ms[:1])
+    with pytest.raises(ValueError, match="attached to another match"):
+        s.add_cross_edge_batch([extra])

@@ -6,9 +6,8 @@ making them: ``_grow`` and ``_shrink`` (the capacity rule), ``_l_insert``
 and ``_l_delete`` (one edge into or out of an S(m)/C(m) linked list in
 int columns), ``_p_link`` and ``_p_unlink`` (one cross edge into or out
 of the P(v, l) buckets of its vertices, held as int columns too), and
-their grouped forms, which apply a whole pass of inserts or deletes at
-once: ``_l_insert_grouped``/``_l_delete_grouped`` and
-``_p_link_grouped``/``_p_unlink_grouped``.  The dict oracle keeps one
+their grouped forms, which apply a whole pass of inserts at once:
+``_l_insert_grouped`` and ``_p_link_grouped``.  The dict oracle keeps one
 ``BatchSet`` per set, which charges a ``Ledger`` as it goes.  These
 tests pin the helpers to ``BatchSet`` op by op: capacity, member order,
 and the ``dict_batch`` work, ``dict_rehash`` work and depth of every op
@@ -30,7 +29,6 @@ from repro.core.arraystore import (
     _grow,
     _l_concat,
     _l_delete,
-    _l_delete_grouped,
     _l_insert,
     _l_insert_grouped,
     _p_grow_nodes,
@@ -39,7 +37,6 @@ from repro.core.arraystore import (
     _p_link_grouped,
     _p_new,
     _p_unlink,
-    _p_unlink_grouped,
     _shrink,
     _views,
 )
@@ -110,8 +107,11 @@ class _RefIndex:
         return tuple(b - a for a, b in zip(before, _charged(self.led)))
 
     def unlink(self, v, lvl, key):
+        """One bucket discard (nothing when the bucket is absent)."""
         before = _charged(self.led)
-        bucket = self.P[v][lvl]
+        bucket = self.P[v].get(lvl)
+        if bucket is None:
+            return (0.0, 0.0, 0)
         bucket.delete_one(key)
         if not bucket:
             del self.P[v][lvl]
@@ -156,36 +156,43 @@ def _assert_same_index(P, ref: _RefIndex, edges, where):
 
 @st.composite
 def _bucket_scripts(draw):
-    """Rounds of (link/unlink, key) ops over fresh keys: each key is an
-    edge on one or two of the vertices, linked at one level.  Each round
-    fills one (vertices, level) choice past 48 keys (four doublings),
-    then unlinks some of them in random order and re-links a few, which
-    go to the back; the last round drains everything (four halvings,
-    every bucket and P(v) dropped).  An earlier round may stop part way,
-    so a later one meets its leftovers or another level of the same
-    vertex."""
+    """Rounds of (link/unlink, key) ops: each key is an edge on one or
+    two of the vertices, linked at one level.  Each round fills one
+    (vertices, level) choice past 48 keys (four doublings) and links a
+    few live keys again (re-stores), then unlinks some live keys in
+    random order among unlinks of absent keys (unlinked before, or
+    never linked), and re-links a few, which go to the back; the last
+    round drains everything (four halvings, every bucket and P(v)
+    dropped).  An earlier round may stop part way, so a later one meets
+    its leftovers or another level of the same vertex."""
+    choices = [("a",), ("b",), ("a", "b"), ("b", "c")]
+    edges = [(draw(st.sampled_from(choices)), draw(st.sampled_from(LEVELS))) for _ in range(3)]
     ops = []
-    edges = []
     live = []
+    dead = list(range(len(edges)))  # never linked, so far
     rounds = draw(st.integers(2, 4))
     for r in range(rounds):
-        vs = draw(st.sampled_from([("a",), ("b",), ("a", "b"), ("b", "c")]))
+        vs = draw(st.sampled_from(choices))
         lvl = draw(st.sampled_from(LEVELS))
         top = draw(st.integers(50, 90))
         keys = list(range(len(edges), len(edges) + top))
         edges += [(vs, lvl)] * top
         ops += [("link", k) for k in draw(st.permutations(keys))]
         live += keys
+        ops += [("link", k) for k in draw(st.lists(st.sampled_from(live), max_size=8))]
         if r < rounds - 1:
             gone = draw(st.lists(st.sampled_from(live), unique=True))
         else:
             gone = draw(st.permutations(live))
-        ops += [("unlink", k) for k in gone]
+        absent = draw(st.lists(st.sampled_from(dead), max_size=6))
+        ops += [("unlink", k) for k in draw(st.permutations(gone + absent))]
         live = [k for k in live if k not in set(gone)]
+        dead += gone
         if r < rounds - 1 and gone:
             back = draw(st.lists(st.sampled_from(gone), unique=True, max_size=8))
             ops += [("link", k) for k in back]
             live += back
+            dead = [k for k in dead if k not in set(back)]
     return edges, ops
 
 
@@ -193,25 +200,50 @@ def _bucket_scripts(draw):
 @given(script=_bucket_scripts())
 def test_bucket_edits_match_batchset(script):
     """``_p_link``/``_p_unlink`` on the P columns, op by op, against a
-    BatchSet per bucket: charges, member order, capacities, a bucket
-    dropped exactly when its set empties and P(v) with its last bucket,
-    and P(v)s in creation order."""
+    BatchSet per bucket: charges, member order, capacities, a live key
+    linked again re-stored in place, a bucket dropped exactly when its
+    set empties and P(v) with its last bucket, and P(v)s in creation
+    order.  An absent key's nodes are in no bucket, so its unlink costs
+    nothing and changes nothing; the oracle agrees where the key's
+    vertices have no bucket at its level, and elsewhere charges a no-op
+    delete, in a state no structure edit reaches (a cross edge stays
+    filed under each of its vertices until it is detached)."""
     edges, ops = script
     P = _index(len(edges))
     led = Ledger()
     ref = _RefIndex(led)
+    live = set()
     for kind, key in ops:
         vs, lvl = edges[key]
         if kind == "link":
             want = [ref.link(v, lvl, key) for v in vs]
-            w_rehash, depth = _p_link(P, [DENSE[v] for v in vs], RANK * key, lvl)
+            w_rehash, depth = _p_link(P, DENSE, vs, RANK * key, lvl)
             got = (float(len(vs)), w_rehash, depth)
+            live.add(key)
         else:
-            want = [ref.unlink(v, lvl, key) for v in vs]
+            if key in live or all(lvl not in ref.P[v] for v in vs):
+                want = [ref.unlink(v, lvl, key) for v in vs]
+            else:
+                want = [(0.0, 0.0, 0)]
             got = _p_unlink(P, RANK * key, len(vs))
+            live.discard(key)
         assert got == tuple(map(sum, zip(*want))), (kind, key)
         _assert_same_index(P, ref, edges, (kind, key))
     assert ref.order == [] and len(P[9]) == len(P[2])
+
+
+def test_bucket_link_refuses_a_node_filed_at_another_level():
+    """A node already in a bucket can only be re-stored there: linking
+    it at another level raises, with the index unchanged."""
+    P = _index(1)
+    led = Ledger()
+    ref = _RefIndex(led)
+    for v in ("a", "b"):
+        ref.link(v, 0, 0)
+    _p_link(P, DENSE, ("a", "b"), 0, 0)
+    with pytest.raises(ValueError, match="filed in bucket"):
+        _p_link(P, DENSE, ("a", "b"), 0, 1)
+    _assert_same_index(P, ref, [(("a", "b"), 0)], "after the refused link")
 
 
 @st.composite
@@ -269,12 +301,13 @@ def _grouped_bucket_scripts(draw):
 @settings(max_examples=40, deadline=None)
 @given(script=_grouped_bucket_scripts())
 def test_grouped_bucket_passes_match_sequential_batchset(script):
-    """``_p_link_grouped``/``_p_unlink_grouped`` over whole batches
-    against a sequential replay of BatchSet inserts and deletes: per op
-    (one per node) the dict_batch work, rehash work and depth, per batch
-    the region's max of the per-edge summed depths, and after every
-    batch the buckets, their members and capacities, and P(v)s in
-    creation order."""
+    """``_p_link_grouped`` over whole batches against a sequential
+    replay of BatchSet inserts: per op (one per node) the dict_batch
+    work, rehash work and depth, per batch the region's max of the
+    per-edge summed depths, and after every batch the buckets, their
+    members and capacities, and P(v)s in creation order.  Unlink
+    batches run ``_p_unlink`` per key (deletes have no grouped form),
+    so the link passes meet shrunk, drained and re-made buckets."""
     edges, batches = script
     P = _index(len(edges))
     led = Ledger()
@@ -283,20 +316,20 @@ def test_grouped_bucket_passes_match_sequential_batchset(script):
         nodes = [RANK * k + i for k in keys for i in range(len(edges[k][0]))]
         verts = [v for k in keys for v in edges[k][0]]
         lvls = [edges[k][1] for k in keys for _ in edges[k][0]]
-        step = ref.link if kind == "link" else ref.unlink
-        want = [step(v, lvl, n // RANK) for n, v, lvl in zip(nodes, verts, lvls)]
-        nd = np.array(nodes, dtype=np.int64)
-        if kind == "link":
-            w, d = _p_link_grouped(
-                P, nd, np.array([DENSE[v] for v in verts], dtype=np.int32),
-                np.array(lvls, dtype=np.int64),
-            )
-            w_batch = float(len(nodes))
-        else:
-            w_batch, w, d = _p_unlink_grouped(P, nd)
+        if kind == "unlink":
+            for k in keys:
+                want = [ref.unlink(v, edges[k][1], k) for v in edges[k][0]]
+                got = _p_unlink(P, RANK * k, len(edges[k][0]))
+                assert got == tuple(map(sum, zip(*want))), k
+            _assert_same_index(P, ref, edges, kind)
+            continue
+        want = [ref.link(v, lvl, n // RANK) for n, v, lvl in zip(nodes, verts, lvls)]
+        w, d = _p_link_grouped(
+            P, np.array(nodes, dtype=np.int64), np.array([DENSE[v] for v in verts], dtype=np.int32),
+            np.array(lvls, dtype=np.int64),
+        )
         got = list(zip([1.0] * len(nodes), w.tolist(), d.tolist()))
         assert got == want, kind
-        assert w_batch == len(nodes)
         bounds = np.cumsum([0] + [len(edges[k][0]) for k in keys])
         region = max(sum(x[2] for x in want[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
         assert int(np.add.reduceat(d, bounds[:-1]).max()) == region
@@ -440,11 +473,11 @@ def _grouped_list_scripts(draw):
 @settings(max_examples=40, deadline=None)
 @given(batches=_grouped_list_scripts())
 def test_grouped_list_passes_match_sequential_batchset(batches):
-    """``_l_insert_grouped``/``_l_delete_grouped`` over whole batches
-    against a sequential replay of ``BatchSet.insert_one``/``delete_one``:
-    per op the rehash work and depth (dict_batch work is one per op),
-    the batch's max depth, and after every batch each list's members
-    both ways, count and capacity."""
+    """``_l_insert_grouped`` over whole batches against a sequential
+    replay of ``BatchSet.insert_one``: per op the rehash work and depth
+    (dict_batch work is one per op), the batch's max depth, and after
+    every batch each list's members both ways, count and capacity.
+    Delete batches run ``_l_delete`` per op against ``delete_one``."""
     cols = _list_columns()
     led = Ledger()
     ref = {h: BatchSet(led) for h in HEADS}
@@ -456,8 +489,10 @@ def test_grouped_list_passes_match_sequential_batchset(batches):
             want.append(tuple(b - a for a, b in zip(before, _charged(led))))
         h = np.array([h for h, _ in ops], dtype=np.int64)
         js = np.array([j for _, j in ops], dtype=np.int64)
-        grouped = _l_insert_grouped if kind == "insert" else _l_delete_grouped
-        w, d = grouped(_views(cols), h, js)
+        if kind == "insert":
+            w, d = _l_insert_grouped(_views(cols), h, js)
+        else:
+            w, d = map(np.array, zip(*[_l_delete(cols, h, j) for h, j in ops]))
         assert list(zip([1.0] * len(ops), w.tolist(), d.tolist())) == want, kind
         assert int(d.max()) == max(x[2] for x in want)
         for g in HEADS:
